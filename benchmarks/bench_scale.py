@@ -73,9 +73,8 @@ def _advise_summary(db, configurations, n):
     problem = problem_from_summary(
         summary, configurations, initial=EMPTY_CONFIGURATION, k=3,
         final=EMPTY_CONFIGURATION)
-    with CostService(db.what_if()) as service:
-        return LPAdvisor(3, count_initial_change=False).recommend(
-            problem, service)
+    return LPAdvisor(3, count_initial_change=False).recommend(
+        problem, CostService(db.what_if()))
 
 
 def test_bench_summary_advise_small(benchmark, scale_db,

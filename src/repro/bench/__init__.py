@@ -20,8 +20,6 @@ from .extensions import (KTuningResult, OnlineComparisonResult,
                          RobustnessResult, run_extension_ktuning,
                          run_extension_online,
                          run_extension_robustness)
-from .perf import (PerfLeg, PerfReport, perf_candidate_structures,
-                   run_perf)
 from .reporting import format_bars, format_series, format_table
 
 __all__ = [
@@ -39,6 +37,5 @@ __all__ = [
     "KTuningResult", "OnlineComparisonResult", "RobustnessResult",
     "run_extension_ktuning", "run_extension_online",
     "run_extension_robustness",
-    "PerfLeg", "PerfReport", "perf_candidate_structures", "run_perf",
     "format_bars", "format_series", "format_table",
 ]

@@ -358,6 +358,20 @@ class Figure4Result:
                    f"ms)"))
 
 
+def figure4_matrices(setup: PaperSetup,
+                     segments_per_block: int = 10) -> CostMatrices:
+    """Figure 4's instance: W1 re-segmented ``segments_per_block``
+    times finer than the setup's blocks, costed over the setup's
+    configuration space."""
+    fine_size = max(1, setup.block_size // segments_per_block)
+    segments = segment_by_count(setup.workloads["W1"], fine_size)
+    problem = ProblemInstance(segments=tuple(segments),
+                              configurations=setup.configurations,
+                              initial=EMPTY_CONFIGURATION,
+                              final=EMPTY_CONFIGURATION)
+    return build_cost_matrices(problem, setup.provider)
+
+
 def run_figure4(setup: PaperSetup,
                 ks: Sequence[int] = (2, 4, 6, 8, 10, 12, 14, 16, 18),
                 segments_per_block: int = 10,
@@ -369,14 +383,7 @@ def run_figure4(setup: PaperSetup,
     are prebuilt, so the timings isolate the search — the quantity the
     paper's figure compares.
     """
-    fine_size = max(1, setup.block_size // segments_per_block)
-    workload = setup.workloads["W1"]
-    segments = segment_by_count(workload, fine_size)
-    problem = ProblemInstance(segments=tuple(segments),
-                              configurations=setup.configurations,
-                              initial=EMPTY_CONFIGURATION,
-                              final=EMPTY_CONFIGURATION)
-    matrices = build_cost_matrices(problem, setup.provider)
+    matrices = figure4_matrices(setup, segments_per_block)
 
     unconstrained_seconds = _best_time(
         lambda: solve_unconstrained(matrices), repeats)
@@ -409,7 +416,7 @@ def run_figure4(setup: PaperSetup,
     return Figure4Result(ks=list(ks), graph_relative=graph_relative,
                          merging_relative=merging_relative,
                          unconstrained_seconds=unconstrained_seconds,
-                         n_segments=len(segments))
+                         n_segments=matrices.n_segments)
 
 
 def _best_time(fn, repeats: int) -> float:
@@ -539,7 +546,7 @@ def run_ablation_ranking(setup: PaperSetup,
         optimal.append(abs(ranked.cost - exact.cost) < 1e-6)
     return RankingAblationResult(ks=list(ks), paths_examined=paths,
                                  optimal=optimal,
-                                 n_segments=len(segments))
+                                 n_segments=matrices.n_segments)
 
 
 # ----------------------------------------------------------------------

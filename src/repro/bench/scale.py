@@ -222,12 +222,11 @@ class ScaleReport:
 
 def _advise(problem, advisor, optimizer) -> Tuple[float, object, int]:
     """Advise through a fresh CostService; return (wall, rec, calls)."""
-    with CostService(optimizer) as service:
-        start = time.perf_counter()
-        recommendation = advisor.recommend(problem, service)
-        wall = time.perf_counter() - start
-        calls = service.stats.whatif_calls
-    return wall, recommendation, calls
+    service = CostService(optimizer)
+    start = time.perf_counter()
+    recommendation = advisor.recommend(problem, service)
+    wall = time.perf_counter() - start
+    return wall, recommendation, service.stats.whatif_calls
 
 
 def run_scale(sizes: Sequence[int] = (10_000, 100_000, 1_000_000),
@@ -322,12 +321,10 @@ def run_scale(sizes: Sequence[int] = (10_000, 100_000, 1_000_000),
             if n == sizes[0]:
                 # Bit-identity spot check at the smallest size: the
                 # two formulations must fill identical matrices.
-                with CostService(db.what_if()) as service:
-                    smallest_matrices["summary"] = build_cost_matrices(
-                        summary_problem, service)
-                with CostService(db.what_if()) as service:
-                    smallest_matrices["legacy"] = build_cost_matrices(
-                        legacy_problem, service)
+                smallest_matrices["summary"] = build_cost_matrices(
+                    summary_problem, CostService(db.what_if()))
+                smallest_matrices["legacy"] = build_cost_matrices(
+                    legacy_problem, CostService(db.what_if()))
 
     if len(smallest_matrices) == 2:
         summary_m = smallest_matrices["summary"]

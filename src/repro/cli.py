@@ -35,16 +35,6 @@ Commands:
   converge bit-identically to the fault-free run, and that permanent
   estimation faults degrade gracefully instead of crashing the
   advisors.
-* ``perf`` — the costing-performance benchmark: build the enriched
-  Table 1 mixes' EXEC matrices (plus a TRANS identity sample)
-  undecomposed, decomposed (relevance signatures), and in parallel
-  (cold pool start and steady state measured separately); verify all
-  legs bit-identical and write ``BENCH_PERF.json`` (wall times per
-  phase, what-if call reduction, cache hit counters, steady-state
-  serial-vs-parallel speedup). Exits non-zero if decomposition
-  changes a matrix entry, saves zero calls, or — on hosts with
-  enough CPUs for >= 4 workers — the steady-state speedup misses
-  the 1.5x floor.
 * ``scale`` — the summary-IR scaling benchmark: advise the same
   multi-tenant workload at growing trace lengths (1M+ statements)
   through the compressed workload-summary path and the legacy
@@ -311,31 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "crash_deploy, thrash) through the "
                             "safety-gated tuner instead of family 6")
     chaos.set_defaults(handler=_cmd_chaos)
-
-    perf = sub.add_parser(
-        "perf", help="benchmark the costing pipeline: undecomposed "
-                     "vs signature-decomposed vs parallel matrix "
-                     "builds on the Table 1 mixes; verifies "
-                     "bit-identity and writes BENCH_PERF.json")
-    perf.add_argument("--rows", type=int, default=100_000)
-    perf.add_argument("--block-size", type=int, default=100)
-    perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument("--workers", type=int, default=4,
-                      help="process-pool width for the parallel leg "
-                           "(0 skips it; default 4)")
-    perf.add_argument("--speedup-floor", type=float, default=1.5,
-                      help="minimum steady-state parallel speedup; "
-                           "enforced when >= 4 workers have >= that "
-                           "many CPUs (default 1.5)")
-    perf.add_argument("--quick", action="store_true",
-                      help="CI scale: shrink the table and blocks "
-                           "(config/template spaces stay full size)")
-    perf.add_argument("--steal-grain", type=int, default=None,
-                      help="items per work-stealing micro-batch "
-                           "(default: adaptive, ~4 chunks/worker)")
-    perf.add_argument("--out", default="BENCH_PERF.json",
-                      help="report path (default BENCH_PERF.json)")
-    perf.set_defaults(handler=_cmd_perf)
 
     scale = sub.add_parser(
         "scale", help="benchmark summary-IR advising against the "
@@ -713,20 +678,6 @@ def _cmd_chaos(args) -> int:
     # No timing suffix: the chaos report is deterministic in the
     # seed, so the printed output is diffable across runs.
     print(report.format(include_timing=False))
-    return 0 if report.ok else 1
-
-
-def _cmd_perf(args) -> int:
-    from .bench.perf import run_perf
-    report = run_perf(nrows=args.rows, block_size=args.block_size,
-                      seed=args.seed, workers=args.workers,
-                      quick=args.quick,
-                      speedup_floor=args.speedup_floor,
-                      steal_grain=args.steal_grain)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(report.format())
-    print(f"wrote {args.out}")
     return 0 if report.ok else 1
 
 

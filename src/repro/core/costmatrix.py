@@ -277,12 +277,11 @@ def build_cost_matrices(problem: ProblemInstance,
 
     Batch-capable providers (:class:`~repro.core.costservice.
     CostService`) fill both matrices through their deduplicating batch
-    API — with atomic cost decomposition enabled (the default), every
-    EXEC column sharing a statement template's relevance signature is
-    filled from one estimate, and ``CostService(n_workers=N)`` fans
-    the remaining estimates over a process pool. Plain providers fall
-    back to the serial per-(segment, config) loop. All paths produce
-    bit-identical matrices — batching, decomposition, and parallelism
+    API — every EXEC column sharing a statement template's relevance
+    signature is filled from one estimate. Plain providers fall back
+    to the serial per-(segment, config) loop, which is the reference
+    the tests and ``repro verify`` compare the service against. Both
+    paths produce bit-identical matrices — batching and decomposition
     only change how many what-if calls (and how much wall time) it
     took to fill them.
     """

@@ -11,56 +11,29 @@ cache. :class:`CostService` centralizes that work behind the
 * **a batch API** — :meth:`exec_matrix` / :meth:`trans_matrix`
   deduplicate statements by :class:`~repro.sqlengine.whatif.
   StatementTemplate` (same AST shape + table + columns, constants
-  folded into the selectivities they induce) before touching the
-  what-if optimizer, then expand per-template costs back to the
-  per-segment axis with NumPy. With exact selectivity folding (the
-  default) the resulting matrices are bit-identical to the serial
-  path's.
+  folded into the exact selectivities they induce) before touching
+  the what-if optimizer, then expand per-template costs back to the
+  per-segment axis with NumPy. The resulting matrices are
+  bit-identical to the serial path's.
 
-* **a three-level cache** — L1 by ``(sql, configuration)`` (cheap
-  exact replays), L2 by ``(template key, configuration)``
-  (constants-blind), L3 by ``(template key, relevance signature)``:
+* **a two-tier exact cache** — by ``(template key, configuration)``
+  (constants-blind) and by ``(template key, relevance signature)``:
   the what-if optimizer derives, per template, the subset of a
   configuration's structures that can possibly affect its plan
   (:meth:`~repro.sqlengine.whatif.WhatIfOptimizer.
   relevance_signature`), and every configuration identical on that
   subset shares one bit-identical estimate. This is the CoPhy-style
   *atomic cost decomposition*: what-if work drops from
-  O(templates x |C|) to O(templates x relevant subsets).
-
-* **parallel matrix builds** — ``CostService(..., n_workers=N)``
-  fans the signature-level estimates of a batch out over a process
-  pool (default serial). The worker protocol is built for fan-out
-  economics: the catalog snapshot *and* an integer-id registry of
-  every template and candidate structure ship once at pool init, so
-  per-item messages are bare ``(index, template_id, structure_ids)``
-  integer tuples (objects registered after pool creation ride along
-  as per-chunk deltas, each shipped at most once per chunk). The
-  snapshot itself is *zero-copy* when the platform allows: histogram
-  boundary arrays are published once into a
-  ``multiprocessing.shared_memory`` block (:mod:`~repro.sqlengine.
-  shm_stats`) and every replica attaches read-only NumPy views
-  instead of unpickling its own copy (``shared_stats=False`` or an
-  unavailable platform falls back to the pickled snapshot). Pending
-  items are sliced — heaviest template row first — into many small
-  deterministic *micro-batches* (``scheduler="steal"``, the default)
-  so idle workers steal the long tail of a skewed batch instead of
-  idling behind one straggler chunk; ``scheduler="static"`` keeps the
-  one-LPT-chunk-per-worker layout for differential testing. Either
-  way the parent merges index-keyed results *streaming*, as each
-  micro-batch completes (``as_completed``), not behind a barrier:
-  estimates are deterministic functions of ``(template, config,
-  stats)``, so the matrix is bit-identical to the serial one
-  regardless of chunking, scheduler, or completion order. Batches
-  too small to amortize fan-out overhead cut over to the serial path
-  automatically (see ``parallel_threshold``).
+  O(templates x |C|) to O(templates x relevant subsets). Scalar
+  calls resolve ``sql -> template -> (template, config)`` through
+  the same tiers.
 
 * **instrumentation** — :class:`CostEstimationStats` counts what-if
-  calls issued vs avoided, per-level cache hits (statement /
-  template / signature), batch sizes, and wall time per phase.
-  Advisors snapshot/delta these counters into
-  ``Recommendation.stats["costing"]``; the ``repro costs`` and
-  ``repro perf`` CLI subcommands print them.
+  calls issued vs avoided, per-tier cache hits (template /
+  signature), batch sizes, and wall time per phase. Advisors
+  snapshot/delta these counters into
+  ``Recommendation.stats["costing"]``; the ``repro costs`` CLI
+  subcommand prints them.
 
 Costing units are either raw :class:`~repro.workload.segmentation.
 Segment` s or compressed :class:`~repro.workload.summary.PhaseSummary`
@@ -72,36 +45,24 @@ first-appearance order. Swapping a :class:`~repro.core.costmatrix.
 WhatIfCostProvider` for a :class:`CostService`, or a raw trace for
 its summary, never changes a single matrix entry — only how many
 optimizer calls (and how much per-statement bookkeeping) it took to
-fill them. With a fault injector attached, decomposition and
-parallelism switch themselves off: the degradation ladder is keyed
-per (template, configuration) and the fault firing order is part of
-the chaos family's determinism contract.
-
-``CostService(n_workers=N)`` keeps one persistent process pool per
-service: created lazily on the first batch that needs it, reused
-across ``exec_matrix``/``trans_matrix`` calls (replica optimizers are
-built once per pool, not once per batch), torn down when the catalog
-changes (stats epoch bump / :meth:`CostService.invalidate`) and on
-:meth:`CostService.close`.
+fill them. With a fault injector attached, decomposition switches
+itself off: the degradation ladder is keyed per (template,
+configuration) and the fault firing order is part of the chaos
+family's determinism contract.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DesignError, EstimationUnavailable
+from ..errors import EstimationUnavailable
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from ..sqlengine.index import structure_sort_key
 from ..sqlengine.whatif import StatementTemplate, WhatIfOptimizer
 from ..workload.summary import CostUnit, atoms_of
-from .costmatrix import CostMatrices
-from .problem import ProblemInstance
 from .structures import Configuration
 
 
@@ -114,9 +75,8 @@ class CostEstimationStats:
         whatif_calls: estimates actually issued to the optimizer.
         whatif_calls_avoided: statement estimates served without an
             optimizer call (any cache level, batch or scalar path).
-        statement_hits: hits in the L1 ``(sql, config)`` cache.
-        template_hits: hits in the L2 ``(template, config)`` cache.
-        signature_hits: hits in the L3 ``(template, signature)`` cache
+        template_hits: hits in the ``(template, config)`` cache.
+        signature_hits: hits in the ``(template, signature)`` cache
             — estimates reused across configurations that agree on the
             template's relevant structure subset.
         signature_fills: additional matrix cells filled from an
@@ -135,15 +95,6 @@ class CostEstimationStats:
             seen so far — the true size of the decomposed estimation
             space (compare against
             ``unique_templates x configurations``).
-        parallel_batches: batches whose pending estimates were fanned
-            out over the process pool.
-        micro_batches: chunks submitted to the pool across all
-            parallel batches (with ``scheduler="steal"`` there are
-            several per worker; ``micro_batches / parallel_batches``
-            is the mean fan-out width).
-        serial_cutover_batches: batches a parallel-capable service
-            resolved serially because the pending-item count was below
-            the fan-out threshold (adaptive serial cutover).
         exec_seconds / trans_seconds: wall time in EXEC / TRANS
             estimation (cache management included).
         estimate_faults: :class:`EstimationUnavailable` raised by the
@@ -161,7 +112,6 @@ class CostEstimationStats:
 
     whatif_calls: int = 0
     whatif_calls_avoided: int = 0
-    statement_hits: int = 0
     template_hits: int = 0
     signature_hits: int = 0
     signature_fills: int = 0
@@ -174,9 +124,6 @@ class CostEstimationStats:
     batched_templates: int = 0
     unique_templates: int = 0
     unique_signatures: int = 0
-    parallel_batches: int = 0
-    micro_batches: int = 0
-    serial_cutover_batches: int = 0
     exec_seconds: float = 0.0
     trans_seconds: float = 0.0
     estimate_faults: int = 0
@@ -218,202 +165,35 @@ class CostEstimationStats:
         return out
 
 
-@dataclass(frozen=True)
-class ParallelBatchMetrics:
-    """Straggler diagnostics for one parallel batch.
-
-    Captured by :meth:`CostService._parallel_pending` from the
-    per-chunk ``(worker pid, busy seconds)`` telemetry each worker
-    returns alongside its results; exposed as
-    ``CostService.last_parallel_metrics`` and aggregated across a
-    bench leg by :func:`summarize_parallel_metrics`.
-
-    Attributes:
-        scheduler: ``"steal"`` or ``"static"``.
-        n_items: pending (template row, signature) items estimated.
-        n_chunks: chunks actually submitted to the pool.
-        n_workers: the service's configured worker count.
-        worker_busy: summed busy seconds per worker pid (only workers
-            that ran at least one chunk appear).
-        chunk_seconds: each chunk's busy time, in completion order.
-    """
-
-    scheduler: str
-    n_items: int
-    n_chunks: int
-    n_workers: int
-    worker_busy: Dict[int, float]
-    chunk_seconds: Tuple[float, ...]
-
-    @property
-    def busy_imbalance(self) -> float:
-        """``max worker busy / mean worker busy`` over the workers
-        that ran chunks — 1.0 is a perfectly level batch, the worker
-        count is the worst case (one worker did everything while the
-        others ran *something*)."""
-        total = sum(self.worker_busy.values())
-        if total <= 0.0 or not self.worker_busy:
-            return 1.0
-        return max(self.worker_busy.values()) \
-            * len(self.worker_busy) / total
-
-    @property
-    def tail_median_chunk_ratio(self) -> float:
-        """``slowest chunk / median chunk`` — how much longer the tail
-        chunk ran than a typical one. Large static chunks under skew
-        drive this up; grain-sized micro-batches pin it near 1."""
-        if not self.chunk_seconds:
-            return 1.0
-        median = float(np.median(self.chunk_seconds))
-        if median <= 0.0:
-            return 1.0
-        return max(self.chunk_seconds) / median
-
-
-def summarize_parallel_metrics(
-        batches: Sequence[Optional[ParallelBatchMetrics]]
-        ) -> Dict[str, object]:
-    """Aggregate per-batch straggler metrics across a measurement
-    span (busy time summed per worker pid, chunk durations pooled).
-    ``None`` entries — batches that cut over to serial — are skipped.
-    """
-    kept = [b for b in batches if b is not None]
-    if not kept:
-        return {"batches": 0, "micro_batches": 0,
-                "workers_observed": 0, "busy_imbalance": None,
-                "tail_median_chunk_ratio": None}
-    busy: Dict[int, float] = {}
-    chunks: List[float] = []
-    for batch in kept:
-        for pid, seconds in batch.worker_busy.items():
-            busy[pid] = busy.get(pid, 0.0) + seconds
-        chunks.extend(batch.chunk_seconds)
-    total = sum(busy.values())
-    imbalance = (max(busy.values()) * len(busy) / total
-                 if total > 0.0 else 1.0)
-    median = float(np.median(chunks)) if chunks else 0.0
-    ratio = (max(chunks) / median) if median > 0.0 else 1.0
-    return {"batches": len(kept),
-            "micro_batches": sum(b.n_chunks for b in kept),
-            "workers_observed": len(busy),
-            "busy_imbalance": imbalance,
-            "tail_median_chunk_ratio": ratio}
-
-
 class CostService:
     """Batched, cached, instrumented cost estimation.
 
     Implements the :class:`~repro.core.costmatrix.CostProvider`
     protocol (``exec_cost`` / ``trans_cost`` / ``size_bytes``) so it
     drops in anywhere a provider is accepted, and adds the batch
-    entry points ``exec_matrix`` / ``trans_matrix`` / ``matrices_for``
-    that :func:`~repro.core.costmatrix.build_cost_matrices` routes
-    through automatically.
+    entry points ``exec_matrix`` / ``trans_matrix`` that
+    :func:`~repro.core.costmatrix.build_cost_matrices` routes through
+    automatically.
 
     Args:
         optimizer: the engine's what-if optimizer.
-        selectivity_resolution: optional bucket width for folding
-            predicate selectivities into template keys. ``None``
-            (default) keeps exact selectivities — estimates are then
-            bit-identical to the unbatched path. A coarse resolution
-            (e.g. ``1e-4``) trades exactness for more template sharing
-            on range-heavy workloads.
-        decompose: enable the signature-level (L3) cache tier —
-            atomic cost decomposition. On by default; it is exact, so
-            the only reason to turn it off is differential testing
-            against the undecomposed path. Automatically suspended
-            while a fault injector is attached (see module docstring).
-        n_workers: fan pending batch estimates out over a process
-            pool of this size. ``None``/``1`` (default) stays serial.
-            Workers rebuild replica optimizers from the engine's
-            catalog snapshot and the merge is index-keyed, so the
-            resulting matrices are bit-identical to serial builds.
-            The pool is created lazily and persists across batches;
-            call :meth:`close` (or use the service as a context
-            manager) to release it deterministically.
-        parallel_threshold: minimum pending-item count a batch needs
-            before it is fanned out; smaller batches resolve serially
-            (they could never amortize the dispatch overhead).
-            ``None`` (default) adapts: ``2 x n_workers`` items with a
-            warm pool, twice that when the pool would have to be
-            spun up first. The threshold only changes *where* an
-            estimate runs, never its value.
-        scheduler: how pending items are carved into pool chunks.
-            ``"steal"`` (default) slices the batch heaviest-template-
-            row-first into many grain-sized micro-batches so idle
-            workers steal the long tail of a skewed batch;
-            ``"static"`` keeps one LPT chunk per worker (the pre-
-            stealing layout, retained for differential testing and
-            as the bench skew leg's baseline). Both schedulers merge
-            streaming and index-keyed — the choice never changes a
-            matrix entry, only wall-clock under skew.
-        steal_grain: items per micro-batch for the ``"steal"``
-            scheduler. ``None`` (default) adapts to the batch:
-            ``ceil(items / (4 x n_workers))``, i.e. about four
-            steals per worker. Smaller grains level better but pay
-            more dispatch overhead; ``1`` degenerates to one item
-            per message. Ignored under ``"static"``.
-        shared_stats: publish the catalog snapshot's histograms into
-            a ``multiprocessing.shared_memory`` block at pool init so
-            replicas attach zero-copy read-only views instead of
-            unpickling their own statistics (bit-identical either
-            way). ``False`` — or a platform without shared memory —
-            ships the classic pickled snapshot. The block's lifetime
-            is tied to the pool's: released on :meth:`close`, catalog
-            invalidation, and context-manager exit.
+        retry_policy: how often a transient estimation fault is
+            retried before the degradation ladder takes over.
     """
 
-    #: Largest ``unique sqls x configurations`` batch whose entries
-    #: are copied into the L1 scalar cache. Bigger batches skip the
-    #: warm loop — scalar replays still resolve bit-equal through the
-    #: L2 template tier, without paying O(sqls x configs) dict
-    #: inserts inside every large matrix build.
-    _L1_WARM_CELL_CAP = 250_000
-
-    #: Adaptive micro-batch sizing target: with ``steal_grain=None``
-    #: the steal scheduler aims for this many chunks per worker, so
-    #: the scheduling slack available for stealing scales with the
-    #: pool instead of with the batch.
-    _STEAL_BATCHES_PER_WORKER = 4
-
     def __init__(self, optimizer: WhatIfOptimizer,
-                 selectivity_resolution: Optional[float] = None,
-                 retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-                 decompose: bool = True,
-                 n_workers: Optional[int] = None,
-                 parallel_threshold: Optional[int] = None,
-                 scheduler: str = "steal",
-                 steal_grain: Optional[int] = None,
-                 shared_stats: bool = True):
-        if scheduler not in ("steal", "static"):
-            raise DesignError(
-                f"scheduler must be 'steal' or 'static', "
-                f"got {scheduler!r}")
-        if steal_grain is not None and steal_grain < 1:
-            raise DesignError("steal_grain must be >= 1")
+                 retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY):
         self.optimizer = optimizer
-        self.selectivity_resolution = selectivity_resolution
         self.retry_policy = retry_policy
-        self.decompose = decompose
-        self.n_workers = n_workers
-        self.parallel_threshold = parallel_threshold
-        self.scheduler = scheduler
-        self.steal_grain = steal_grain
-        self.shared_stats = shared_stats
-        #: Straggler diagnostics of the most recent parallel batch
-        #: (``None`` until one runs; serial cutovers leave it alone).
-        self.last_parallel_metrics: Optional[ParallelBatchMetrics] = \
-            None
         self.stats = CostEstimationStats()
         self._stats_epoch = optimizer.stats_epoch
         self._template_by_sql: Dict[str, StatementTemplate] = {}
         self._template_keys: set = set()
-        self._statement_units: Dict[Tuple[str, Configuration], float] = {}
         self._template_units: Dict[Tuple[Tuple, Configuration], float] = {}
         self._trans_cache: Dict[Tuple[Configuration, Configuration],
                                 float] = {}
         self._size_cache: Dict[Configuration, int] = {}
-        # L3: atomic cost decomposition. _signature_units keys exact
+        # Atomic cost decomposition. _signature_units keys exact
         # estimates by (template key, relevance signature);
         # _signature_of memoizes the signature derivation per
         # (template key, configuration).
@@ -434,53 +214,6 @@ class CostService:
         # functions of the statistics, epoch-scoped like the rest.
         self._upper_bound_units: Dict[Tuple[Tuple, Configuration],
                                       float] = {}
-        # Persistent process pool (satellite of the summary-IR work):
-        # replicas are built once per pool lifetime, not per batch.
-        self._pool = None
-        # Owner side of the zero-copy stats block the current pool's
-        # replicas attach to; lifetime is exactly the pool's.
-        self._shm_block = None
-        # Worker-protocol registries: templates and structures are
-        # interned to integer ids so per-item pool messages carry only
-        # integers. Entries below the watermarks shipped with the
-        # pool's initargs; later entries ride along as per-chunk
-        # deltas.
-        self._template_ids: Dict[Tuple, int] = {}
-        self._templates_by_id: List[StatementTemplate] = []
-        self._structure_ids: Dict[object, int] = {}
-        self._structures_by_id: List[object] = []
-        self._config_sids: Dict[Configuration, Tuple[int, ...]] = {}
-        self._pool_template_watermark = 0
-        self._pool_structure_watermark = 0
-
-    def __enter__(self) -> "CostService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass  # interpreter shutdown: pool may already be gone
-
-    def close(self) -> None:
-        """Release the persistent worker pool and its shared-memory
-        stats block (idempotent). The service remains usable — the
-        next parallel batch recreates both."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        self._release_shm()
-
-    def _release_shm(self) -> None:
-        """Unlink the zero-copy stats block (idempotent). Called
-        after the pool is gone — live replicas keep their own
-        attachments mapped, so shutdown order cannot fault them."""
-        block, self._shm_block = self._shm_block, None
-        if block is not None:
-            block.close()
 
     # ------------------------------------------------------------------
     # CostProvider protocol (scalar path)
@@ -598,8 +331,8 @@ class CostService:
                 n_statements += weight
             unit_atoms.append(pairs)
 
-        # One estimate per (template, configuration) not yet cached —
-        # or, with decomposition on, per (template, signature).
+        # One estimate per (template, signature) not yet cached — or,
+        # with an injector attached, per (template, configuration).
         calls_before = self.stats.whatif_calls
         degraded_cells: set = set()
         units = np.empty((len(templates), len(configs)),
@@ -624,19 +357,6 @@ class CostService:
                     else:
                         self.stats.template_hits += 1
                     units[r, j] = value
-
-        # Warm the L1 cache so later scalar calls are dict lookups —
-        # except from degraded cells, which never enter exact caches.
-        # Capped: at bench scale the warm loop is sqls x configs dict
-        # inserts of values the L2/L3 tiers already serve bit-equal,
-        # and it would dominate the parent-side wall of large batches.
-        if len(sql_row) * len(configs) <= self._L1_WARM_CELL_CAP:
-            for sql, row in sql_row.items():
-                for j, config in enumerate(configs):
-                    if (row, j) in degraded_cells:
-                        continue
-                    self._statement_units[(sql, config)] = float(
-                        units[row, j])
 
         matrix = np.zeros((len(segments), len(configs)),
                           dtype=np.float64)
@@ -672,20 +392,6 @@ class CostService:
                     matrix[i, j] = self.trans_cost(old, new)
         return matrix
 
-    def matrices_for(self, problem: ProblemInstance) -> CostMatrices:
-        """Materialize :class:`CostMatrices` for a problem instance
-        through the batch API."""
-        configs = problem.configurations
-        final_index = None
-        if problem.final is not None:
-            final_index = configs.index(problem.final)
-        return CostMatrices(
-            configurations=tuple(configs),
-            exec_matrix=self.exec_matrix(problem.segments, configs),
-            trans_matrix=self.trans_matrix(configs),
-            initial_index=configs.index(problem.initial),
-            final_index=final_index)
-
     # ------------------------------------------------------------------
     # instrumentation
     # ------------------------------------------------------------------
@@ -708,15 +414,11 @@ class CostService:
         The retiring exact template values are kept as the *stale
         epoch* — rung 2 of the degradation ladder — so estimation
         outages after a stats refresh degrade to the last known exact
-        answer instead of the crude upper bound. The worker pool is
-        torn down too: replicas were built from the retiring catalog
-        snapshot, so the next parallel batch rebuilds them fresh.
+        answer instead of the crude upper bound.
         """
-        self.close()
         self._stale_units.update(self._template_units)
         self._template_by_sql.clear()
         self._template_keys.clear()
-        self._statement_units.clear()
         self._template_units.clear()
         self._trans_cache.clear()
         self._size_cache.clear()
@@ -725,13 +427,6 @@ class CostService:
         self._signature_units.clear()
         self._signature_of.clear()
         self._signature_keys.clear()
-        # Worker-protocol registries are epoch-scoped too: template
-        # keys fold selectivities under the retiring statistics.
-        self._template_ids.clear()
-        self._templates_by_id.clear()
-        self._structure_ids.clear()
-        self._structures_by_id.clear()
-        self._config_sids.clear()
 
     # ------------------------------------------------------------------
     # internals
@@ -748,7 +443,7 @@ class CostService:
         # degradation ladder is keyed per (template, config), and
         # sharing estimates across configs would change which cells a
         # fault lands on.
-        return self.decompose and self.optimizer.fault_injector is None
+        return self.optimizer.fault_injector is None
 
     def _signature(self, template: StatementTemplate,
                    config: Configuration) -> Tuple:
@@ -768,8 +463,7 @@ class CostService:
     def _template(self, statement) -> StatementTemplate:
         template = self._template_by_sql.get(statement.sql)
         if template is None:
-            template = self.optimizer.statement_template(
-                statement.ast, self.selectivity_resolution)
+            template = self.optimizer.statement_template(statement.ast)
             self._template_by_sql[statement.sql] = template
             self._template_keys.add(template.key)
             self.stats.unique_templates = len(self._template_keys)
@@ -777,15 +471,9 @@ class CostService:
 
     def _statement_units_for(self, statement,
                              config: Configuration) -> float:
-        l1_key = (statement.sql, config)
-        units = self._statement_units.get(l1_key)
-        if units is not None:
-            self.stats.statement_hits += 1
-            self.stats.whatif_calls_avoided += 1
-            return units
         template = self._template(statement)
-        l2_key = (template.key, config)
-        units = self._template_units.get(l2_key)
+        config_key = (template.key, config)
+        units = self._template_units.get(config_key)
         if units is None:
             sig_key = None
             if self._decomposing:
@@ -795,20 +483,18 @@ class CostService:
                 if units is not None:
                     self.stats.signature_hits += 1
                     self.stats.whatif_calls_avoided += 1
-                    self._template_units[l2_key] = units
-                    self._statement_units[l1_key] = units
+                    self._template_units[config_key] = units
                     return units
             units, degraded = self._issue_template(template, config)
             if degraded:
                 # Degraded answers never enter the exact caches.
                 return units
-            self._template_units[l2_key] = units
+            self._template_units[config_key] = units
             if sig_key is not None:
                 self._signature_units[sig_key] = units
         else:
             self.stats.template_hits += 1
             self.stats.whatif_calls_avoided += 1
-        self._statement_units[l1_key] = units
         return units
 
     def _issue_template(self, template: StatementTemplate,
@@ -860,16 +546,18 @@ class CostService:
         signature tier: one estimate per (template, relevant subset),
         every configuration sharing the subset filled from it.
 
-        Cells neither in the L2 nor the L3 cache are accumulated as
-        *pending* work — one item per (template row, signature) —
-        and resolved serially or over the process pool, then written
-        to every column sharing the signature.
+        Cells in neither cache tier are accumulated as *pending* work
+        — one item per (template row, signature) — estimated against
+        the first configuration carrying the signature (any sharer
+        yields the same bits — that is the decomposition invariant
+        the verify harness checks), then written to every column
+        sharing the signature.
         """
         pending: Dict[Tuple[int, Tuple], List[int]] = {}
         for r, template in enumerate(templates):
             for j, config in enumerate(configs):
-                l2_key = (template.key, config)
-                value = self._template_units.get(l2_key)
+                config_key = (template.key, config)
+                value = self._template_units.get(config_key)
                 if value is not None:
                     self.stats.template_hits += 1
                     units[r, j] = value
@@ -878,381 +566,16 @@ class CostService:
                 value = self._signature_units.get((template.key, sig))
                 if value is not None:
                     self.stats.signature_hits += 1
-                    self._template_units[l2_key] = value
+                    self._template_units[config_key] = value
                     units[r, j] = value
                     continue
                 pending.setdefault((r, sig), []).append(j)
-        if not pending:
-            return
-        items = list(pending.items())
-        values = self._resolve_pending(templates, configs, items)
-        for ((r, sig), cols), value in zip(items, values):
+        for (r, sig), cols in pending.items():
             template = templates[r]
+            value, _degraded = self._issue_template(
+                template, configs[cols[0]])
             self._signature_units[(template.key, sig)] = value
             self.stats.signature_fills += len(cols) - 1
             for j in cols:
                 self._template_units[(template.key, configs[j])] = value
                 units[r, j] = value
-
-    def _resolve_pending(self, templates: Sequence[StatementTemplate],
-                         configs: Sequence[Configuration],
-                         items: Sequence[Tuple[Tuple[int, Tuple],
-                                               List[int]]]
-                         ) -> List[float]:
-        """One exact estimate per pending (template row, signature)
-        item, against the first configuration carrying the signature
-        (any sharer yields the same bits — that is the decomposition
-        invariant the verify harness checks)."""
-        parallel_capable = bool(
-            self.n_workers and self.n_workers > 1
-            and self.optimizer.fault_injector is None)
-        if parallel_capable:
-            if len(items) >= self._min_parallel_items():
-                return self._parallel_pending(templates, configs,
-                                              items)
-            # Adaptive serial cutover: the batch could never amortize
-            # dispatch (and possibly pool spin-up), so keep it local.
-            self.stats.serial_cutover_batches += 1
-        values: List[float] = []
-        for (r, _sig), cols in items:
-            value, _degraded = self._issue_template(
-                templates[r], configs[cols[0]])
-            values.append(value)
-        return values
-
-    def _min_parallel_items(self) -> int:
-        """Pending items a batch needs before fan-out pays for
-        itself. An explicit ``parallel_threshold`` wins; otherwise
-        require two items per worker with a warm pool and twice that
-        when the pool would have to be spun up first."""
-        if self.parallel_threshold is not None:
-            return max(2, self.parallel_threshold)
-        floor = 2 * self.n_workers
-        if self._pool is None:
-            floor *= 2
-        return floor
-
-    def _parallel_pending(self,
-                          templates: Sequence[StatementTemplate],
-                          configs: Sequence[Configuration],
-                          items: Sequence[Tuple[Tuple[int, Tuple],
-                                                List[int]]]
-                          ) -> List[float]:
-        """Fan pending estimates out over the persistent process pool.
-
-        The default ``"steal"`` scheduler flattens the batch heaviest
-        template row first and slices it into grain-sized
-        micro-batches (:meth:`_microbatch_items`): the heavy head is
-        in flight across the whole pool while the tail is stolen by
-        whichever worker drains its queue first. ``"static"`` keeps
-        the one-LPT-chunk-per-worker layout (:meth:`_partition_items`)
-        as a differential baseline. Per-item messages are ``(index,
-        template_id, structure_ids)`` integer tuples resolved against
-        the registries shipped at pool init.
-
-        Chunks are submitted individually and merged *streaming*: the
-        parent writes each chunk's index-keyed results as its future
-        completes (``as_completed``), never behind a whole-batch
-        barrier. Estimates are deterministic functions of
-        ``(template, config, stats)`` and every index is written by
-        exactly one chunk, so completion order, chunking, scheduler,
-        and worker count never influence the output — the matrix is
-        bit-identical to a serial build.
-
-        Each worker reports ``(pid, busy seconds)`` with its results;
-        the batch's straggler profile lands in
-        :attr:`last_parallel_metrics`.
-
-        The pool is created lazily on the first parallel batch and
-        reused for the service's lifetime (until :meth:`close` or a
-        catalog invalidation) — replica construction used to dominate
-        small batches when a fresh pool was spun up every call.
-        """
-        from concurrent.futures import as_completed
-
-        if self.scheduler == "static":
-            chunks = self._partition_items(templates, configs, items)
-        else:
-            chunks = self._microbatch_items(templates, configs, items)
-        pool = self._ensure_pool()
-        futures = [pool.submit(_estimate_chunk,
-                               self._chunk_payload(chunk))
-                   for chunk in chunks]
-        values = [0.0] * len(items)
-        worker_busy: Dict[int, float] = {}
-        chunk_seconds: List[float] = []
-        for future in as_completed(futures):
-            pid, busy, chunk_values = future.result()
-            worker_busy[pid] = worker_busy.get(pid, 0.0) + busy
-            chunk_seconds.append(busy)
-            for index, value in chunk_values:
-                values[index] = value
-        self.last_parallel_metrics = ParallelBatchMetrics(
-            scheduler=self.scheduler, n_items=len(items),
-            n_chunks=len(chunks), n_workers=self.n_workers,
-            worker_busy=worker_busy,
-            chunk_seconds=tuple(chunk_seconds))
-        self.stats.whatif_calls += len(items)
-        self.stats.parallel_batches += 1
-        self.stats.micro_batches += len(chunks)
-        return values
-
-    def _grain_for(self, n_items: int) -> int:
-        """Items per micro-batch: the explicit ``steal_grain`` if
-        given, else sized so the batch yields about
-        ``_STEAL_BATCHES_PER_WORKER`` chunks per worker."""
-        if self.steal_grain is not None:
-            return self.steal_grain
-        return max(1, math.ceil(
-            n_items / (self._STEAL_BATCHES_PER_WORKER
-                       * self.n_workers)))
-
-    def _microbatch_items(self, templates, configs, items
-                          ) -> List[List[Tuple[int, int,
-                                               Tuple[int, ...]]]]:
-        """Slice pending items into grain-sized micro-batches,
-        heaviest template row first.
-
-        The flattening order mirrors the static scheduler's LPT
-        priority (heaviest row's items first, first-appearance order
-        breaking ties, item order preserved within a row) so the
-        long-running head of a skewed batch enters the pool
-        immediately and the cheap tail forms many small stealable
-        chunks behind it. The slicing is a pure function of the batch
-        and the grain — fully deterministic."""
-        counts: Dict[int, int] = {}
-        order: List[int] = []
-        row_messages: Dict[int, List[Tuple[int, int,
-                                           Tuple[int, ...]]]] = {}
-        for index, ((r, _sig), cols) in enumerate(items):
-            if r not in counts:
-                counts[r] = 0
-                order.append(r)
-            counts[r] += 1
-            row_messages.setdefault(r, []).append(
-                (index, self._template_id(templates[r]),
-                 self._config_structure_ids(configs[cols[0]])))
-        rank = {r: position for position, r in enumerate(order)}
-        stream: List[Tuple[int, int, Tuple[int, ...]]] = []
-        for r in sorted(order, key=lambda r: (-counts[r], rank[r])):
-            stream.extend(row_messages[r])
-        grain = self._grain_for(len(stream))
-        return [stream[start:start + grain]
-                for start in range(0, len(stream), grain)]
-
-    # -- worker protocol -----------------------------------------------
-
-    def _template_id(self, template: StatementTemplate) -> int:
-        tid = self._template_ids.get(template.key)
-        if tid is None:
-            tid = len(self._templates_by_id)
-            self._template_ids[template.key] = tid
-            self._templates_by_id.append(template)
-        return tid
-
-    def _structure_id(self, definition) -> int:
-        sid = self._structure_ids.get(definition)
-        if sid is None:
-            sid = len(self._structures_by_id)
-            self._structure_ids[definition] = sid
-            self._structures_by_id.append(definition)
-        return sid
-
-    def _config_structure_ids(self, config: Configuration
-                              ) -> Tuple[int, ...]:
-        """The configuration's structures as registered integer ids
-        (sorted by structure key, so the tuple — and therefore the
-        wire message — is deterministic across runs)."""
-        sids = self._config_sids.get(config)
-        if sids is None:
-            sids = tuple(self._structure_id(definition)
-                         for definition in sorted(
-                             config.structures,
-                             key=structure_sort_key))
-            self._config_sids[config] = sids
-        return sids
-
-    @staticmethod
-    def _assign_rows(row_counts: Sequence[Tuple[int, int]],
-                     n: int) -> Dict[int, int]:
-        """Deterministic least-loaded assignment: rows (with their
-        pending-item counts, in first-appearance order) are placed
-        heaviest-first onto the chunk with the smallest current load,
-        lowest chunk index breaking ties. Replaces the round-robin
-        assignment that ignored per-row counts — under template skew
-        one worker could receive nearly the whole batch."""
-        rank = {row: position
-                for position, (row, _count) in enumerate(row_counts)}
-        loads = [0] * n
-        assignment: Dict[int, int] = {}
-        for row, count in sorted(row_counts,
-                                 key=lambda rc: (-rc[1], rank[rc[0]])):
-            worker = min(range(n), key=lambda w: (loads[w], w))
-            assignment[row] = worker
-            loads[worker] += count
-        return assignment
-
-    def _partition_items(self, templates, configs, items
-                         ) -> List[List[Tuple[int, int,
-                                              Tuple[int, ...]]]]:
-        """Reduce pending items to integer wire messages and group
-        them into per-worker chunks (least-loaded by row)."""
-        n = min(self.n_workers, len(items))
-        messages: List[Tuple[int, int, int, Tuple[int, ...]]] = []
-        counts: Dict[int, int] = {}
-        order: List[int] = []
-        for index, ((r, _sig), cols) in enumerate(items):
-            if r not in counts:
-                counts[r] = 0
-                order.append(r)
-            counts[r] += 1
-            messages.append(
-                (r, index, self._template_id(templates[r]),
-                 self._config_structure_ids(configs[cols[0]])))
-        assignment = self._assign_rows(
-            [(r, counts[r]) for r in order], n)
-        chunks: List[List[Tuple[int, int, Tuple[int, ...]]]] = \
-            [[] for _ in range(n)]
-        for r, index, tid, sids in messages:
-            chunks[assignment[r]].append((index, tid, sids))
-        return [chunk for chunk in chunks if chunk]
-
-    def _chunk_payload(self, chunk: Sequence[Tuple[int, int,
-                                                   Tuple[int, ...]]]):
-        """One worker message: ``(template_delta, structure_delta,
-        items)``. Deltas carry only registry entries created *after*
-        the pool shipped its init-time registries, each at most once
-        per chunk — steady state ships pure integers."""
-        template_delta: List[Tuple[int, StatementTemplate]] = []
-        structure_delta: List[Tuple[int, object]] = []
-        seen_templates: set = set()
-        seen_structures: set = set()
-        for _index, tid, sids in chunk:
-            if tid >= self._pool_template_watermark and \
-                    tid not in seen_templates:
-                seen_templates.add(tid)
-                template_delta.append(
-                    (tid, self._templates_by_id[tid]))
-            for sid in sids:
-                if sid >= self._pool_structure_watermark and \
-                        sid not in seen_structures:
-                    seen_structures.add(sid)
-                    structure_delta.append(
-                        (sid, self._structures_by_id[sid]))
-        return (template_delta, structure_delta, list(chunk))
-
-    def _pool_initargs(self):
-        """Initializer arguments for a new pool: the catalog snapshot
-        plus everything registered so far (and advance the watermarks
-        — later registrations ship as per-chunk deltas).
-
-        With ``shared_stats`` the snapshot is the zero-copy variant:
-        histograms live in a shared-memory block owned by this
-        service (released with the pool) and the snapshot carries
-        only the picklable handle; replicas attach read-only views in
-        ``WhatIfOptimizer.from_snapshot``. When publication is not
-        possible the classic pickled snapshot ships instead."""
-        self._pool_template_watermark = len(self._templates_by_id)
-        self._pool_structure_watermark = len(self._structures_by_id)
-        if self.shared_stats:
-            snapshot, block = \
-                self.optimizer.shared_catalog_snapshot()
-            self._release_shm()
-            self._shm_block = block
-        else:
-            snapshot = self.optimizer.catalog_snapshot()
-        return (snapshot,
-                list(self._templates_by_id),
-                list(self._structures_by_id))
-
-    def _ensure_pool(self):
-        """The persistent worker pool, created on first use from the
-        current catalog snapshot and registries."""
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers, initializer=_init_replica,
-                initargs=self._pool_initargs())
-        return self._pool
-
-    def warm_pool(self, structures: Sequence = ()) -> float:
-        """Spawn and initialize every worker now instead of lazily on
-        the first parallel batch; returns the wall seconds spent
-        (pool cold-start). Benchmarks call this to keep one-time pool
-        spin-up out of steady-state measurements. A no-op (0.0) for
-        serial services or an already-warm pool.
-
-        Args:
-            structures: candidate structures to register *before* the
-                pool ships its init-time registry — known candidates
-                then never travel as per-chunk deltas.
-        """
-        if not (self.n_workers and self.n_workers > 1):
-            return 0.0
-        start = time.perf_counter()
-        for definition in structures:
-            self._structure_id(definition)
-        pool = self._ensure_pool()
-        # One trivial task per worker forces every process to spawn
-        # and run its initializer (replica build) now.
-        list(pool.map(_replica_ready, range(self.n_workers)))
-        return time.perf_counter() - start
-
-
-# ----------------------------------------------------------------------
-# process-pool worker plumbing (module level so it pickles)
-# ----------------------------------------------------------------------
-
-_REPLICA: Optional[WhatIfOptimizer] = None
-_TEMPLATE_REGISTRY: Dict[int, StatementTemplate] = {}
-_STRUCTURE_REGISTRY: Dict[int, object] = {}
-
-
-def _init_replica(snapshot, templates, structures) -> None:
-    """Pool initializer: build this worker's replica optimizer from
-    the parent engine's catalog snapshot and intern the init-time
-    template/structure registries."""
-    global _REPLICA
-    _REPLICA = WhatIfOptimizer.from_snapshot(snapshot)
-    _TEMPLATE_REGISTRY.clear()
-    _TEMPLATE_REGISTRY.update(enumerate(templates))
-    _STRUCTURE_REGISTRY.clear()
-    _STRUCTURE_REGISTRY.update(enumerate(structures))
-
-
-def _replica_ready(_slot: int) -> bool:
-    """Warm-up probe: true once this worker's replica exists."""
-    return _REPLICA is not None
-
-
-def _estimate_chunk(payload):
-    """Estimate one worker's chunk of ``(index, template_id,
-    structure_ids)`` messages; returns ``(pid, busy_seconds,
-    [(index, units), ...])`` for the streaming index-keyed merge and
-    the straggler metrics.
-
-    Registry-delta merges are **idempotent and order-free** by
-    construction, which the work-stealing scheduler relies on:
-    micro-batches of one parallel batch land on workers in arbitrary
-    interleavings, and a delta entry may reach the same worker many
-    times (each chunk ships every above-watermark id it references).
-    Ids are allocated append-only by the parent and each id maps to
-    one immutable object forever, so ``dict.update`` with any subset,
-    any ordering, or any repetition of ``(id, object)`` pairs
-    converges to the same registry state — re-applying a delta is a
-    no-op overwrite of an identical value, and every chunk is
-    self-contained (it carries all delta entries its own items
-    need)."""
-    template_delta, structure_delta, items = payload
-    _TEMPLATE_REGISTRY.update(template_delta)
-    _STRUCTURE_REGISTRY.update(structure_delta)
-    start = time.perf_counter()
-    results = []
-    for index, tid, sids in items:
-        template = _TEMPLATE_REGISTRY[tid]
-        config = [_STRUCTURE_REGISTRY[sid] for sid in sids]
-        results.append(
-            (index, _REPLICA.estimate_template(template,
-                                               config).units))
-    return (os.getpid(), time.perf_counter() - start, results)

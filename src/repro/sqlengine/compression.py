@@ -39,9 +39,8 @@ __all__ = ["Compression"]
 class Compression(IntEnum):
     """Compression level of a design structure (index or view).
 
-    An ``IntEnum`` so levels order naturally (NONE < LIGHT < HEAVY),
-    pickle compactly across the cost service's worker-pool wire
-    protocol, and sort stably inside
+    An ``IntEnum`` so levels order naturally (NONE < LIGHT < HEAVY)
+    and sort stably inside
     :func:`~repro.sqlengine.index.structure_sort_key`.
     """
 

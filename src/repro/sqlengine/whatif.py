@@ -41,42 +41,9 @@ from .planner import (AccessPath, QueryInfo, analyze_select,
                       choose_access_path, relevant_structures,
                       total_selectivity)
 from .schema import TableSchema
-from .shm_stats import SharedStatsBlock, SharedStatsHandle, attach_stats, \
-    publish_stats
 from .sql.ast import (DeleteStmt, InsertStmt, SelectStmt, Statement,
                       UpdateStmt)
 from .stats import TableStats
-
-
-@dataclass(frozen=True)
-class CatalogSnapshot:
-    """Everything a replica :class:`WhatIfOptimizer` needs.
-
-    Parallel matrix builds ship one snapshot per worker-pool
-    *lifetime* (not per batch): schemas, statistics, cost params, and
-    the stats epoch the snapshot was taken under. Replicas are
-    deterministic in the snapshot, so worker estimates are
-    bit-identical to the parent optimizer's for as long as the epoch
-    matches — the cost service tears the pool down on epoch bumps.
-
-    Statistics travel one of two ways. The pickled path carries them
-    inline in ``stats``. The zero-copy path
-    (:meth:`WhatIfOptimizer.shared_catalog_snapshot`) leaves ``stats``
-    empty and sets ``stats_handle`` to a
-    :class:`~repro.sqlengine.shm_stats.SharedStatsHandle`;
-    :meth:`WhatIfOptimizer.from_snapshot` then attaches read-only
-    histogram views onto the publisher's shared-memory block instead
-    of re-deserializing anything. Both paths produce bit-identical
-    estimates.
-    """
-
-    schemas: Mapping[str, TableSchema]
-    stats: Mapping[str, TableStats]
-    params: CostParams
-    stats_epoch: int
-    #: Set on zero-copy snapshots: the shared-memory descriptor the
-    #: replica attaches instead of reading ``stats``.
-    stats_handle: Optional["SharedStatsHandle"] = None
 
 
 @dataclass(frozen=True)
@@ -107,8 +74,7 @@ class StatementTemplate:
     aggregates/ordering/grouping, and — the folding step — the same
     per-column predicate *selectivities*. Constants themselves are
     discarded; only the selectivity each predicate induces under the
-    current statistics is kept (optionally quantized into buckets).
-    With exact selectivities (the default), estimating the
+    current statistics is kept, exactly, so estimating the
     representative statement yields the bit-identical result every
     member of the template would get.
 
@@ -142,10 +108,6 @@ class WhatIfOptimizer:
         #: when set, every estimate entry is an ``estimate`` fault
         #: site (raising :class:`EstimationUnavailable`).
         self.fault_injector = fault_injector
-        #: Shared-memory attachment backing this optimizer's
-        #: statistics, when built from a zero-copy snapshot; pinned
-        #: here so the mapping outlives every estimate.
-        self._shm_attachment = None
         self._geometry_cache: Dict[Tuple[IndexDef, int], IndexGeometry] = {}
         self._analyze_cache: Dict[SelectStmt, QueryInfo] = {}
         #: Bumped whenever statistics change; template keys computed
@@ -182,22 +144,10 @@ class WhatIfOptimizer:
     # templates (the batched-estimation entry point)
     # ------------------------------------------------------------------
 
-    def statement_template(self, stmt: Statement,
-                           selectivity_resolution: Optional[float] = None
-                           ) -> StatementTemplate:
-        """Reduce ``stmt`` to its :class:`StatementTemplate`.
-
-        Args:
-            stmt: the parsed statement.
-            selectivity_resolution: when given, selectivities are
-                quantized into buckets of this width before entering
-                the key — coarser dedup at the price of exactness.
-                ``None`` (default) keeps exact selectivities, which
-                preserves bit-identical estimates within a template.
-        """
+    def statement_template(self, stmt: Statement) -> StatementTemplate:
+        """Reduce ``stmt`` to its :class:`StatementTemplate`."""
         if isinstance(stmt, SelectStmt):
-            key = ("select",
-                   self._select_signature(stmt, selectivity_resolution))
+            key = ("select", self._select_signature(stmt))
             return StatementTemplate(key=key, representative=stmt)
         if isinstance(stmt, InsertStmt):
             # Row *values* never enter the insert cost model — only the
@@ -213,7 +163,7 @@ class WhatIfOptimizer:
                                columns=tuple(schema.column_names),
                                where=stmt.where)
             key = (type(stmt).__name__.lower(),
-                   self._select_signature(probe, selectivity_resolution))
+                   self._select_signature(probe))
             return StatementTemplate(key=key, representative=stmt)
         raise SqlUnsupportedError(
             f"what-if costing does not support {type(stmt).__name__}")
@@ -275,59 +225,7 @@ class WhatIfOptimizer:
         raise SqlUnsupportedError(
             f"what-if costing does not support {type(stmt).__name__}")
 
-    def catalog_snapshot(self) -> CatalogSnapshot:
-        """This optimizer's :class:`CatalogSnapshot`. Parallel matrix
-        builds ship it to worker processes once per pool lifetime and
-        rebuild a replica there (:meth:`from_snapshot`); the replica
-        is deterministic in the snapshot, so worker estimates are
-        bit-identical to this optimizer's."""
-        return CatalogSnapshot(schemas=dict(self._schemas),
-                               stats=dict(self._stats),
-                               params=self.params,
-                               stats_epoch=self.stats_epoch)
-
-    def shared_catalog_snapshot(self) -> Tuple[CatalogSnapshot,
-                                               Optional[SharedStatsBlock]]:
-        """A zero-copy snapshot: histograms published into a
-        shared-memory block, the snapshot carrying only the block's
-        handle (plus schemas/params/epoch). Returns ``(snapshot,
-        block)``; the caller owns the block's lifetime
-        (:meth:`~repro.sqlengine.shm_stats.SharedStatsBlock.close`).
-
-        Falls back to ``(catalog_snapshot(), None)`` — the pickled
-        path — when shared memory is unavailable or there is nothing
-        worth sharing, so callers need no platform branch.
-        """
-        block = publish_stats(self._stats)
-        if block is None:
-            return self.catalog_snapshot(), None
-        snapshot = CatalogSnapshot(schemas=dict(self._schemas),
-                                   stats={},
-                                   params=self.params,
-                                   stats_epoch=self.stats_epoch,
-                                   stats_handle=block.handle)
-        return snapshot, block
-
-    @classmethod
-    def from_snapshot(cls, snapshot: CatalogSnapshot
-                      ) -> "WhatIfOptimizer":
-        """Rebuild a replica optimizer from a snapshot (pool-worker
-        initialization). Zero-copy snapshots attach read-only views
-        onto the publisher's shared-memory block; the attachment is
-        pinned on the replica so the mapping lives exactly as long as
-        the replica does."""
-        stats = snapshot.stats
-        attachment = None
-        if snapshot.stats_handle is not None:
-            attachment = attach_stats(snapshot.stats_handle)
-            stats = attachment.stats
-        replica = cls(snapshot.schemas, stats, snapshot.params)
-        replica.stats_epoch = snapshot.stats_epoch
-        replica._shm_attachment = attachment
-        return replica
-
-    def _select_signature(self, stmt: SelectStmt,
-                          resolution: Optional[float]) -> Tuple:
+    def _select_signature(self, stmt: SelectStmt) -> Tuple:
         """The selectivity-folded signature of a SELECT.
 
         Every quantity the planner derives from the statement is a
@@ -339,11 +237,6 @@ class WhatIfOptimizer:
         info = self._analyze(stmt)
         stats = self._stats_for(stmt.table)
 
-        def fold(selectivity: float) -> float:
-            if resolution is None or resolution <= 0:
-                return selectivity
-            return round(selectivity / resolution) * resolution
-
         columns = sorted(set(info.eq_predicates)
                          | set(info.range_predicates)
                          | {p.column for p in info.neq_predicates})
@@ -352,18 +245,17 @@ class WhatIfOptimizer:
             parts: List[Tuple[str, float]] = []
             column_stats = stats.column(column)
             if column in info.eq_predicates:
-                parts.append(("eq", fold(column_stats.selectivity_eq(
-                    info.eq_predicates[column]))))
+                parts.append(("eq", column_stats.selectivity_eq(
+                    info.eq_predicates[column])))
             if column in info.range_predicates:
                 spec = info.range_predicates[column]
-                parts.append(("range", fold(
-                    column_stats.selectivity_range(
-                        spec.lo, spec.hi, spec.lo_inclusive,
-                        spec.hi_inclusive))))
+                parts.append(("range", column_stats.selectivity_range(
+                    spec.lo, spec.hi, spec.lo_inclusive,
+                    spec.hi_inclusive)))
             for predicate in info.neq_predicates:
                 if predicate.column == column:
-                    parts.append(("neq", fold(
-                        column_stats.selectivity_eq(predicate.value))))
+                    parts.append(("neq", column_stats.selectivity_eq(
+                        predicate.value)))
             predicate_parts.append((column, tuple(parts)))
         order = None
         if info.order_by is not None:
@@ -577,9 +469,8 @@ def _maintenance_surcharge(structures: FrozenSet, table: str) -> float:
     """``sum(cpu_factor(s) - 1)`` over ``table``'s structures.
 
     Summed in :func:`structure_sort_key` order so the float fold is
-    deterministic across processes (worker replicas must reproduce the
-    parent's estimates bit for bit); exactly ``0.0`` when every
-    structure is at level NONE.
+    deterministic across processes (set iteration order is not);
+    exactly ``0.0`` when every structure is at level NONE.
     """
     surcharge = 0.0
     for definition in sorted(structures, key=structure_sort_key):

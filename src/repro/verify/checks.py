@@ -282,9 +282,9 @@ def check_cost_service(instance: TraceInstance,
         "batched TRANS matrix differs from the serial loop (max abs "
         f"diff {np.max(np.abs(batch_trans - serial.trans_matrix))!r})")
 
-    # The service's own scalar path — warm (L1 hits from the batch)
-    # and cold (a fresh service routing through templates) — must
-    # reproduce every matrix entry bitwise.
+    # The service's own scalar path — warm (template-tier hits from
+    # the batch) and cold (a fresh service) — must reproduce every
+    # matrix entry bitwise.
     cold = CostService(optimizer)
     for i, segment in enumerate(segments):
         for j, config in enumerate(configs):
@@ -309,93 +309,17 @@ def check_cost_service(instance: TraceInstance,
                 f"scalar trans_cost {units!r} != batch matrix entry "
                 f"{batch_trans[i, j]!r}")
 
-    # Atomic cost decomposition: the default (signature-keyed)
-    # service must reproduce the undecomposed path bit for bit while
-    # issuing strictly fewer what-if calls, and the process-pool
-    # parallel build must change nothing but the wall time.
-    undecomposed = CostService(optimizer, decompose=False)
-    undec_exec = undecomposed.exec_matrix(segments, configs)
+    # Atomic cost decomposition: the matrices above already matched
+    # the undecomposed WhatIfCostProvider reference bit for bit; the
+    # cold service, having costed every cell from scratch, must have
+    # got there with strictly fewer what-if calls than one per
+    # (template, configuration).
+    undecomposed_calls = cold.stats.unique_templates * len(configs)
     result.check(
-        np.array_equal(undec_exec, batch_exec), label,
-        "decomposed EXEC matrix differs from the undecomposed "
-        "(decompose=False) path (max abs diff "
-        f"{np.max(np.abs(undec_exec - batch_exec))!r})")
-    decomposed = CostService(optimizer)
-    decomposed.exec_matrix(segments, configs)
-    result.check(
-        decomposed.stats.whatif_calls <
-        undecomposed.stats.whatif_calls, label,
+        cold.stats.whatif_calls < undecomposed_calls, label,
         "relevance-signature decomposition saved zero what-if calls "
-        f"({decomposed.stats.whatif_calls} vs "
-        f"{undecomposed.stats.whatif_calls} undecomposed)")
-    # parallel_threshold=2 defeats the adaptive serial cutover so the
-    # small verify instances genuinely exercise the process pool and
-    # its integer-id worker protocol.
-    parallel = CostService(optimizer, n_workers=2,
-                           parallel_threshold=2)
-    parallel_exec = parallel.exec_matrix(segments, configs)
-    result.check(
-        np.array_equal(parallel_exec, batch_exec), label,
-        "parallel (n_workers=2) EXEC matrix differs from the serial "
-        "build (max abs diff "
-        f"{np.max(np.abs(parallel_exec - batch_exec))!r})")
-    result.check(
-        parallel.stats.parallel_batches >= 1, label,
-        "parallel service resolved every batch serially (cutover "
-        "fired despite parallel_threshold=2)")
-
-    # Zero-copy shared statistics: the default parallel service
-    # publishes the catalog's histograms into a shared-memory block
-    # (where the platform supports it) whose lifetime tracks the
-    # pool's; a pickled-fallback service (shared_stats=False) must
-    # produce the same bits through replicas that deserialized their
-    # own statistics.
-    from ..sqlengine.shm_stats import shared_memory_available
-    if shared_memory_available():
-        result.check(
-            parallel._shm_block is not None, label,
-            "parallel service published no shared-memory stats "
-            "block despite shared memory being available")
-    with CostService(optimizer, n_workers=2, parallel_threshold=2,
-                     shared_stats=False) as pickled:
-        pickled_exec = pickled.exec_matrix(segments, configs)
-        result.check(
-            pickled._shm_block is None, label,
-            "shared_stats=False service still published a "
-            "shared-memory block")
-        result.check(
-            np.array_equal(pickled_exec, batch_exec), label,
-            "pickled-snapshot (shared_stats=False) EXEC matrix "
-            "differs from the serial build (max abs diff "
-            f"{np.max(np.abs(pickled_exec - batch_exec))!r})")
-
-    # Scheduler bit-identity: the static one-LPT-chunk-per-worker
-    # layout and an extreme work-stealing grain (one item per
-    # micro-batch — maximal chunking, arbitrary completion order)
-    # must both reproduce the serial bits through the streaming
-    # index-keyed merge.
-    with CostService(optimizer, n_workers=2, parallel_threshold=2,
-                     scheduler="static") as static:
-        static_exec = static.exec_matrix(segments, configs)
-        result.check(
-            np.array_equal(static_exec, batch_exec), label,
-            "static-scheduler EXEC matrix differs from the serial "
-            "build (max abs diff "
-            f"{np.max(np.abs(static_exec - batch_exec))!r})")
-    with CostService(optimizer, n_workers=2, parallel_threshold=2,
-                     steal_grain=1) as fine:
-        fine_exec = fine.exec_matrix(segments, configs)
-        result.check(
-            np.array_equal(fine_exec, batch_exec), label,
-            "steal_grain=1 EXEC matrix differs from the serial "
-            "build (max abs diff "
-            f"{np.max(np.abs(fine_exec - batch_exec))!r})")
-        metrics = fine.last_parallel_metrics
-        result.check(
-            metrics is not None and
-            metrics.n_chunks == metrics.n_items, label,
-            "steal_grain=1 did not submit one micro-batch per "
-            "pending item")
+        f"({cold.stats.whatif_calls} vs "
+        f"{undecomposed_calls} undecomposed)")
 
     # Epoch invalidation: bumping the optimizer's stats epoch must
     # drop the caches (new what-if calls are issued) without changing
@@ -413,22 +337,6 @@ def check_cost_service(instance: TraceInstance,
         np.array_equal(rebuilt, batch_exec), label,
         "EXEC matrix rebuilt after an identical-stats epoch bump "
         "differs from the original")
-
-    # Pool lifecycle across invalidation: the parallel service saw
-    # the same epoch bump, so its next batch must tear down the old
-    # pool, rebuild worker replicas (and registries) from the fresh
-    # snapshot, and still match the serial rebuild bit for bit.
-    stale_pool = parallel._pool
-    parallel_rebuilt = parallel.exec_matrix(segments, configs)
-    result.check(
-        parallel._pool is not stale_pool, label,
-        "parallel service reused its stale-replica worker pool "
-        "across a stats-epoch bump")
-    result.check(
-        np.array_equal(parallel_rebuilt, rebuilt), label,
-        "parallel EXEC matrix rebuilt after the epoch bump differs "
-        "from the serial rebuild (stale worker snapshot?)")
-    parallel.close()
 
 
 # ----------------------------------------------------------------------
@@ -577,10 +485,9 @@ def check_summary_formulation(instance: TraceInstance,
         summary_problem.n_statements == raw_statements, label,
         f"summary lost statements: {summary_problem.n_statements} "
         f"!= {raw_statements}")
-    with CostService(optimizer) as service:
-        raw = build_cost_matrices(problem, service)
-    with CostService(optimizer) as service:
-        compressed = build_cost_matrices(summary_problem, service)
+    raw = build_cost_matrices(problem, CostService(optimizer))
+    compressed = build_cost_matrices(summary_problem,
+                                     CostService(optimizer))
     result.check(
         np.array_equal(raw.exec_matrix, compressed.exec_matrix),
         label,

@@ -6,8 +6,6 @@ matrix entry — the batched service must be bit-identical to the serial
 ``WhatIfCostProvider`` path on every paper workload.
 """
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -18,11 +16,11 @@ from repro.core import (Configuration, ConstrainedGraphAdvisor,
                         build_cost_matrices, single_index_configurations,
                         supports_batching, sweep_k, validated_k)
 from repro.core.online import OnlineTuner
-from repro.errors import DesignError
-from repro.sqlengine import Database, IndexDef
-from repro.workload import (Segment, Statement, jitter_blocks,
-                            make_paper_workload, paper_generator,
-                            segment_by_count)
+from repro.sqlengine import IndexDef
+from repro.workload import (Segment, Statement, atoms_of,
+                            jitter_blocks, make_paper_workload,
+                            paper_generator, segment_by_count,
+                            summarize_segments)
 
 BLOCK = 50
 
@@ -59,13 +57,6 @@ class TestSerialEquivalence:
                               batched.trans_matrix)
         assert serial.initial_index == batched.initial_index
         assert serial.final_index == batched.final_index
-
-    def test_matrices_for_matches_build(self, small_problem, service):
-        direct = service.matrices_for(small_problem)
-        rebuilt = build_cost_matrices(small_problem, service)
-        assert np.array_equal(direct.exec_matrix, rebuilt.exec_matrix)
-        assert np.array_equal(direct.trans_matrix,
-                              rebuilt.trans_matrix)
 
     def test_scalar_exec_cost_matches_serial(self, small_db,
                                              small_problem, service):
@@ -129,16 +120,6 @@ class TestTemplateDedup:
             Statement("SELECT a FROM t WHERE a < 400000").ast)
         assert t1.key != t2.key
 
-    def test_resolution_folds_close_ranges(self, small_db):
-        opt = small_db.what_if()
-        t1 = opt.statement_template(
-            Statement("SELECT a FROM t WHERE a < 100").ast,
-            selectivity_resolution=0.5)
-        t2 = opt.statement_template(
-            Statement("SELECT a FROM t WHERE a < 101").ast,
-            selectivity_resolution=0.5)
-        assert t1.key == t2.key
-
     def test_estimate_template_matches_statement(self, small_db):
         opt = small_db.what_if()
         stmt = Statement("SELECT a FROM t WHERE a = 42").ast
@@ -164,19 +145,42 @@ class TestTemplateDedup:
 
 
 class TestScalarCaching:
-    def test_first_call_issues_then_l1_hits(self, service):
-        segment = Segment(
-            (Statement("SELECT a FROM t WHERE a = 1"),
-             Statement("SELECT a FROM t WHERE a = 2")), 0)
-        first = service.exec_cost(segment, EMPTY_CONFIGURATION)
-        # Two statements, one template: one optimizer call, one
-        # template-cache hit.
-        assert service.stats.whatif_calls == 1
-        assert service.stats.template_hits == 1
-        second = service.exec_cost(segment, EMPTY_CONFIGURATION)
-        assert second == first
-        assert service.stats.whatif_calls == 1
-        assert service.stats.statement_hits == 2
+    @pytest.mark.parametrize("units_of", [
+        tuple, lambda segments: tuple(summarize_segments(segments)),
+    ], ids=["segments", "phases"])
+    def test_scalar_replays_resolve_through_template_tier(
+            self, small_problem, service, units_of):
+        """After a batch, every scalar call is served bit-equal from
+        the (template, config) tier — no optimizer call, one template
+        hit per atom — and the request ledger balances across batch,
+        scalar and fresh-literal traffic."""
+        units = units_of(small_problem.segments)
+        configs = small_problem.configurations
+        matrix = service.exec_matrix(units, configs)
+        stats = service.stats
+        issued = stats.whatif_calls
+        n_statements = sum(len(unit) for unit in units)
+        assert stats.exec_requests == n_statements * len(configs)
+
+        for i, unit in enumerate(units):
+            n_atoms = sum(1 for _ in atoms_of(unit))
+            for j, config in enumerate(configs):
+                hits = stats.template_hits
+                assert service.exec_cost(unit, config) == matrix[i, j]
+                assert stats.template_hits == hits + n_atoms
+        assert stats.whatif_calls == issued
+        assert stats.exec_requests == 2 * n_statements * len(configs)
+
+        # A literal no batch has seen: new SQL text, known template.
+        literal = Statement("SELECT a FROM t WHERE a = 123457")
+        assert literal.sql not in service._template_by_sql
+        fresh = Segment((literal,), 0)
+        hits = stats.template_hits
+        service.exec_cost(fresh, configs[0])
+        assert stats.whatif_calls == issued
+        assert stats.template_hits == hits + 1
+        assert stats.whatif_calls + stats.whatif_calls_avoided == \
+            stats.exec_requests == 2 * n_statements * len(configs) + 1
 
     def test_new_constant_hits_template_cache(self, service):
         config = Configuration({IndexDef("t", ("a",))})
@@ -238,16 +242,6 @@ class TestBatchCounters:
                             small_problem.configurations)
         assert service.stats.whatif_calls == issued
         assert service.stats.batch_calls == 2
-
-    def test_batch_warms_scalar_l1(self, small_problem, service):
-        service.exec_matrix(small_problem.segments,
-                            small_problem.configurations)
-        issued = service.stats.whatif_calls
-        service.exec_cost(small_problem.segments[0],
-                          small_problem.configurations[0])
-        assert service.stats.whatif_calls == issued
-        assert service.stats.statement_hits == \
-            len(small_problem.segments[0])
 
     def test_empty_segment_row_is_zero(self, service,
                                        paper_candidates):
@@ -397,21 +391,21 @@ class TestStatsBookkeeping:
 
 
 class TestDecomposition:
-    """Relevance-signature (L3) tier: fewer calls, identical bits."""
+    """Relevance-signature tier: fewer calls, identical bits."""
 
     @pytest.mark.parametrize("name", ["W1", "W2", "W3"])
     def test_bit_identical_to_undecomposed(self, small_db,
                                            paper_candidates, name):
         problem = _problem(name, paper_candidates)
-        undecomposed = CostService(small_db.what_if(),
-                                   decompose=False)
         decomposed = CostService(small_db.what_if())
-        base = build_cost_matrices(problem, undecomposed)
+        base = build_cost_matrices(
+            problem, WhatIfCostProvider(small_db.what_if()))
         dec = build_cost_matrices(problem, decomposed)
         assert np.array_equal(base.exec_matrix, dec.exec_matrix)
         assert np.array_equal(base.trans_matrix, dec.trans_matrix)
         assert decomposed.stats.whatif_calls < \
-            undecomposed.stats.whatif_calls
+            decomposed.stats.unique_templates * \
+            problem.n_configurations
 
     def test_scalar_path_uses_signature_cache(self, small_db,
                                               small_problem):
@@ -453,11 +447,10 @@ class TestDecomposition:
         candidates = list(compressed_variants(base))
         assert len(candidates) == 3 * len(base)
         problem = _problem("W1", candidates)
-        undecomposed = CostService(small_db.what_if(),
-                                   decompose=False)
-        decomposed = CostService(small_db.what_if())
-        raw = build_cost_matrices(problem, undecomposed)
-        dec = build_cost_matrices(problem, decomposed)
+        raw = build_cost_matrices(
+            problem, WhatIfCostProvider(small_db.what_if()))
+        dec = build_cost_matrices(
+            problem, CostService(small_db.what_if()))
         assert np.array_equal(raw.exec_matrix, dec.exec_matrix)
         assert np.array_equal(raw.trans_matrix, dec.trans_matrix)
         # The levels genuinely price differently somewhere — if the
@@ -477,629 +470,7 @@ class TestDecomposition:
         optimizer = small_db.what_if()
         optimizer.fault_injector = injector
         service = CostService(optimizer)
-        assert service.decompose is True
         assert service._decomposing is False
         plain = CostService(small_db.what_if())
         assert plain._decomposing is True
 
-
-class TestParallelBuilds:
-    @pytest.mark.parametrize("name", ["W1", "W2"])
-    def test_parallel_matrices_bit_identical(self, small_db,
-                                             paper_candidates, name):
-        problem = _problem(name, paper_candidates)
-        serial = CostService(small_db.what_if())
-        parallel = CostService(small_db.what_if(), n_workers=2)
-        serial_m = build_cost_matrices(problem, serial)
-        parallel_m = build_cost_matrices(problem, parallel)
-        assert np.array_equal(serial_m.exec_matrix,
-                              parallel_m.exec_matrix)
-        assert np.array_equal(serial_m.trans_matrix,
-                              parallel_m.trans_matrix)
-        assert parallel.stats.parallel_batches >= 1
-        assert parallel.stats.whatif_calls == \
-            serial.stats.whatif_calls
-
-    def test_single_worker_stays_serial(self, small_db,
-                                        small_problem):
-        service = CostService(small_db.what_if(), n_workers=1)
-        service.exec_matrix(small_problem.segments,
-                            small_problem.configurations)
-        assert service.stats.parallel_batches == 0
-
-    def test_warm_parallel_service_issues_nothing(self, small_db,
-                                                  small_problem):
-        service = CostService(small_db.what_if(), n_workers=2)
-        service.exec_matrix(small_problem.segments,
-                            small_problem.configurations)
-        batches = service.stats.parallel_batches
-        calls = service.stats.whatif_calls
-        service.exec_matrix(small_problem.segments,
-                            small_problem.configurations)
-        assert service.stats.parallel_batches == batches
-        assert service.stats.whatif_calls == calls
-
-
-class TestPersistentPool:
-    """The worker pool outlives a single matrix build: one spawn per
-    service lifetime, not one per exec_matrix call."""
-
-    def test_pool_reused_across_builds(self, small_db,
-                                       paper_candidates):
-        configs = single_index_configurations(paper_candidates)
-
-        def range_problem(bounds):
-            # Distinct range bounds are distinct templates, so each
-            # problem forces a fresh pending batch past the caches.
-            statements = [Statement(f"SELECT a FROM t WHERE a < {b}")
-                          for b in bounds]
-            return ProblemInstance(
-                segments=(Segment(tuple(statements), 0),),
-                configurations=configs,
-                initial=EMPTY_CONFIGURATION,
-                final=EMPTY_CONFIGURATION)
-
-        with CostService(small_db.what_if(), n_workers=2) as service:
-            build_cost_matrices(
-                range_problem([1_000, 2_000, 3_000]), service)
-            pool = service._pool
-            assert pool is not None
-            assert service.stats.parallel_batches >= 1
-            build_cost_matrices(
-                range_problem([100_000, 200_000, 300_000]), service)
-            assert service._pool is pool
-            assert service.stats.parallel_batches >= 2
-
-    def test_no_pool_until_parallel_work(self, small_db):
-        service = CostService(small_db.what_if(), n_workers=2)
-        assert service._pool is None
-        service.close()
-
-    def test_close_releases_pool(self, small_db, small_problem):
-        service = CostService(small_db.what_if(), n_workers=2)
-        service.exec_matrix(small_problem.segments,
-                            small_problem.configurations)
-        assert service._pool is not None
-        service.close()
-        assert service._pool is None
-        # Close is idempotent.
-        service.close()
-
-    def test_context_manager_closes(self, small_db, small_problem):
-        with CostService(small_db.what_if(), n_workers=2) as service:
-            service.exec_matrix(small_problem.segments,
-                                small_problem.configurations)
-            assert service._pool is not None
-        assert service._pool is None
-
-    def test_invalidate_discards_stale_replica_pool(self, small_db,
-                                                    small_problem):
-        service = CostService(small_db.what_if(), n_workers=2)
-        try:
-            service.exec_matrix(small_problem.segments,
-                                small_problem.configurations)
-            stale = service._pool
-            service.invalidate()
-            assert service._pool is None
-            service.exec_matrix(small_problem.segments,
-                                small_problem.configurations)
-            assert service._pool is not None
-            assert service._pool is not stale
-        finally:
-            service.close()
-
-    def test_refreshed_stats_reach_new_replicas(self, fresh_db):
-        """Pool lifecycle across a real catalog change: after
-        ``refresh_stats`` with *different* statistics, the rebuilt
-        pool's replicas must estimate against the new catalog — no
-        stale-snapshot answers — and stay bit-identical to a serial
-        service over the same refreshed optimizer."""
-        db2 = Database()
-        db2.create_table("t", [("a", "INTEGER"), ("b", "INTEGER"),
-                               ("c", "INTEGER"), ("d", "INTEGER")])
-        rng = np.random.default_rng(11)
-        db2.bulk_load("t", {column: rng.integers(0, 1_000, 4_000)
-                            for column in ("a", "b", "c", "d")})
-
-        statements = [Statement(f"SELECT a FROM t WHERE a < {b}")
-                      for b in (100, 300, 500)]
-        segments = (Segment(tuple(statements), 0),)
-        configs = (EMPTY_CONFIGURATION,
-                   Configuration({IndexDef("t", ("a",))}))
-
-        service = CostService(fresh_db.what_if(), n_workers=2,
-                              parallel_threshold=2)
-        try:
-            before = service.exec_matrix(segments, configs)
-            assert service.stats.parallel_batches >= 1
-            service.optimizer.refresh_stats({"t": db2.stats("t")})
-            after = service.exec_matrix(segments, configs)
-            assert service.stats.parallel_batches >= 2
-        finally:
-            service.close()
-
-        reference_opt = fresh_db.what_if()
-        reference_opt.refresh_stats({"t": db2.stats("t")})
-        reference = CostService(reference_opt).exec_matrix(segments,
-                                                           configs)
-        assert np.array_equal(after, reference)
-        # 4k rows versus 2k: a stale replica snapshot would have
-        # reproduced the old costs.
-        assert not np.array_equal(after, before)
-
-
-class RecordingPool:
-    """In-process stand-in for the worker pool: records every payload
-    and runs the real module-level worker function on it (``submit``
-    returns already-completed futures, so the streaming
-    ``as_completed`` merge exercises the real parent-side code)."""
-
-    def __init__(self):
-        self.payloads = []
-
-    def map(self, func, payloads):
-        payloads = list(payloads)
-        self.payloads.extend(payloads)
-        return [func(payload) for payload in payloads]
-
-    def submit(self, func, payload):
-        from concurrent.futures import Future
-
-        self.payloads.append(payload)
-        future = Future()
-        future.set_result(func(payload))
-        return future
-
-    def shutdown(self, wait=True):
-        pass
-
-
-def _recording_service(db, monkeypatch, **kwargs):
-    """A parallel CostService whose pool is an in-process recorder —
-    same initializer, same worker function, observable wire format."""
-    from repro.core import costservice as cs
-
-    kwargs.setdefault("n_workers", 2)
-    kwargs.setdefault("parallel_threshold", 2)
-    service = CostService(db.what_if(), **kwargs)
-    pool = RecordingPool()
-
-    def fake_ensure_pool():
-        if service._pool is None:
-            cs._init_replica(*service._pool_initargs())
-            service._pool = pool
-        return service._pool
-
-    monkeypatch.setattr(service, "_ensure_pool", fake_ensure_pool)
-    return service, pool
-
-
-class TestWorkerProtocol:
-    """Satellite: per-item wire messages are integer triples resolved
-    against registries shipped once at pool init — the payload-bloat
-    regression (pickling templates per item) must not come back."""
-
-    def test_items_are_integer_triples(self, small_db, small_problem,
-                                       monkeypatch):
-        service, pool = _recording_service(small_db, monkeypatch)
-        matrix = service.exec_matrix(small_problem.segments,
-                                     small_problem.configurations)
-        assert pool.payloads
-        for template_delta, structure_delta, items in pool.payloads:
-            for index, tid, sids in items:
-                assert isinstance(index, int)
-                assert isinstance(tid, int)
-                assert isinstance(sids, tuple)
-                assert all(isinstance(sid, int) for sid in sids)
-        serial = CostService(small_db.what_if()).exec_matrix(
-            small_problem.segments, small_problem.configurations)
-        assert np.array_equal(matrix, serial)
-
-    def test_first_batch_ships_no_deltas(self, small_db,
-                                         small_problem, monkeypatch):
-        """Partitioning registers ids *before* the lazy pool ships its
-        init registries, so the first batch travels as pure ints."""
-        service, pool = _recording_service(small_db, monkeypatch)
-        service.exec_matrix(small_problem.segments,
-                            small_problem.configurations)
-        for template_delta, structure_delta, _items in pool.payloads:
-            assert template_delta == []
-            assert structure_delta == []
-
-    def test_late_templates_travel_as_deltas(self, small_db,
-                                             paper_candidates,
-                                             monkeypatch):
-        service, pool = _recording_service(small_db, monkeypatch)
-        configs = single_index_configurations(paper_candidates)
-
-        def segments(bounds):
-            return (Segment(tuple(
-                Statement(f"SELECT a FROM t WHERE a < {b}")
-                for b in bounds), 0),)
-
-        first = segments([1_000, 2_000, 3_000])
-        service.exec_matrix(first, configs)
-        pool.payloads.clear()
-        # New range bounds = new templates, registered after the pool
-        # shipped its init registries: they must ride along as deltas.
-        second = segments([100_000, 200_000, 300_000])
-        matrix = service.exec_matrix(second, configs)
-        shipped = [tid for payload in pool.payloads
-                   for tid, _template in payload[0]]
-        assert shipped
-        assert all(tid >= service._pool_template_watermark
-                   for tid in shipped)
-        serial = CostService(small_db.what_if()).exec_matrix(
-            second, configs)
-        assert np.array_equal(matrix, serial)
-
-    def test_payload_bytes_per_item_bounded(self, small_db,
-                                            small_problem,
-                                            monkeypatch):
-        """Regression pin: steady-state wire cost stays a few dozen
-        bytes per pending item — far below one pickled template."""
-        service, pool = _recording_service(small_db, monkeypatch)
-        service.exec_matrix(small_problem.segments,
-                            small_problem.configurations)
-        n_items = sum(len(items) for _t, _s, items in pool.payloads)
-        total_bytes = sum(len(pickle.dumps(payload))
-                          for payload in pool.payloads)
-        per_item = total_bytes / n_items
-        assert per_item <= 120, f"{per_item:.0f} bytes/item"
-        one_template = len(pickle.dumps(service._templates_by_id[0]))
-        assert per_item < one_template
-
-
-class TestChunkAssignment:
-    """Satellite: deterministic least-loaded (LPT) row assignment."""
-
-    def test_skewed_counts_balance(self):
-        # One row carries 10 of 16 items; round-robin by row would
-        # put 10 + every other even-indexed row on worker 0.
-        counts = [(0, 10)] + [(r, 1) for r in range(1, 7)]
-        assignment = CostService._assign_rows(counts, 2)
-        loads = [0, 0]
-        for row, count in counts:
-            loads[assignment[row]] += count
-        assert sorted(loads) == [6, 10]
-        assert assignment[0] == 0
-        assert all(assignment[r] == 1 for r in range(1, 7))
-
-    def test_equal_counts_spread_evenly(self):
-        counts = [(r, 1) for r in range(4)]
-        assignment = CostService._assign_rows(counts, 2)
-        loads = [0, 0]
-        for row, count in counts:
-            loads[assignment[row]] += count
-        assert loads == [2, 2]
-
-    def test_assignment_is_deterministic(self):
-        counts = [(3, 5), (1, 5), (7, 2), (2, 9), (9, 1)]
-        first = CostService._assign_rows(counts, 3)
-        second = CostService._assign_rows(counts, 3)
-        assert first == second
-        # Ties (3 and 1 both weigh 5) break by first appearance.
-        assert first[3] != first[1]
-
-    def test_chunks_balanced_end_to_end(self, small_db, monkeypatch,
-                                        paper_candidates):
-        """A template-skewed batch must not land on one worker
-        (static scheduler: exactly one LPT chunk per worker)."""
-        service, pool = _recording_service(small_db, monkeypatch,
-                                           scheduler="static")
-        configs = single_index_configurations(paper_candidates)
-        statements = [Statement(f"SELECT a FROM t WHERE a < {b}")
-                      for b in range(1_000, 9_000, 1_000)]
-        segments = tuple(Segment((statement,), i)
-                         for i, statement in enumerate(statements))
-        service.exec_matrix(segments, configs)
-        sizes = sorted(len(items)
-                       for _t, _s, items in pool.payloads)
-        assert len(sizes) == 2
-        # Least-loaded assignment keeps the spread within one row's
-        # worth of items.
-        per_row = max(sizes) + min(sizes)
-        assert max(sizes) - min(sizes) <= per_row // len(segments) + 1
-
-
-class TestSharedStatsLifecycle:
-    """Satellite: the zero-copy stats block's lifetime is exactly the
-    pool's — unlinked on close(), context exit, and invalidation, and
-    never shared between services."""
-
-    @staticmethod
-    def _requires_shm():
-        from repro.sqlengine.shm_stats import shared_memory_available
-        if not shared_memory_available():
-            pytest.skip("shared memory unavailable")
-
-    def _parallel(self, db, **kwargs):
-        kwargs.setdefault("n_workers", 2)
-        kwargs.setdefault("parallel_threshold", 2)
-        return CostService(db.what_if(), **kwargs)
-
-    def test_block_published_with_pool(self, small_db, small_problem):
-        self._requires_shm()
-        with self._parallel(small_db) as service:
-            assert service._shm_block is None
-            service.exec_matrix(small_problem.segments,
-                                small_problem.configurations)
-            assert service._shm_block is not None
-
-    def test_close_unlinks_block(self, small_db, small_problem):
-        self._requires_shm()
-        from repro.sqlengine.shm_stats import attach_stats
-        service = self._parallel(small_db)
-        service.exec_matrix(small_problem.segments,
-                            small_problem.configurations)
-        handle = service._shm_block.handle
-        service.close()
-        assert service._shm_block is None
-        with pytest.raises(FileNotFoundError):
-            attach_stats(handle)
-
-    def test_context_exit_unlinks_block(self, small_db,
-                                        small_problem):
-        self._requires_shm()
-        from repro.sqlengine.shm_stats import attach_stats
-        with self._parallel(small_db) as service:
-            service.exec_matrix(small_problem.segments,
-                                small_problem.configurations)
-            handle = service._shm_block.handle
-        with pytest.raises(FileNotFoundError):
-            attach_stats(handle)
-
-    def test_invalidate_rotates_block(self, small_db, small_problem):
-        """Pool invalidation releases the old block; the rebuilt pool
-        publishes a fresh one under a new name."""
-        self._requires_shm()
-        from repro.sqlengine.shm_stats import attach_stats
-        service = self._parallel(small_db)
-        try:
-            service.exec_matrix(small_problem.segments,
-                                small_problem.configurations)
-            stale = service._shm_block.handle
-            service.invalidate()
-            assert service._shm_block is None
-            with pytest.raises(FileNotFoundError):
-                attach_stats(stale)
-            service.exec_matrix(small_problem.segments,
-                                small_problem.configurations)
-            fresh = service._shm_block.handle
-            assert fresh.block_name != stale.block_name
-        finally:
-            service.close()
-
-    def test_second_service_gets_fresh_block(self, small_db,
-                                             small_problem):
-        self._requires_shm()
-        first = self._parallel(small_db)
-        second = self._parallel(small_db)
-        try:
-            first.exec_matrix(small_problem.segments,
-                              small_problem.configurations)
-            second.exec_matrix(small_problem.segments,
-                               small_problem.configurations)
-            assert first._shm_block.name != second._shm_block.name
-        finally:
-            first.close()
-            second.close()
-
-    def test_shared_stats_off_publishes_nothing(self, small_db,
-                                                small_problem):
-        with self._parallel(small_db,
-                            shared_stats=False) as service:
-            matrix = service.exec_matrix(small_problem.segments,
-                                         small_problem.configurations)
-            assert service._shm_block is None
-        serial = CostService(small_db.what_if()).exec_matrix(
-            small_problem.segments, small_problem.configurations)
-        assert np.array_equal(matrix, serial)
-
-
-class TestSchedulers:
-    """Work-stealing micro-batches vs static LPT chunks: different
-    chunking, identical bits."""
-
-    def test_invalid_scheduler_rejected(self, small_db):
-        with pytest.raises(DesignError):
-            CostService(small_db.what_if(), scheduler="round_robin")
-        with pytest.raises(DesignError):
-            CostService(small_db.what_if(), steal_grain=0)
-
-    def test_adaptive_grain_targets_chunks_per_worker(self, small_db):
-        service = CostService(small_db.what_if(), n_workers=4)
-        assert service._grain_for(160) == 10  # 16 chunks
-        assert service._grain_for(3) == 1
-        service.steal_grain = 7
-        assert service._grain_for(160) == 7
-        service.close()
-
-    def test_microbatches_preserve_heaviest_first(self, small_db,
-                                                  paper_candidates,
-                                                  monkeypatch):
-        """The flattened stream leads with the heaviest template row
-        and every pending item appears exactly once."""
-        service, pool = _recording_service(small_db, monkeypatch,
-                                           steal_grain=3)
-        configs = single_index_configurations(paper_candidates)
-        statements = [Statement(f"SELECT a FROM t WHERE a < {b}")
-                      for b in range(1_000, 6_000, 1_000)]
-        segments = tuple(Segment((statement,), i)
-                         for i, statement in enumerate(statements))
-        service.exec_matrix(segments, configs)
-        assert all(len(items) <= 3
-                   for _t, _s, items in pool.payloads)
-        indices = [index for _t, _s, items in pool.payloads
-                   for index, _tid, _sids in items]
-        assert sorted(indices) == list(range(len(indices)))
-
-    @pytest.mark.parametrize("kwargs", [
-        {"scheduler": "static"},
-        {"steal_grain": 1},
-        {"steal_grain": 5},
-        {"shared_stats": False},
-    ])
-    def test_every_leg_matches_serial(self, small_db, small_problem,
-                                      kwargs):
-        with CostService(small_db.what_if(), n_workers=2,
-                         parallel_threshold=2, **kwargs) as service:
-            matrix = service.exec_matrix(small_problem.segments,
-                                         small_problem.configurations)
-            assert service.stats.parallel_batches >= 1
-        serial = CostService(small_db.what_if()).exec_matrix(
-            small_problem.segments, small_problem.configurations)
-        assert np.array_equal(matrix, serial)
-
-    def test_metrics_recorded_per_batch(self, small_db,
-                                        small_problem):
-        with CostService(small_db.what_if(), n_workers=2,
-                         parallel_threshold=2) as service:
-            assert service.last_parallel_metrics is None
-            service.exec_matrix(small_problem.segments,
-                                small_problem.configurations)
-            metrics = service.last_parallel_metrics
-            assert metrics is not None
-            assert metrics.scheduler == "steal"
-            assert metrics.n_chunks == len(metrics.chunk_seconds)
-            assert metrics.busy_imbalance >= 1.0
-            assert metrics.tail_median_chunk_ratio >= 1.0
-            assert service.stats.micro_batches == metrics.n_chunks
-
-    def test_summarize_parallel_metrics(self):
-        from repro.core.costservice import (ParallelBatchMetrics,
-                                            summarize_parallel_metrics)
-        a = ParallelBatchMetrics(
-            scheduler="steal", n_items=8, n_chunks=2, n_workers=2,
-            worker_busy={10: 3.0, 11: 1.0},
-            chunk_seconds=(3.0, 1.0))
-        b = ParallelBatchMetrics(
-            scheduler="steal", n_items=4, n_chunks=2, n_workers=2,
-            worker_busy={10: 1.0, 11: 3.0},
-            chunk_seconds=(1.0, 3.0))
-        summary = summarize_parallel_metrics([a, None, b])
-        assert summary["batches"] == 2
-        assert summary["micro_batches"] == 4
-        assert summary["workers_observed"] == 2
-        # Busy time sums to 4.0 per worker across batches: level.
-        assert summary["busy_imbalance"] == pytest.approx(1.0)
-        assert summary["tail_median_chunk_ratio"] == \
-            pytest.approx(1.5)
-        empty = summarize_parallel_metrics([None])
-        assert empty["batches"] == 0
-        assert empty["busy_imbalance"] is None
-
-
-class TestDeltaIdempotency:
-    """Satellite: registry-delta application must converge under any
-    chunk ordering or duplication — the work-stealing scheduler lands
-    micro-batches on workers in arbitrary interleavings."""
-
-    def test_shuffled_duplicated_chunks_converge(self, small_db,
-                                                 paper_candidates,
-                                                 monkeypatch):
-        import random
-
-        from repro.core import costservice as cs
-
-        service, pool = _recording_service(small_db, monkeypatch,
-                                           steal_grain=2)
-        configs = single_index_configurations(paper_candidates)
-
-        def segments(bounds):
-            return (Segment(tuple(
-                Statement(f"SELECT a FROM t WHERE a < {b}")
-                for b in bounds), 0),)
-
-        # First batch ships the init-time registries.
-        service.exec_matrix(segments([1_000, 2_000, 3_000]), configs)
-        init_templates = dict(cs._TEMPLATE_REGISTRY)
-        init_structures = dict(cs._STRUCTURE_REGISTRY)
-        pool.payloads.clear()
-
-        # Second batch: fresh templates travel as per-chunk deltas.
-        service.exec_matrix(
-            segments([100_000, 200_000, 300_000]), configs)
-        payloads = list(pool.payloads)
-        assert any(payload[0] for payload in payloads), \
-            "expected template deltas in the second batch"
-
-        reference: dict = {}
-        for payload in payloads:
-            _pid, _busy, results = cs._estimate_chunk(payload)
-            reference.update(results)
-
-        rng = random.Random(13)
-        for _trial in range(4):
-            # Rewind the worker registries to their init-time state,
-            # then apply the chunks shuffled and duplicated.
-            cs._TEMPLATE_REGISTRY.clear()
-            cs._TEMPLATE_REGISTRY.update(init_templates)
-            cs._STRUCTURE_REGISTRY.clear()
-            cs._STRUCTURE_REGISTRY.update(init_structures)
-            shuffled = list(payloads) * 2
-            rng.shuffle(shuffled)
-            seen: dict = {}
-            for payload in shuffled:
-                _pid, _busy, results = cs._estimate_chunk(payload)
-                for index, units in results:
-                    if index in seen:
-                        assert seen[index] == units
-                    seen[index] = units
-            assert seen == reference
-
-
-class TestAdaptiveCutover:
-    """Satellite: batches too small to amortize dispatch stay local."""
-
-    def _tiny(self):
-        segments = (Segment(
-            (Statement("SELECT a FROM t WHERE a = 1"),), 0),)
-        configs = (EMPTY_CONFIGURATION,
-                   Configuration({IndexDef("t", ("a",))}))
-        return segments, configs
-
-    def test_small_batch_stays_serial(self, small_db):
-        segments, configs = self._tiny()
-        service = CostService(small_db.what_if(), n_workers=2)
-        try:
-            service.exec_matrix(segments, configs)
-            assert service.stats.serial_cutover_batches == 1
-            assert service.stats.parallel_batches == 0
-            assert service._pool is None
-        finally:
-            service.close()
-
-    def test_explicit_threshold_forces_fanout(self, small_db):
-        segments, configs = self._tiny()
-        service = CostService(small_db.what_if(), n_workers=2,
-                              parallel_threshold=2)
-        try:
-            service.exec_matrix(segments, configs)
-            assert service.stats.parallel_batches == 1
-            assert service.stats.serial_cutover_batches == 0
-        finally:
-            service.close()
-
-    def test_cutover_matches_serial_bits(self, small_db):
-        segments, configs = self._tiny()
-        with CostService(small_db.what_if(), n_workers=2) as service:
-            matrix = service.exec_matrix(segments, configs)
-        serial = CostService(small_db.what_if()).exec_matrix(
-            segments, configs)
-        assert np.array_equal(matrix, serial)
-
-    def test_warm_pool_lowers_floor(self, small_db):
-        service = CostService(small_db.what_if(), n_workers=2)
-        try:
-            assert service._min_parallel_items() == 8  # cold: 4x
-            cold = service.warm_pool()
-            assert cold > 0.0
-            assert service._min_parallel_items() == 4  # warm: 2x
-        finally:
-            service.close()
-
-    def test_warm_pool_is_serial_noop(self, small_db):
-        service = CostService(small_db.what_if())
-        assert service.warm_pool() == 0.0
-        assert service._pool is None

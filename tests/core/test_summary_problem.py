@@ -81,11 +81,11 @@ class TestSummarizeProblem:
             sum(len(s) for s in small_problem.segments)
 
     def test_matrices_bit_identical(self, small_db, small_problem):
-        with CostService(small_db.what_if()) as service:
-            raw = build_cost_matrices(small_problem, service)
-        with CostService(small_db.what_if()) as service:
-            compressed = build_cost_matrices(
-                summarize_problem(small_problem), service)
+        raw = build_cost_matrices(
+            small_problem, CostService(small_db.what_if()))
+        compressed = build_cost_matrices(
+            summarize_problem(small_problem),
+            CostService(small_db.what_if()))
         assert np.array_equal(raw.exec_matrix,
                               compressed.exec_matrix)
         assert np.array_equal(raw.trans_matrix,

@@ -222,26 +222,3 @@ class TestRelevanceSignatures:
         backward = what_if.relevance_signature(template, [AB, B, A])
         assert forward == backward
 
-
-class TestCatalogSnapshot:
-    def test_replica_estimates_bit_identical(self, what_if):
-        from repro.sqlengine.whatif import WhatIfOptimizer
-        replica = WhatIfOptimizer.from_snapshot(
-            what_if.catalog_snapshot())
-        for sql in ("SELECT a FROM t WHERE a = 5",
-                    "SELECT c FROM t WHERE c BETWEEN 5 AND 500",
-                    "SELECT b FROM t"):
-            stmt = parse(sql)
-            for config in (frozenset(), {A}, {A, AB}):
-                assert replica.estimate_statement(stmt, config).units \
-                    == what_if.estimate_statement(stmt, config).units
-
-    def test_snapshot_carries_stats_epoch(self, what_if):
-        from repro.sqlengine.whatif import WhatIfOptimizer
-        before = what_if.catalog_snapshot()
-        assert before.stats_epoch == what_if.stats_epoch
-        what_if.refresh_stats(dict(what_if._stats))
-        after = what_if.catalog_snapshot()
-        assert after.stats_epoch == before.stats_epoch + 1
-        replica = WhatIfOptimizer.from_snapshot(after)
-        assert replica.stats_epoch == what_if.stats_epoch

@@ -268,43 +268,3 @@ class TestChaos:
         assert main(["chaos", "--quick", "--plans", "1",
                      "--seed", "2"]) == 0
         assert capsys.readouterr().out == first
-
-
-class TestPerfCommand:
-    def test_writes_report_and_passes(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "BENCH_PERF.json"
-        code = main(["perf", "--quick", "--rows", "4000",
-                     "--block-size", "25", "--workers", "0",
-                     "--out", str(out)])
-        printed = capsys.readouterr().out
-        assert code == 0
-        assert "call reduction" in printed
-        report = json.loads(out.read_text())
-        assert report["ok"]
-        assert report["call_reduction"] >= 3.0
-        legs = report["legs"]
-        assert legs["decomposed"]["whatif_calls"] < \
-            legs["undecomposed"]["whatif_calls"]
-
-    def test_parallel_leg_records_speedup(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "perf.json"
-        code = main(["perf", "--quick", "--rows", "3000",
-                     "--block-size", "25", "--workers", "2",
-                     "--out", str(out)])
-        capsys.readouterr()
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert "parallel" in report["legs"]
-        assert report["parallel_speedup"] > 0.0
-        parallel = report["legs"]["parallel"]
-        assert parallel["cold_start_seconds"] > 0.0
-        assert parallel["steady_wall_seconds"] > 0.0
-        assert parallel["parallel_batches"] >= 1
-        assert report["params"]["speedup_floor"] == 1.5
-        # 2 workers never enforce the floor, so quick runs stay green
-        # on single-core hosts.
-        assert report["params"]["speedup_enforced"] is False

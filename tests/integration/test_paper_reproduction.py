@@ -7,8 +7,11 @@ qualitative claims of Section 6.
 
 import pytest
 
-from repro.bench import (build_paper_setup, run_figure3, run_figure4,
-                         run_table2)
+from repro.bench import (COUNT_INITIAL_CHANGE, build_paper_setup,
+                         run_figure3, run_table2)
+from repro.bench.experiments import figure4_matrices
+from repro.core import (merge_to_k, solve_constrained,
+                        solve_unconstrained)
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +60,24 @@ class TestFigure3Shape:
 
 
 class TestFigure4Shape:
+    """Figure 4's opposite slopes, asserted on operation counts: the
+    timed slopes are ``benchmarks/bench_figure4_optimizer_cost.py``'s
+    job (with repeats); tier-1 reads no clock."""
+
     def test_opposite_slopes(self, setup):
-        result = run_figure4(setup, ks=(2, 10, 18), repeats=3)
-        assert result.graph_relative[-1] > result.graph_relative[0]
-        assert result.merging_relative[-1] <= \
-            result.merging_relative[0] * 1.5  # flat-or-falling
+        matrices = figure4_matrices(setup)
+        unconstrained = list(solve_unconstrained(matrices).assignment)
+        ks = (2, 10, 18)
+        # Merging starts from the unconstrained design and does less
+        # work the looser the budget; the k-aware search expands one
+        # more graph layer per allowed change.
+        merge_steps = [
+            len(merge_to_k(matrices, unconstrained, k,
+                           COUNT_INITIAL_CHANGE).steps) for k in ks]
+        layers = [solve_constrained(matrices, k,
+                                    COUNT_INITIAL_CHANGE).layers_used
+                  for k in ks]
+        assert merge_steps == sorted(merge_steps, reverse=True)
+        assert merge_steps[0] > merge_steps[-1]
+        assert layers == sorted(layers)
+        assert layers[-1] > layers[0]

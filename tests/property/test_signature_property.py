@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Configuration
+from repro.core import Configuration, WhatIfCostProvider
 from repro.core.costservice import CostService
 from repro.sqlengine import Database, IndexDef
 from repro.sqlengine.views import ViewDef
@@ -111,7 +111,7 @@ class TestSignatureInvariant:
     def test_service_matches_direct_estimation(self, sql, config):
         """Signature-keyed service == direct per-config estimation."""
         statement = Statement(sql)
-        direct = CostService(_DB.what_if(), decompose=False)
+        direct = WhatIfCostProvider(_DB.what_if())
         decomposed = CostService(_DB.what_if())
         configuration = Configuration(config)
         segment = (statement,)
@@ -145,19 +145,18 @@ class TestViewOnlyDifferences:
 
 class TestDecompositionCounters:
     def test_saves_calls_on_paper_fixture(self, small_db,
-                                          small_problem):
+                                          small_problem,
+                                          small_matrices):
         """On the Table 2 fixture the signature space is strictly
         smaller than templates x configurations, so decomposition
-        must save calls while reproducing the matrix bitwise."""
-        baseline = CostService(small_db.what_if(), decompose=False)
+        must save calls while reproducing the serial provider's
+        matrix bitwise."""
         service = CostService(small_db.what_if())
-        base_exec = baseline.exec_matrix(small_problem.segments,
-                                         small_problem.configurations)
         exec_matrix = service.exec_matrix(
             small_problem.segments, small_problem.configurations)
-        assert np.array_equal(exec_matrix, base_exec)
-        saved = baseline.stats.whatif_calls - \
-            service.stats.whatif_calls
+        assert np.array_equal(exec_matrix, small_matrices.exec_matrix)
+        saved = service.stats.unique_templates * \
+            small_problem.n_configurations - service.stats.whatif_calls
         assert saved > 0
         assert service.stats.whatif_calls == \
             service.stats.unique_signatures
