@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...errors import ParseError, SqlSyntaxError, SqlUnsupportedError
 from ..types import Value
@@ -10,11 +10,26 @@ from .ast import (AGGREGATE_FUNCS, Aggregate, Between, Comparison,
                   Conjunction, CreateIndexStmt, CreateTableStmt,
                   DeleteStmt, DropIndexStmt, DropTableStmt, InsertStmt,
                   OrderBy, SelectStmt, Statement, UpdateStmt)
-from .lexer import Token, tokenize
+from .lexer import (Token, literal_spans, literal_value, number_value,
+                    split_literals, tokenize)
+
+#: Shapes remembered by :func:`parse`; past this many, new shapes are
+#: parsed in full every time.
+_MAX_SHAPES = 4096
+
+#: shape -> its bind plan, or ``None`` for a shape whose statements
+#: must always be parsed in full (DDL, comments, a failed self-check).
+_SHAPES: Dict[Tuple[str, ...], Optional["_BindPlan"]] = {}
 
 
 def parse(sql: str) -> Statement:
     """Parse one SQL statement (an optional trailing ``;`` is allowed).
+
+    Statements are parsed once per *shape* (the text with its literals
+    stripped): the first of a shape is tokenized and parsed, the rest
+    get their literals bound into its AST. Whatever the binder cannot
+    vouch for is parsed in full, so results and errors are those of
+    the full parser.
 
     Raises:
         ParseError: on malformed SQL. The exception carries the full
@@ -22,13 +37,111 @@ def parse(sql: str) -> Statement:
             token (``exc.statement`` / ``exc.position``), and
             ``exc.excerpt()`` renders a caret pointing at it.
     """
+    shape, literals = split_literals(sql)
+    plan = _SHAPES.get(shape)
+    if plan is not None:
+        statement = plan.bind(literals)
+        if statement is not None:
+            return statement
     try:
-        return _Parser(sql).parse_statement()
+        parser = _Parser(sql)
+        statement = parser.parse_statement()
     except ParseError as exc:
         # Lexer and parser sites raise with a position only; the full
         # statement is attached here, once, at the public entry point.
         exc.statement = sql
         raise
+    if shape not in _SHAPES and len(_SHAPES) < _MAX_SHAPES:
+        _SHAPES[shape] = _BindPlan.compile(statement, parser.tokens, sql)
+    return statement
+
+
+class _BindPlan:
+    """How to build a statement of one shape from its literals alone.
+
+    Equal shape means identical text between the literals, hence the
+    same tokens there and the same AST up to literal values; the plan
+    holds the first member's AST and rebuilds only the nodes that
+    carry literals, in source order.
+    """
+
+    __slots__ = ("statement",)
+
+    def __init__(self, statement: Statement):
+        self.statement = statement
+
+    @classmethod
+    def compile(cls, statement: Statement, tokens: Sequence[Token],
+                sql: str) -> Optional["_BindPlan"]:
+        """The plan for the shape of ``statement`` (parsed from ``sql``
+        into ``tokens``), or ``None`` unless the literal regex and the
+        lexer read the same literals at the same places and binding
+        them reproduces ``statement``."""
+        if not isinstance(statement, (SelectStmt, InsertStmt,
+                                      UpdateStmt, DeleteStmt)):
+            return None
+        spans = literal_spans(sql)
+        lexed = [t for t in tokens if t.kind in ("NUMBER", "STRING")]
+        if len(spans) != len(lexed):
+            return None
+        for (position, source), token in zip(spans, lexed):
+            if position != token.position:
+                return None
+            if token.kind == "NUMBER" and source != token.text:
+                return None
+            if token.kind == "STRING" and (
+                    source[0] != "'" or
+                    literal_value(source) != token.text):
+                return None
+        plan = cls(statement)
+        bound = plan.bind([source for _, source in spans])
+        return plan if bound == statement else None
+
+    def bind(self, literals: Sequence[str]) -> Optional[Statement]:
+        """The statement these literals spell, or ``None`` when only
+        the full parser can tell (it then raises what it always
+        raised, with a position)."""
+        try:
+            values = iter([literal_value(source) for source in literals])
+        except SqlSyntaxError:
+            return None
+        base = self.statement
+        if isinstance(base, SelectStmt):
+            where = _bind_where(base.where, values)
+            limit = base.limit
+            if limit is not None:
+                limit = next(values)
+                if not isinstance(limit, int) or limit < 0:
+                    return None
+            return SelectStmt(table=base.table, columns=base.columns,
+                              where=where, limit=limit,
+                              aggregates=base.aggregates,
+                              order_by=base.order_by,
+                              group_by=base.group_by)
+        if isinstance(base, InsertStmt):
+            arity = len(base.columns)
+            return InsertStmt(
+                table=base.table, columns=base.columns,
+                rows=tuple(tuple(next(values) for _ in range(arity))
+                           for _ in base.rows))
+        if isinstance(base, UpdateStmt):
+            assignments = tuple((column, next(values))
+                                for column, _ in base.assignments)
+            return UpdateStmt(table=base.table, assignments=assignments,
+                              where=_bind_where(base.where, values))
+        return DeleteStmt(table=base.table,
+                          where=_bind_where(base.where, values))
+
+
+def _bind_where(where: Optional[Conjunction],
+                values: Iterator[Value]) -> Optional[Conjunction]:
+    if where is None:
+        return None
+    return Conjunction(tuple(
+        Between(p.column, next(values), next(values))
+        if isinstance(p, Between)
+        else Comparison(p.column, p.op, next(values))
+        for p in where.predicates))
 
 
 class _Parser:
@@ -132,7 +245,11 @@ class _Parser:
             order_by = OrderBy(column=column, descending=descending)
         limit = None
         if self.accept("KEYWORD", "LIMIT"):
-            limit = int(self.expect("NUMBER").text)
+            token = self.expect("NUMBER")
+            limit = number_value(token.text, token.position)
+            if not isinstance(limit, int):
+                raise SqlSyntaxError("LIMIT must be an integer",
+                                     token.position)
             if limit < 0:
                 raise SqlSyntaxError("LIMIT must be non-negative",
                                      self.current.position)
@@ -289,10 +406,7 @@ class _Parser:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
-            text = token.text
-            if any(c in text for c in ".eE"):
-                return float(text)
-            return int(text)
+            return number_value(token.text, token.position)
         if token.kind == "STRING":
             self.advance()
             return token.text

@@ -38,7 +38,8 @@ from .index import IndexDef, IndexGeometry, structure_sort_key
 from .plan import PlanNode
 from .views import ViewDef, ViewGeometry
 from .planner import (AccessPath, QueryInfo, analyze_select,
-                      choose_access_path, relevant_structures,
+                      bind_query_info, choose_access_path,
+                      relevant_structures, select_skeleton,
                       total_selectivity)
 from .schema import TableSchema
 from .sql.ast import (DeleteStmt, InsertStmt, SelectStmt, Statement,
@@ -110,6 +111,9 @@ class WhatIfOptimizer:
         self.fault_injector = fault_injector
         self._geometry_cache: Dict[Tuple[IndexDef, int], IndexGeometry] = {}
         self._analyze_cache: Dict[SelectStmt, QueryInfo] = {}
+        #: separable skeleton -> QueryInfo of its first statement
+        #: (template derivation only; see :meth:`_template_info`).
+        self._skeleton_info: Dict[Tuple, QueryInfo] = {}
         #: Bumped whenever statistics change; template keys computed
         #: under an older epoch are stale (selectivities moved).
         self.stats_epoch = 0
@@ -234,7 +238,7 @@ class WhatIfOptimizer:
         constraint kinds with their selectivities, in the exact order
         ``predicate_selectivity`` multiplies them.
         """
-        info = self._analyze(stmt)
+        info = self._template_info(stmt)
         stats = self._stats_for(stmt.table)
 
         columns = sorted(set(info.eq_predicates)
@@ -424,6 +428,22 @@ class WhatIfOptimizer:
             info = analyze_select(stmt, self._schema_for(stmt.table))
             self._analyze_cache[stmt] = info
         return info
+
+    def _template_info(self, stmt: SelectStmt) -> QueryInfo:
+        """``analyze_select(stmt)`` for template derivation, which sees
+        every distinct statement once: analysed once per separable
+        skeleton, the rest bound from their constants. Kept apart from
+        :meth:`_analyze`, whose AST-keyed cache serves the few
+        representatives that are costed again and again."""
+        skeleton, separable = select_skeleton(stmt)
+        if not separable:
+            return self._analyze(stmt)
+        first = self._skeleton_info.get(skeleton)
+        if first is None:
+            first = analyze_select(stmt, self._schema_for(stmt.table))
+            self._skeleton_info[skeleton] = first
+            return first
+        return bind_query_info(first, stmt)
 
     def _geometry(self, definition):
         stats = self._stats_for(definition.table)

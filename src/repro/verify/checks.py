@@ -21,8 +21,10 @@
    :class:`~repro.core.costservice.CostService` matrices are
    bit-identical to the serial
    :class:`~repro.core.costmatrix.WhatIfCostProvider` loop and to the
-   service's own scalar path (warm and cold), and a stats-epoch bump
-   actually invalidates the caches without changing values.
+   service's own scalar path (warm and cold), a stats-epoch bump
+   actually invalidates the caches without changing values, and
+   template keys reached through the shape-keyed front end equal the
+   keys of a cold full parse and analysis.
 
 4. **Ground truth** (:func:`check_ground_truth`) — what-if estimates
    stay within a per-access-path relative-error budget of the cost
@@ -77,6 +79,7 @@ from ..core.sequence_graph import (SequenceGraph, solve_unconstrained,
                                    solve_unconstrained_reference)
 from ..errors import InfeasibleProblemError
 from ..sqlengine.sql.ast import SelectStmt
+from ..sqlengine.sql.parser import _Parser, parse
 from .generators import MatrixInstance, TraceInstance
 from .report import CheckResult
 
@@ -320,6 +323,24 @@ def check_cost_service(instance: TraceInstance,
         "relevance-signature decomposition saved zero what-if calls "
         f"({cold.stats.whatif_calls} vs "
         f"{undecomposed_calls} undecomposed)")
+
+    # Shape-keyed front end: a template key reached through the warm
+    # shape table (literals bound into a remembered AST) and a warm
+    # skeleton entry (constants substituted into a remembered
+    # QueryInfo) equals the key a full parse and a first-of-its-
+    # skeleton analyze_select give.
+    warm = instance.db.what_if()
+    differing = [
+        sql for sql in dict.fromkeys(
+            statement.sql for segment in segments
+            for statement in segment)
+        if warm.statement_template(parse(sql)).key !=
+        instance.db.what_if().statement_template(
+            _Parser(sql).parse_statement()).key]
+    result.check(
+        not differing, label,
+        "template keys through the shape table / skeleton binding "
+        f"differ from a cold parse + analyze_select for {differing[:3]}")
 
     # Epoch invalidation: bumping the optimizer's stats epoch must
     # drop the caches (new what-if calls are issued) without changing

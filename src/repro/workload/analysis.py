@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import WorkloadError
+from ..errors import SqlError, WorkloadError
 from ..sqlengine.sql.ast import SelectStmt
 from .model import Statement, Workload
 from .summary import WorkloadSummary, atoms_of
@@ -241,7 +241,7 @@ def _window_average(profiles: Sequence[BlockProfile], start: int,
 def _queried_column(statement: Statement) -> Optional[str]:
     try:
         ast = statement.ast
-    except Exception:
+    except SqlError:
         return None
     if not isinstance(ast, SelectStmt) or ast.where is None:
         return None

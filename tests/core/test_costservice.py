@@ -254,6 +254,58 @@ class TestBatchCounters:
         assert np.all(matrix[1] > 0.0)
 
 
+class TestShapeKeyedFrontEnd:
+    """Front-end work is per shape and per template, not per distinct
+    string — counted, not timed."""
+
+    def test_front_end_calls_scale_with_shapes(self, small_db,
+                                               paper_candidates,
+                                               monkeypatch):
+        import repro.sqlengine.sql.parser as parser_module
+        import repro.sqlengine.whatif as whatif_module
+        from repro.workload import summarize_statements
+
+        calls = {"tokenize": 0, "analyze_select": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        monkeypatch.setattr(parser_module, "_SHAPES", {})
+        counting(parser_module, "tokenize")
+        counting(whatif_module, "analyze_select")
+
+        rng = np.random.default_rng(17)
+        columns = ("a", "b", "c", "d")
+        trace = [Statement(f"SELECT {columns[int(c)]} FROM t WHERE "
+                           f"{columns[int(c)]} = {int(v)}")
+                 for c, v in zip(rng.integers(0, 4, 4_000),
+                                 rng.integers(0, 500_000, 4_000))]
+        shapes = len(columns)
+        assert len({s.sql for s in trace}) >= 2_000
+        summary = summarize_statements(trace, block_size=1_000)
+        assert len(summary.phases) == 4
+        configs = single_index_configurations(paper_candidates)
+
+        optimizer = small_db.what_if()
+        service = CostService(optimizer)
+        matrix = service.exec_matrix(summary.phases, configs)
+        templates = service.stats.unique_templates
+        assert templates <= 2 * shapes
+        assert calls["tokenize"] <= shapes
+        assert calls["analyze_select"] <= shapes + templates
+        assert len(optimizer._analyze_cache) <= templates
+
+        reference = WhatIfCostProvider(small_db.what_if())
+        assert np.array_equal(matrix, np.array(
+            [[reference.exec_cost(phase, config) for config in configs]
+             for phase in summary.phases]))
+
+
 class TestSupportsBatching:
     def test_cost_service_supports(self, service):
         assert supports_batching(service)

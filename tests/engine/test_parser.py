@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import SqlSyntaxError, SqlUnsupportedError
 from repro.sqlengine.sql import parse
-from repro.sqlengine.sql.ast import (Between, Comparison, CreateIndexStmt,
+from repro.sqlengine.sql.ast import (Between, Comparison, Conjunction,
+                                     CreateIndexStmt,
                                      CreateTableStmt, DeleteStmt,
                                      DropIndexStmt, DropTableStmt,
                                      InsertStmt, SelectStmt, UpdateStmt)
@@ -156,3 +157,41 @@ class TestErrors:
         with pytest.raises(SqlSyntaxError) as exc:
             parse("SELECT a FROM t WHERE a ?")
         assert exc.value.position >= 0
+
+
+class TestShapeTable:
+    """``parse`` remembers one bind plan per literal-stripped shape."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        from repro.sqlengine.sql import parser
+        monkeypatch.setattr(parser, "_SHAPES", {})
+        self.parser = parser
+
+    def test_second_member_is_bound_not_tokenized(self, monkeypatch):
+        first = parse("UPDATE t SET b = 1 WHERE a BETWEEN 2 AND 3")
+
+        def no_lexing(sql):
+            raise AssertionError(f"tokenized {sql!r}")
+        monkeypatch.setattr(self.parser, "tokenize", no_lexing)
+        second = parse("UPDATE t SET b = -4.5 WHERE a BETWEEN 'x' AND 7")
+        assert second == UpdateStmt(
+            table="t", assignments=(("b", -4.5),),
+            where=Conjunction((Between("a", "x", 7),)))
+        assert first.assignments == (("b", 1),)
+
+    def test_ddl_and_comments_are_never_bound(self):
+        parse("CREATE INDEX i1 ON t1 (c2)")
+        parse("SELECT a FROM t WHERE a = 1 -- why 2")
+        assert list(self.parser._SHAPES.values()) == [None, None]
+        assert parse("SELECT a FROM t WHERE a = 3 -- why 4") == \
+            parse("SELECT a FROM t WHERE a = 3")
+
+    def test_table_stops_growing_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(self.parser, "_MAX_SHAPES", 2)
+        for column in "abcd":
+            for value in (1, 2):
+                stmt = parse(f"DELETE FROM t WHERE {column} = {value}")
+                assert stmt == DeleteStmt("t", Conjunction(
+                    (Comparison(column, "=", value),)))
+        assert len(self.parser._SHAPES) == 2

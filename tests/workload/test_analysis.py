@@ -6,7 +6,7 @@ from repro.errors import WorkloadError
 from repro.workload import (Statement, Workload, block_profiles,
                             detect_shifts, make_paper_workload,
                             paper_generator, suggest_k)
-from repro.workload.analysis import BlockProfile
+from repro.workload.analysis import BlockProfile, _queried_column
 
 
 @pytest.fixture(scope="module")
@@ -95,3 +95,24 @@ class TestSuggestK:
 
     def test_slack_adds_headroom(self, w1):
         assert suggest_k(w1, 100, slack=1) == 3
+
+
+class TestQueriedColumn:
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t WHERE a = 1.5.3",   # SqlSyntaxError
+        "SELEKT a FROM t",                   # SqlSyntaxError
+        "SELECT a, COUNT(*) FROM t",         # SqlUnsupportedError
+    ])
+    def test_unparseable_statements_profile_as_no_column(self, sql):
+        assert _queried_column(Statement(sql)) is None
+        profile = block_profiles(Workload([Statement(sql)]), 1)[0]
+        assert profile.frequencies == {"<other>": 1.0}
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        import repro.workload.model as model
+
+        def broken(_sql):
+            raise RuntimeError("not a SQL error")
+        monkeypatch.setattr(model, "parse", broken)
+        with pytest.raises(RuntimeError):
+            _queried_column(Statement("SELECT a FROM t WHERE a = 1"))
