@@ -35,19 +35,12 @@ Commands:
   converge bit-identically to the fault-free run, and that permanent
   estimation faults degrade gracefully instead of crashing the
   advisors.
-* ``scale`` — the summary-IR scaling benchmark: advise the same
-  multi-tenant workload at growing trace lengths (1M+ statements)
-  through the compressed workload-summary path and the legacy
-  materialize-and-segment path, verify the two formulations are
-  bit-identical, and write ``BENCH_SCALE.json`` (summarize vs advise
-  wall time per trace length). Exits non-zero if the formulations
-  disagree or summary-path advising fails to stay flat.
 
-``recommend`` and ``costs`` accept ``--summary`` to stream the trace
-through the workload summarizer in bounded memory — the advisor then
-works on per-phase ``(template, weight)`` atoms and never sees the
-raw statement list; the ``lp`` advisor solves the summarized problem
-by LP-relaxation + rounding with a certified optimality gap.
+``recommend`` and ``costs`` stream the trace through the workload
+summarizer in bounded memory — the advisor works on per-phase
+``(statement, weight)`` atoms and never sees the raw statement list;
+the ``lp`` advisor solves the summarized problem by LP-relaxation +
+rounding with a certified optimality gap.
 
 The CLI is self-contained: ``recommend`` infers the schema from the
 trace's queries and populates a synthetic table, so no database setup
@@ -68,7 +61,7 @@ from .core.advisor import (ConstrainedGraphAdvisor, GreedySeqAdvisor,
                            UnconstrainedAdvisor)
 from .core.costmatrix import build_cost_matrices
 from .core.costservice import CostService
-from .core.problem import ProblemInstance, problem_from_summary
+from .core.problem import problem_from_summary
 from .core.structures import (Compression, Configuration,
                               EMPTY_CONFIGURATION, compressed_variants,
                               single_index_configurations)
@@ -147,10 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--rows", type=int, default=100_000,
                            help="rows in the synthesized table")
     recommend.add_argument("--seed", type=int, default=0)
-    recommend.add_argument("--summary", action="store_true",
-                           help="stream the trace into a compressed "
-                                "workload summary (bounded memory) "
-                                "and advise on the atom formulation")
     recommend.add_argument("--compression", action="store_true",
                            help="enlarge the candidate space with "
                                 "LIGHT/HEAVY compressed variants of "
@@ -175,10 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "matrices")
     costs.add_argument("--rows", type=int, default=100_000)
     costs.add_argument("--seed", type=int, default=0)
-    costs.add_argument("--summary", action="store_true",
-                       help="stream the trace into a compressed "
-                            "workload summary and cost the atom "
-                            "formulation")
     costs.add_argument("--compression", action="store_true",
                        help="enlarge the candidate space with "
                             "LIGHT/HEAVY compressed variants of "
@@ -301,31 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "crash_deploy, thrash) through the "
                             "safety-gated tuner instead of family 6")
     chaos.set_defaults(handler=_cmd_chaos)
-
-    scale = sub.add_parser(
-        "scale", help="benchmark summary-IR advising against the "
-                      "legacy statement path at growing trace "
-                      "lengths (multi-tenant streaming traces); "
-                      "verifies summary/legacy bit-identity and "
-                      "writes BENCH_SCALE.json")
-    scale.add_argument("--sizes", default="10000,100000,1000000",
-                       help="comma-separated trace lengths "
-                            "(default 10000,100000,1000000)")
-    scale.add_argument("--phases", type=int, default=12,
-                       help="fixed phase count; block size scales "
-                            "with the trace (default 12)")
-    scale.add_argument("--k", type=int, default=3)
-    scale.add_argument("--rows", type=int, default=50_000)
-    scale.add_argument("--seed", type=int, default=0)
-    scale.add_argument("--tenants", type=int, default=4)
-    scale.add_argument("--legacy-max", type=int, default=None,
-                       help="skip the materializing legacy path "
-                            "above this trace length")
-    scale.add_argument("--quick", action="store_true",
-                       help="CI scale: two small sizes, small table")
-    scale.add_argument("--out", default="BENCH_SCALE.json",
-                       help="report path (default BENCH_SCALE.json)")
-    scale.set_defaults(handler=_cmd_scale)
     return parser
 
 
@@ -365,66 +325,46 @@ def _cmd_analyze(args) -> int:
 
 
 def _trace_problem(args, need_k: bool):
-    """Load ``args.trace`` raw or summarized (``--summary``).
+    """Stream ``args.trace`` into the problem ``recommend`` and
+    ``costs`` advise on.
 
-    Returns ``(pairs, k, make_problem)``: weighted statements for
-    schema/candidate inference, the resolved change budget (detected
-    when ``need_k`` and no ``--k`` was given), and a
-    ``make_problem(configurations, k)`` closure building the
-    segmented or summarized problem instance. On the summary path the
-    raw statement list is never materialized — the trace streams
-    through the summarizer in bounded memory.
+    The trace goes through the summarizer in bounded memory — the raw
+    statement list is never materialized; schema, table data and
+    candidate indexes are inferred from the summary's weighted
+    statements, and the change budget is detected from its major
+    shifts when ``need_k`` and no ``--k`` was given. Returns
+    ``(problem, db, candidates)``.
     """
+    summary = summarize_statements(
+        iter_trace(args.trace), args.block_size,
+        name=trace_name(args.trace))
+    print(f"summarized trace: {summary.n_statements} statements "
+          f"-> {summary.n_atoms} atoms in {summary.n_phases} "
+          f"phases ({summary.compression_ratio:.1f}x compression)")
+    pairs = [(statement, weight) for phase in summary.phases
+             for statement, weight in atoms_of(phase)]
     k = args.k
-    if getattr(args, "summary", False):
-        summary = summarize_statements(
-            iter_trace(args.trace), args.block_size,
-            name=trace_name(args.trace))
-        print(f"summarized trace: {summary.n_statements} statements "
-              f"-> {summary.n_atoms} atoms in {summary.n_phases} "
-              f"phases ({summary.compression_ratio:.1f}x compression)")
-        pairs = [(statement, weight) for phase in summary.phases
-                 for statement, weight in atoms_of(phase)]
-        if k is None and need_k:
-            k = detect_summary_shifts(summary).suggested_k
-            print(f"no --k given; detected k = {k} from the "
-                  f"summary's major shifts")
-
-        def make_problem(configurations, k):
-            return problem_from_summary(
-                summary, configurations,
-                initial=EMPTY_CONFIGURATION, k=k,
-                final=EMPTY_CONFIGURATION)
-    else:
-        workload = load_trace(args.trace)
-        pairs = [(statement, 1) for statement in workload]
-        if k is None and need_k:
-            k = detect_shifts(workload, args.block_size).suggested_k
-            print(f"no --k given; detected k = {k} from the trace's "
-                  f"major shifts")
-
-        def make_problem(configurations, k):
-            return ProblemInstance(
-                segments=tuple(segment_by_count(workload,
-                                                args.block_size)),
-                configurations=configurations,
-                initial=EMPTY_CONFIGURATION, k=k,
-                final=EMPTY_CONFIGURATION)
-    return pairs, k, make_problem
-
-
-def _cmd_recommend(args) -> int:
-    pairs, k, make_problem = _trace_problem(
-        args, need_k=args.advisor != "unconstrained")
+    if k is None and need_k:
+        k = detect_summary_shifts(summary).suggested_k
+        print(f"no --k given; detected k = {k} from the "
+              f"summary's major shifts")
     db, table = _synthesize_database(pairs, args.rows, args.seed)
     candidates = _candidate_indexes(pairs, table)
     if args.compression:
         candidates = list(compressed_variants(candidates))
+    problem = problem_from_summary(
+        summary, single_index_configurations(candidates),
+        initial=EMPTY_CONFIGURATION, k=k, final=EMPTY_CONFIGURATION)
+    return problem, db, candidates
+
+
+def _cmd_recommend(args) -> int:
+    problem, db, candidates = _trace_problem(
+        args, need_k=args.advisor != "unconstrained")
     print(f"candidate indexes: "
           f"{', '.join(d.label for d in candidates)}")
-    problem = make_problem(single_index_configurations(candidates), k)
     provider = CostService(db.what_if())
-    advisor = _ADVISORS[args.advisor](k)
+    advisor = _ADVISORS[args.advisor](problem.k)
     recommendation = advisor.recommend(problem, provider)
     print(f"\n{recommendation.summary()}")
     print(recommendation.design.format_table())
@@ -443,12 +383,7 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_costs(args) -> int:
-    pairs, k, make_problem = _trace_problem(args, need_k=True)
-    db, table = _synthesize_database(pairs, args.rows, args.seed)
-    candidates = _candidate_indexes(pairs, table)
-    if args.compression:
-        candidates = list(compressed_variants(candidates))
-    problem = make_problem(single_index_configurations(candidates), k)
+    problem, db, _candidates = _trace_problem(args, need_k=True)
     service = CostService(db.what_if())
 
     names = [name.strip() for name in args.advisors.split(",")
@@ -463,7 +398,8 @@ def _cmd_costs(args) -> int:
         return 2
     rows = []
     for name in names:
-        recommendation = _ADVISORS[name](k).recommend(problem, service)
+        recommendation = _ADVISORS[name](problem.k).recommend(
+            problem, service)
         costing = recommendation.costing or {}
         rows.append((name, recommendation.cost, costing))
     if args.sweep:
@@ -678,21 +614,6 @@ def _cmd_chaos(args) -> int:
     # No timing suffix: the chaos report is deterministic in the
     # seed, so the printed output is diffable across runs.
     print(report.format(include_timing=False))
-    return 0 if report.ok else 1
-
-
-def _cmd_scale(args) -> int:
-    from .bench.scale import run_scale
-    sizes = [int(size) for size in args.sizes.split(",")
-             if size.strip()]
-    report = run_scale(sizes=sizes, n_phases=args.phases, k=args.k,
-                       nrows=args.rows, seed=args.seed,
-                       n_tenants=args.tenants,
-                       legacy_max=args.legacy_max, quick=args.quick)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(report.to_json() + "\n")
-    print(report.format())
-    print(f"wrote {args.out}")
     return 0 if report.ok else 1
 
 

@@ -27,9 +27,8 @@ from .ktuning import (KSweepResult, ValidatedKResult, knee_k, sweep_k,
 from .lp_advisor import LPResult, solve_lp_rounding
 from .merging import MergeStep, MergingResult, merge_to_k
 from .online import OnlineDecision, OnlineResult, OnlineTuner
-from .problem import (ProblemInstance, SummaryProblemInstance,
-                      enumerate_configurations, problem_from_summary,
-                      summarize_problem)
+from .problem import (ProblemInstance, enumerate_configurations,
+                      problem_from_summary, summarize_problem)
 from .robustness import (RobustnessReport, VariantOutcome,
                          compare_robustness, evaluate_robustness)
 from .ranking import RankingResult, solve_by_ranking
@@ -58,9 +57,8 @@ __all__ = [
     "LPResult", "solve_lp_rounding",
     "MergeStep", "MergingResult", "merge_to_k",
     "OnlineDecision", "OnlineResult", "OnlineTuner",
-    "ProblemInstance", "SummaryProblemInstance",
-    "enumerate_configurations", "problem_from_summary",
-    "summarize_problem",
+    "ProblemInstance", "enumerate_configurations",
+    "problem_from_summary", "summarize_problem",
     "RobustnessReport", "VariantOutcome", "compare_robustness",
     "evaluate_robustness",
     "RankingResult", "solve_by_ranking",

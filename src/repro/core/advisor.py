@@ -7,13 +7,12 @@ statistics (runtime, paths examined, merge steps, ...). The harness
 reproducing the paper's figures drives everything through this
 interface, so techniques are trivially swappable and comparable.
 
-Advisors are formulation-agnostic: a segmented
-:class:`~repro.core.problem.ProblemInstance` and a compressed
-:class:`~repro.core.problem.SummaryProblemInstance` expose the same
-axis API and cost bit-identically, so any advisor accepts either. On
-summaries, matrix building scales with atoms instead of raw
-statements, and :class:`LPAdvisor` keeps the solve itself independent
-of the change budget as well.
+Advisors never look inside the sequence axis of a
+:class:`~repro.core.problem.ProblemInstance`: raw segments and
+summarized phases cost bit-identically, so any advisor accepts
+either. On summaries, matrix building scales with atoms instead of
+raw statements, and :class:`LPAdvisor` keeps the solve itself
+independent of the change budget as well.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .hybrid import solve_hybrid
 from .kaware import solve_constrained
 from .lp_advisor import solve_lp_rounding
 from .merging import merge_to_k
-from .problem import AnyProblem, ProblemInstance
+from .problem import ProblemInstance
 from .ranking import solve_by_ranking
 from .sequence_graph import solve_unconstrained
 
@@ -94,7 +93,7 @@ class Advisor:
     def __init__(self, count_initial_change: bool = True):
         self.count_initial_change = count_initial_change
 
-    def recommend(self, problem: AnyProblem,
+    def recommend(self, problem: ProblemInstance,
                   provider: CostProvider,
                   matrices: Optional[CostMatrices] = None
                   ) -> Recommendation:
@@ -211,7 +210,7 @@ class LPAdvisor(Advisor):
         self.k = k
         self.max_iterations = max_iterations
 
-    def _solve(self, problem: AnyProblem, matrices: CostMatrices):
+    def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
         result = solve_lp_rounding(matrices, self.k,
                                    self.count_initial_change,
                                    max_iterations=self.max_iterations)

@@ -35,7 +35,7 @@ from .costmatrix import (CostMatrices, CostProvider,
                          build_cost_matrices, supports_batching)
 from .design import DesignSequence, design_from_indices
 from .kaware import solve_constrained
-from .problem import AnyProblem, ProblemInstance
+from .problem import ProblemInstance
 from .sequence_graph import solve_unconstrained
 
 
@@ -152,7 +152,7 @@ class ValidatedKResult:
     designs: Dict[int, DesignSequence]
 
 
-def validated_k(problem: AnyProblem, provider: CostProvider,
+def validated_k(problem: ProblemInstance, provider: CostProvider,
                 variations: Sequence[object], block_size: int,
                 ks: Optional[Sequence[int]] = None,
                 count_initial_change: bool = True
@@ -254,7 +254,7 @@ def validated_k(problem: AnyProblem, provider: CostProvider,
 def _design_cost_on(provider: CostProvider,
                     segments: Sequence[CostUnit],
                     design: DesignSequence,
-                    problem: AnyProblem,
+                    problem: ProblemInstance,
                     exec_lookup=None) -> float:
     """Price a fixed design on a segment sequence.
 

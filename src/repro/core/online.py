@@ -32,7 +32,6 @@ from ..errors import DesignError, EstimationUnavailable
 from ..sqlengine.index import IndexDef, structure_sort_key
 from ..workload.model import Statement
 from ..workload.segmentation import Segment
-from ..workload.summary import PhaseSummary
 from .costmatrix import CostProvider
 from .design import DesignSequence
 from .structures import Configuration, EMPTY_CONFIGURATION
@@ -225,48 +224,6 @@ class OnlineTuner:
             raise DesignError("empty statement stream")
         return self._result(snapshot)
 
-    def run_phases(self, phases: Sequence[PhaseSummary],
-                   reset: bool = True) -> OnlineResult:
-        """Tune over a summarized stream, one observation per phase.
-
-        The phase-granular analogue of :meth:`run` for compressed
-        traces: the tuner sees each :class:`~repro.workload.summary.
-        PhaseSummary` as a single weighted observation (EXEC is the
-        phase's weighted atom cost), may change designs only at phase
-        boundaries, and advances its cooldown clock by the phase's raw
-        statement count. Evidence therefore decays once per phase
-        rather than once per statement — summarization trades the
-        per-statement reaction granularity away, which is exactly the
-        fidelity/scale trade the offline summary advisors make.
-        """
-        if reset:
-            self.reset()
-        snapshot = None
-        if callable(getattr(self.provider, "stats_snapshot", None)):
-            snapshot = self.provider.stats_snapshot()
-        raw_statements = 0
-        for phase in phases:
-            i = self._position + raw_statements
-            config = self.current
-            self._assignments.append(config)
-            raw_statements += phase.length
-            try:
-                self._exec_cost += self.provider.exec_cost(phase,
-                                                           config)
-            except EstimationUnavailable:
-                self._deferrals += 1
-                self._unavailable_deferrals += 1
-                continue
-            decision = self._observe(phase, i)
-            if decision is not None:
-                self._decisions.append(decision)
-                self._trans_cost += self.provider.trans_cost(
-                    decision.old, decision.new)
-        self._position += raw_statements
-        if not self._assignments:
-            raise DesignError("empty phase stream")
-        return self._result(snapshot)
-
     # ------------------------------------------------------------------
 
     def _result(self, snapshot) -> OnlineResult:
@@ -305,8 +262,7 @@ class OnlineTuner:
     def _observe(self, segment,
                  index_in_stream: int) -> Optional[OnlineDecision]:
         """Update evidence with one observation unit (a
-        single-statement segment, or a whole phase on the summarized
-        path); maybe switch designs.
+        single-statement segment); maybe switch designs.
 
         Degradation guard: every cost this step needs is computed
         *before* any evidence moves. If estimation is unavailable, or

@@ -10,26 +10,26 @@ candidate configuration space. Candidates can be given explicitly (the
 paper's 7-configuration experiment) or enumerated from candidate
 indexes subject to the space bound.
 
-:class:`SummaryProblemInstance` is the atom-based formulation over a
-compressed :class:`~repro.workload.summary.WorkloadSummary`: the
-design may change between *phases*, and each phase's EXEC cost is the
-weighted sum of its atoms' costs (Σ weight × atom cost; TRANS is
-unchanged). It exposes the same axis API (``segments`` /
-``n_segments`` / ``with_k`` / ``restrict_configurations``), so every
-solver and advisor consumes either formulation unchanged — only the
-costing work scales with atoms instead of raw statements.
+The sequence axis holds *cost units*: raw
+:class:`~repro.workload.segmentation.Segment` s (the paper experiments,
+which replay them on the live database) or the
+:class:`~repro.workload.summary.PhaseSummary` s of a streamed
+:class:`~repro.workload.summary.WorkloadSummary` (every trace file —
+:func:`problem_from_summary`). Costing folds both through
+:func:`~repro.workload.summary.atoms_of` (Σ weight × atom cost in
+first-appearance order), so the two cost bit-identically and only the
+costing work differs: it scales with distinct statements.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..errors import InfeasibleProblemError
 from ..sqlengine.index import IndexDef, structure_sort_key
-from ..workload.segmentation import Segment
-from ..workload.summary import (PhaseSummary, WorkloadSummary,
+from ..workload.summary import (CostUnit, WorkloadSummary,
                                 summarize_segments)
 from .structures import Configuration, EMPTY_CONFIGURATION
 
@@ -41,9 +41,9 @@ class ProblemInstance:
     """A constrained dynamic physical design problem.
 
     Attributes:
-        segments: workload units between which the design may change
-            (statements, blocks, ...). The design sequence produced has
-            one configuration per segment.
+        segments: cost units between which the design may change
+            (statements, blocks, summarized phases). The design
+            sequence produced has one configuration per unit.
         configurations: candidate configurations (already filtered by
             the space bound). Always contains the initial configuration.
         initial: the starting design C0.
@@ -54,7 +54,7 @@ class ProblemInstance:
             destination node; the experiments pin it to empty).
     """
 
-    segments: Tuple[Segment, ...]
+    segments: Tuple[CostUnit, ...]
     configurations: Tuple[Configuration, ...]
     initial: Configuration
     k: Optional[int] = None
@@ -89,109 +89,21 @@ class ProblemInstance:
     def n_configurations(self) -> int:
         return len(self.configurations)
 
+    @property
+    def n_statements(self) -> int:
+        """Raw statements the sequence axis represents."""
+        return sum(len(unit) for unit in self.segments)
+
     def with_k(self, k: Optional[int]) -> "ProblemInstance":
         """The same instance under a different change budget."""
-        return ProblemInstance(segments=self.segments,
-                               configurations=self.configurations,
-                               initial=self.initial, k=k,
-                               space_bound_bytes=self.space_bound_bytes,
-                               final=self.final)
+        return replace(self, k=k)
 
     def restrict_configurations(
             self, configurations: Sequence[Configuration]
     ) -> "ProblemInstance":
         """The same instance over a reduced candidate set (used by the
         GREEDY-SEQ style advisors)."""
-        return ProblemInstance(segments=self.segments,
-                               configurations=tuple(configurations),
-                               initial=self.initial, k=self.k,
-                               space_bound_bytes=self.space_bound_bytes,
-                               final=self.final)
-
-
-@dataclass(frozen=True)
-class SummaryProblemInstance:
-    """The constrained design problem over a compressed workload.
-
-    Attributes:
-        phases: per-phase atom summaries; the design sequence produced
-            has one configuration per phase.
-        configurations: candidate configurations. Always contains the
-            initial configuration.
-        initial: the starting design C0.
-        k: maximum number of design changes; ``None`` = unconstrained.
-        space_bound_bytes: the bound b used when the candidate space
-            was enumerated.
-        final: optional required final configuration.
-    """
-
-    phases: Tuple[PhaseSummary, ...]
-    configurations: Tuple[Configuration, ...]
-    initial: Configuration
-    k: Optional[int] = None
-    space_bound_bytes: Optional[int] = None
-    final: Optional[Configuration] = None
-
-    def __post_init__(self) -> None:
-        if not self.phases:
-            raise InfeasibleProblemError("summary has no phases")
-        if not self.configurations:
-            raise InfeasibleProblemError("no candidate configurations")
-        if self.k is not None and self.k < 0:
-            raise InfeasibleProblemError(
-                f"change budget k must be >= 0, got {self.k}")
-        if self.initial not in self.configurations:
-            object.__setattr__(
-                self, "configurations",
-                (self.initial,) + tuple(self.configurations))
-        if self.final is not None and \
-                self.final not in self.configurations:
-            raise InfeasibleProblemError(
-                "required final configuration is not a candidate")
-
-    @property
-    def segments(self) -> Tuple[PhaseSummary, ...]:
-        """The phase axis under the segment-axis name, so solvers and
-        matrix builders consume either formulation unchanged."""
-        return self.phases
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.phases)
-
-    @property
-    def n_configurations(self) -> int:
-        return len(self.configurations)
-
-    @property
-    def n_statements(self) -> int:
-        """Raw statements the summary represents."""
-        return sum(phase.length for phase in self.phases)
-
-    @property
-    def n_atoms(self) -> int:
-        return sum(len(phase.atoms) for phase in self.phases)
-
-    def with_k(self, k: Optional[int]) -> "SummaryProblemInstance":
-        """The same instance under a different change budget."""
-        return SummaryProblemInstance(
-            phases=self.phases, configurations=self.configurations,
-            initial=self.initial, k=k,
-            space_bound_bytes=self.space_bound_bytes, final=self.final)
-
-    def restrict_configurations(
-            self, configurations: Sequence[Configuration]
-    ) -> "SummaryProblemInstance":
-        """The same instance over a reduced candidate set (used by the
-        GREEDY-SEQ style advisors)."""
-        return SummaryProblemInstance(
-            phases=self.phases,
-            configurations=tuple(configurations),
-            initial=self.initial, k=self.k,
-            space_bound_bytes=self.space_bound_bytes, final=self.final)
-
-
-AnyProblem = Union[ProblemInstance, SummaryProblemInstance]
+        return replace(self, configurations=tuple(configurations))
 
 
 def problem_from_summary(summary: WorkloadSummary,
@@ -200,29 +112,23 @@ def problem_from_summary(summary: WorkloadSummary,
                          k: Optional[int] = None,
                          space_bound_bytes: Optional[int] = None,
                          final: Optional[Configuration] = None
-                         ) -> SummaryProblemInstance:
-    """Build the atom-based problem over a workload summary."""
-    return SummaryProblemInstance(
-        phases=tuple(summary.phases),
+                         ) -> ProblemInstance:
+    """Build the problem over a workload summary's phases."""
+    return ProblemInstance(
+        segments=tuple(summary.phases),
         configurations=tuple(configurations), initial=initial, k=k,
         space_bound_bytes=space_bound_bytes, final=final)
 
 
-def summarize_problem(problem: ProblemInstance
-                      ) -> SummaryProblemInstance:
-    """Compress a segmented problem phase-for-phase.
+def summarize_problem(problem: ProblemInstance) -> ProblemInstance:
+    """Compress a problem over raw segments phase-for-phase.
 
     The result costs bit-identically to ``problem`` (same atoms per
     phase, same accumulation order) while the costing work scales
     with distinct statements — verify family 7 checks exactly this.
     """
-    summary = summarize_segments(problem.segments)
-    return SummaryProblemInstance(
-        phases=tuple(summary.phases),
-        configurations=problem.configurations,
-        initial=problem.initial, k=problem.k,
-        space_bound_bytes=problem.space_bound_bytes,
-        final=problem.final)
+    return replace(
+        problem, segments=summarize_segments(problem.segments).phases)
 
 
 def enumerate_configurations(

@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SqlError, WorkloadError
+from ..errors import SqlError
 from ..sqlengine.sql.ast import SelectStmt
 from .model import Statement, Workload
+from .segmentation import iter_segments_by_count
 from .summary import WorkloadSummary, atoms_of
 
 
@@ -36,11 +37,20 @@ class BlockProfile:
     frequencies: Dict[str, float]
 
     def distance(self, other: "BlockProfile") -> float:
-        """Total-variation distance between two block profiles."""
-        columns = set(self.frequencies) | set(other.frequencies)
-        return 0.5 * sum(abs(self.frequencies.get(c, 0.0) -
-                             other.frequencies.get(c, 0.0))
-                         for c in columns)
+        """Total-variation distance between two block profiles.
+
+        Summed in dict order — self's columns, then other's columns
+        self lacks — so the float result does not depend on the
+        process's string-hash seed.
+        """
+        mine, theirs = self.frequencies, other.frequencies
+        total = 0.0
+        for column, frequency in mine.items():
+            total += abs(frequency - theirs.get(column, 0.0))
+        for column, frequency in theirs.items():
+            if column not in mine:
+                total += abs(frequency)
+        return 0.5 * total
 
 
 @dataclass(frozen=True)
@@ -70,42 +80,17 @@ def block_profiles(workload: Workload,
     Non-point statements contribute to a ``"<other>"`` bucket, so DML
     or unparsable statements do not silently disappear.
     """
-    if block_size <= 0:
-        raise WorkloadError("block_size must be positive")
-    profiles: List[BlockProfile] = []
-    for block_index, start in enumerate(
-            range(0, len(workload), block_size)):
-        block = workload.statements[start:start + block_size]
-        counts: Dict[str, int] = {}
-        for statement in block:
-            key = _queried_column(statement) or "<other>"
-            counts[key] = counts.get(key, 0) + 1
-        total = max(1, len(block))
-        profiles.append(BlockProfile(
-            block_index=block_index,
-            frequencies={c: n / total for c, n in counts.items()}))
-    return profiles
+    return [segment_profile(block, index)
+            for index, block in enumerate(
+                iter_segments_by_count(workload, block_size))]
 
 
 def summary_profiles(summary: WorkloadSummary) -> List[BlockProfile]:
-    """Per-phase column frequencies of a compressed workload summary.
-
-    The summary-IR analogue of :func:`block_profiles`: each atom
-    contributes its weight (the number of raw statements it stands
-    for), so the frequencies are exactly those the raw trace would
-    have produced at phase granularity — no statement list needed.
-    """
-    profiles: List[BlockProfile] = []
-    for index, phase in enumerate(summary.phases):
-        counts: Dict[str, int] = {}
-        for statement, weight in atoms_of(phase):
-            key = _queried_column(statement) or "<other>"
-            counts[key] = counts.get(key, 0) + weight
-        total = max(1, phase.length)
-        profiles.append(BlockProfile(
-            block_index=index,
-            frequencies={c: n / total for c, n in counts.items()}))
-    return profiles
+    """Per-phase column frequencies of a workload summary — exactly
+    those :func:`block_profiles` gives the raw trace at the summary's
+    block size, no statement list needed."""
+    return [segment_profile(phase, index)
+            for index, phase in enumerate(summary.phases)]
 
 
 def segment_profile(unit, block_index: int = -1) -> BlockProfile:

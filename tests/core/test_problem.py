@@ -6,7 +6,7 @@ from repro.core import (Configuration, EMPTY_CONFIGURATION,
                         ProblemInstance, enumerate_configurations)
 from repro.errors import InfeasibleProblemError
 from repro.sqlengine import IndexDef
-from repro.workload import Segment, Statement
+from repro.workload import Segment, Statement, summarize_segments
 
 A = IndexDef("t", ("a",))
 B = IndexDef("t", ("b",))
@@ -18,16 +18,26 @@ def segments(n=3):
                          start=i) for i in range(n))
 
 
+def phases(n=3):
+    return summarize_segments(segments(n)).phases
+
+
 CONFIGS = (EMPTY_CONFIGURATION, Configuration({A}), Configuration({B}))
 
 
 class TestProblemInstance:
+    """Every case runs over raw segments here and over summarized
+    phases in :class:`TestProblemInstanceOverPhases` below."""
+
+    units = staticmethod(segments)
+
     def test_basic_construction(self):
-        problem = ProblemInstance(segments=segments(),
+        problem = ProblemInstance(segments=self.units(),
                                   configurations=CONFIGS,
                                   initial=EMPTY_CONFIGURATION, k=2)
         assert problem.n_segments == 3
         assert problem.n_configurations == 3
+        assert problem.n_statements == 3
 
     def test_empty_workload_raises(self):
         with pytest.raises(InfeasibleProblemError):
@@ -36,39 +46,52 @@ class TestProblemInstance:
 
     def test_no_configurations_raises(self):
         with pytest.raises(InfeasibleProblemError):
-            ProblemInstance(segments=segments(), configurations=(),
+            ProblemInstance(segments=self.units(), configurations=(),
                             initial=EMPTY_CONFIGURATION)
 
     def test_negative_k_raises(self):
         with pytest.raises(InfeasibleProblemError):
-            ProblemInstance(segments=segments(), configurations=CONFIGS,
+            ProblemInstance(segments=self.units(), configurations=CONFIGS,
                             initial=EMPTY_CONFIGURATION, k=-1)
 
     def test_initial_added_if_missing(self):
-        problem = ProblemInstance(segments=segments(),
+        problem = ProblemInstance(segments=self.units(),
                                   configurations=CONFIGS[1:],
                                   initial=EMPTY_CONFIGURATION)
         assert EMPTY_CONFIGURATION in problem.configurations
 
     def test_final_must_be_candidate(self):
         with pytest.raises(InfeasibleProblemError):
-            ProblemInstance(segments=segments(), configurations=CONFIGS,
+            ProblemInstance(segments=self.units(), configurations=CONFIGS,
                             initial=EMPTY_CONFIGURATION,
                             final=Configuration({C}))
 
     def test_with_k(self):
-        problem = ProblemInstance(segments=segments(),
+        problem = ProblemInstance(segments=self.units(),
                                   configurations=CONFIGS,
-                                  initial=EMPTY_CONFIGURATION, k=5)
+                                  initial=EMPTY_CONFIGURATION, k=5,
+                                  space_bound_bytes=7,
+                                  final=EMPTY_CONFIGURATION)
+        relaxed = problem.with_k(None)
         assert problem.with_k(1).k == 1
         assert problem.k == 5
+        assert relaxed == ProblemInstance(
+            segments=problem.segments, configurations=CONFIGS,
+            initial=EMPTY_CONFIGURATION, k=None, space_bound_bytes=7,
+            final=EMPTY_CONFIGURATION)
 
     def test_restrict_configurations(self):
-        problem = ProblemInstance(segments=segments(),
+        problem = ProblemInstance(segments=self.units(),
                                   configurations=CONFIGS,
-                                  initial=EMPTY_CONFIGURATION)
+                                  initial=EMPTY_CONFIGURATION, k=1)
         reduced = problem.restrict_configurations(CONFIGS[:2])
         assert reduced.n_configurations == 2
+        assert reduced.segments == problem.segments
+        assert reduced.k == 1
+
+
+class TestProblemInstanceOverPhases(TestProblemInstance):
+    units = staticmethod(phases)
 
 
 class TestEnumerateConfigurations:

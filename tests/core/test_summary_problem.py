@@ -1,63 +1,14 @@
-"""Tests for the atom-based problem formulation over summaries."""
+"""Tests for problems built over (or compressed into) summaries."""
 
 import numpy as np
-import pytest
 
 from repro.core import (CostService, EMPTY_CONFIGURATION,
-                        SummaryProblemInstance, build_cost_matrices,
-                        problem_from_summary, summarize_problem)
-from repro.errors import InfeasibleProblemError
+                        build_cost_matrices, problem_from_summary,
+                        summarize_problem)
 from repro.workload import Statement, summarize_statements
-from repro.workload.summary import PhaseSummary, WorkloadAtom
 
 
-def _phase(start=0, length=2):
-    atom = WorkloadAtom(Statement("SELECT a FROM t WHERE a = 1"),
-                        length)
-    return PhaseSummary(atoms=(atom,), start=start, length=length)
-
-
-class TestSummaryProblemInstance:
-    def test_segment_axis_alias(self):
-        problem = SummaryProblemInstance(
-            phases=(_phase(),), configurations=(EMPTY_CONFIGURATION,),
-            initial=EMPTY_CONFIGURATION)
-        assert problem.segments is problem.phases
-        assert problem.n_segments == 1
-        assert problem.n_statements == 2
-        assert problem.n_atoms == 1
-
-    def test_empty_phases_raise(self):
-        with pytest.raises(InfeasibleProblemError):
-            SummaryProblemInstance(
-                phases=(), configurations=(EMPTY_CONFIGURATION,),
-                initial=EMPTY_CONFIGURATION)
-
-    def test_negative_k_raises(self):
-        with pytest.raises(InfeasibleProblemError):
-            SummaryProblemInstance(
-                phases=(_phase(),),
-                configurations=(EMPTY_CONFIGURATION,),
-                initial=EMPTY_CONFIGURATION, k=-1)
-
-    def test_initial_prepended_when_missing(self, paper_candidates):
-        from repro.core import single_index_configurations
-        configs = tuple(
-            c for c in single_index_configurations(paper_candidates)
-            if c != EMPTY_CONFIGURATION)
-        problem = SummaryProblemInstance(
-            phases=(_phase(),), configurations=configs,
-            initial=EMPTY_CONFIGURATION)
-        assert problem.configurations[0] == EMPTY_CONFIGURATION
-
-    def test_with_k_preserves_axes(self):
-        problem = SummaryProblemInstance(
-            phases=(_phase(),), configurations=(EMPTY_CONFIGURATION,),
-            initial=EMPTY_CONFIGURATION, k=2)
-        relaxed = problem.with_k(None)
-        assert relaxed.k is None
-        assert relaxed.phases == problem.phases
-
+class TestProblemFromSummary:
     def test_problem_from_summary_round_trip(self):
         statements = [Statement(f"SELECT a FROM t WHERE a = {i % 3}")
                       for i in range(10)]
@@ -65,7 +16,7 @@ class TestSummaryProblemInstance:
         problem = problem_from_summary(
             summary, (EMPTY_CONFIGURATION,),
             initial=EMPTY_CONFIGURATION, k=1)
-        assert problem.n_segments == summary.n_phases
+        assert problem.segments == summary.phases
         assert problem.n_statements == 10
         assert problem.k == 1
 

@@ -120,33 +120,46 @@ class TestCostsCommand:
 
 class TestSummaryPath:
     def test_recommend_summary_matches_raw(self, trace_path, capsys):
+        """The CLI's streamed-summary run prints the design rows and
+        cost of the library's advisor on the raw segmented trace."""
+        from repro.cli import _candidate_indexes, _synthesize_database
+        from repro.core import (ConstrainedGraphAdvisor, CostService,
+                                EMPTY_CONFIGURATION, ProblemInstance,
+                                single_index_configurations)
+        from repro.workload import load_trace, segment_by_count
         assert main(["recommend", "--trace", str(trace_path),
                      "--block-size", "40", "--rows", "20000",
                      "--k", "2"]) == 0
-        raw_out = capsys.readouterr().out
-        assert main(["recommend", "--trace", str(trace_path),
-                     "--block-size", "40", "--rows", "20000",
-                     "--k", "2", "--summary"]) == 0
-        summary_out = capsys.readouterr().out
-        assert "summarized trace: 1200 statements" in summary_out
-        assert "x compression)" in summary_out
+        out = capsys.readouterr().out
+        assert "summarized trace: 1200 statements" in out
+        assert "x compression)" in out
 
-        def designs(text):
-            return [line for line in text.splitlines()
-                    if "blocks" in line and "I(" in line]
-
-        assert designs(summary_out) == designs(raw_out)
+        workload = load_trace(trace_path)
+        pairs = [(statement, 1) for statement in workload]
+        db, table = _synthesize_database(pairs, 20000, 0)
+        problem = ProblemInstance(
+            segments=tuple(segment_by_count(workload, 40)),
+            configurations=single_index_configurations(
+                _candidate_indexes(pairs, table)),
+            initial=EMPTY_CONFIGURATION, k=2,
+            final=EMPTY_CONFIGURATION)
+        raw = ConstrainedGraphAdvisor(
+            2, count_initial_change=False).recommend(
+                problem, CostService(db.what_if()))
+        assert len(raw.design.runs()) == 3
+        assert raw.design.format_table() in out
+        assert (f"kaware: cost={raw.cost:.1f}, "
+                f"changes={raw.change_count}, ") in out
 
     def test_summary_detects_k(self, trace_path, capsys):
         assert main(["recommend", "--trace", str(trace_path),
-                     "--block-size", "40", "--rows", "20000",
-                     "--summary"]) == 0
+                     "--block-size", "40", "--rows", "20000"]) == 0
         assert "detected k = 2" in capsys.readouterr().out
 
     def test_lp_advisor_reports_interval(self, trace_path, capsys):
         assert main(["recommend", "--trace", str(trace_path),
                      "--block-size", "40", "--rows", "20000",
-                     "--k", "2", "--summary", "--advisor", "lp"]) == 0
+                     "--k", "2", "--advisor", "lp"]) == 0
         out = capsys.readouterr().out
         assert "lp:" in out
         assert "optimality: true optimum within" in out
@@ -155,27 +168,10 @@ class TestSummaryPath:
     def test_costs_summary(self, trace_path, capsys):
         assert main(["costs", "--trace", str(trace_path),
                      "--block-size", "40", "--rows", "20000",
-                     "--k", "2", "--summary",
-                     "--advisors", "kaware,lp"]) == 0
+                     "--k", "2", "--advisors", "kaware,lp"]) == 0
         out = capsys.readouterr().out
         assert "summarized trace:" in out
         assert "kaware" in out and "lp" in out
-
-
-class TestScaleCommand:
-    def test_writes_report(self, tmp_path, capsys):
-        out_path = tmp_path / "scale.json"
-        assert main(["scale", "--sizes", "300,900", "--phases", "3",
-                     "--k", "1", "--rows", "1500",
-                     "--out", str(out_path)]) == 0
-        out = capsys.readouterr().out
-        assert "scale advising" in out
-        assert "summary" in out and "legacy" in out
-        assert f"wrote {out_path}" in out
-        import json
-        report = json.loads(out_path.read_text())
-        assert report["ok"] is True
-        assert report["ratios"]
 
 
 class TestExperimentCommand:

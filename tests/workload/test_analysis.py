@@ -1,12 +1,19 @@
 """Unit tests for workload analysis (profiles, shifts, k suggestion)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.errors import WorkloadError
 from repro.workload import (Statement, Workload, block_profiles,
-                            detect_shifts, make_paper_workload,
-                            paper_generator, suggest_k)
-from repro.workload.analysis import BlockProfile, _queried_column
+                            detect_shifts, detect_summary_shifts,
+                            make_paper_workload, paper_generator,
+                            suggest_k, summarize_workload)
+from repro.workload.analysis import (BlockProfile, _queried_column,
+                                     segment_profile)
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +50,15 @@ class TestBlockProfiles:
         with pytest.raises(WorkloadError):
             block_profiles(w1, 0)
 
+    def test_equal_profiles_of_summarized_phases(self, w1):
+        phases = summarize_workload(w1, 100).phases
+        expected = [segment_profile(phase, i)
+                    for i, phase in enumerate(phases)]
+        profiles = block_profiles(w1, 100)
+        assert profiles == expected
+        assert [list(p.frequencies.items()) for p in profiles] == \
+            [list(p.frequencies.items()) for p in expected]
+
 
 class TestProfileDistance:
     def test_identical_profiles_distance_zero(self):
@@ -58,6 +74,27 @@ class TestProfileDistance:
         p1 = BlockProfile(0, {"a": 0.7, "b": 0.3})
         p2 = BlockProfile(1, {"a": 0.2, "b": 0.8})
         assert p1.distance(p2) == pytest.approx(p2.distance(p1))
+
+    def test_independent_of_hash_seed(self):
+        # Summed over a set of column names, this pair gave three
+        # different floats under PYTHONHASHSEED 0, 1 and 2; dict
+        # order gives one.
+        script = (
+            "from repro.workload.analysis import BlockProfile\n"
+            "p1 = BlockProfile(0, {'d': 0.3, 'c': 0.6, 'a': 0.0,"
+            " 'f': 0.68, 'b': 0.34})\n"
+            "p2 = BlockProfile(1, {'b': 0.31, 'g': 0.82, 'c': 0.48,"
+            " 'a': 0.32, 'f': 0.48})\n"
+            "print(p1.distance(p2).hex())\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = set()
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script],
+                                  env=env, capture_output=True,
+                                  text=True, check=True)
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestDetectShifts:
@@ -75,6 +112,10 @@ class TestDetectShifts:
         assert len(report.minor_shifts) >= 10
         assert set(report.major_shifts).isdisjoint(
             report.minor_shifts)
+
+    def test_summary_shifts_equal_raw_shifts(self, w1):
+        assert detect_summary_shifts(summarize_workload(w1, 100)) == \
+            detect_shifts(w1, 100)
 
     def test_stable_workload_has_no_shifts(self):
         from repro.workload import QueryMix, PointQueryGenerator, \
