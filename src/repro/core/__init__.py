@@ -20,8 +20,7 @@ from .design import DesignRun, DesignSequence, design_from_indices
 from .greedy_seq import (GreedyCandidates, greedy_seq_candidates,
                          reduce_problem)
 from .hybrid import HybridResult, solve_hybrid
-from .kaware import (ConstrainedResult, solve_constrained,
-                     solve_constrained_reference)
+from .kaware import ConstrainedResult, solve_constrained
 from .ktuning import (KSweepResult, ValidatedKResult, knee_k, sweep_k,
                       validated_k)
 from .lp_advisor import LPResult, solve_lp_rounding
@@ -33,8 +32,7 @@ from .robustness import (RobustnessReport, VariantOutcome,
                          compare_robustness, evaluate_robustness)
 from .ranking import RankingResult, solve_by_ranking
 from .sequence_graph import (SequenceGraph, ShortestPathResult,
-                             solve_unconstrained,
-                             solve_unconstrained_reference)
+                             solve_unconstrained)
 from .structures import (Configuration, EMPTY_CONFIGURATION,
                          single_index_configurations)
 
@@ -51,7 +49,6 @@ __all__ = [
     "GreedyCandidates", "greedy_seq_candidates", "reduce_problem",
     "HybridResult", "solve_hybrid",
     "ConstrainedResult", "solve_constrained",
-    "solve_constrained_reference",
     "KSweepResult", "ValidatedKResult", "knee_k", "sweep_k",
     "validated_k",
     "LPResult", "solve_lp_rounding",
@@ -63,7 +60,6 @@ __all__ = [
     "evaluate_robustness",
     "RankingResult", "solve_by_ranking",
     "SequenceGraph", "ShortestPathResult", "solve_unconstrained",
-    "solve_unconstrained_reference",
     "Configuration", "EMPTY_CONFIGURATION",
     "single_index_configurations",
 ]

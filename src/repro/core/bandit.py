@@ -71,7 +71,6 @@ from ..workload.segmentation import Segment, iter_segments_by_count
 from ..workload.model import Statement
 from .costmatrix import CostProvider
 from .design import DesignSequence
-from .online import merge_costing
 from .structures import (Configuration, EMPTY_CONFIGURATION,
                          compressed_variants,
                          single_index_configurations)
@@ -293,7 +292,6 @@ class BanditTuner:
         self._seen_shifts: Set[int] = set()
         self._observation = 0
         self._last_switch = -10 ** 9
-        self._costing_total: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------
     # ledger
@@ -351,10 +349,9 @@ class BanditTuner:
             self._observe(segment)
         if not any_segment:
             raise DesignError("empty statement stream")
+        costing = None
         if snapshot is not None:
-            self._costing_total = merge_costing(
-                self._costing_total,
-                self.provider.stats_delta(snapshot))
+            costing = self.provider.stats_delta(snapshot)
         design = DesignSequence(self.initial, list(self._assignments))
         return BanditResult(
             design=design,
@@ -367,7 +364,7 @@ class BanditTuner:
             decisions=list(self._decisions),
             deferrals=self.stats.deferrals,
             safety=self.stats.as_dict(),
-            costing=self._costing_total)
+            costing=costing)
 
     # ------------------------------------------------------------------
     # one observation

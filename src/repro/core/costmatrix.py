@@ -153,6 +153,14 @@ class MatrixCostProvider:
         self.trans_matrix = trans_matrix
         self._sizes = dict(sizes) if sizes else {}
 
+    def _column(self, config: Configuration) -> int:
+        try:
+            return self._cfg_index[config]
+        except KeyError:
+            raise DesignError(
+                f"{config} is not on this matrix's configuration axis"
+            ) from None
+
     def exec_cost(self, segment: Segment,
                   config: Configuration) -> float:
         try:
@@ -161,12 +169,12 @@ class MatrixCostProvider:
             raise DesignError(
                 f"{segment!r} is not on this matrix's segment axis"
             ) from None
-        return float(self.exec_matrix[row, self._cfg_index[config]])
+        return float(self.exec_matrix[row, self._column(config)])
 
     def trans_cost(self, old: Configuration,
                    new: Configuration) -> float:
-        return float(self.trans_matrix[self._cfg_index[old],
-                                       self._cfg_index[new]])
+        return float(self.trans_matrix[self._column(old),
+                                       self._column(new)])
 
     def size_bytes(self, config: Configuration) -> int:
         return self._sizes.get(config, 0)
@@ -233,8 +241,9 @@ class CostMatrices:
         """Objective value of a full design sequence (config indices,
         one per segment), including the required-final transition rule.
 
-        This is the paper's sum of EXEC + TRANS terms; the optimizers'
-        results are validated against it in the tests.
+        The paper's sum of EXEC + TRANS terms, and the only pricing
+        fold: solver costs and designs priced on another workload
+        (:meth:`DesignSequence.cost`) are this left-to-right sum.
         """
         if len(assignment) != self.n_segments:
             raise DesignError("assignment length != number of segments")
@@ -248,14 +257,18 @@ class CostMatrices:
             total += self.trans_matrix[previous, self.final_index]
         return float(total)
 
-    def change_count(self, assignment: Sequence[int]) -> int:
-        """Number of design changes, counting C0 -> C1 (paper rule).
-
-        A required final configuration does not count toward k (the
-        destination node lies beyond stage n in the sequence graph).
+    def change_count(self, assignment: Sequence[int],
+                     count_initial_change: bool = True) -> int:
+        """Definition 1's "indices i with C(i-1) != C(i)" — the one
+        change counter. ``count_initial_change`` (the paper's rule)
+        includes the C0 -> C1 step; the experimental convention
+        (:mod:`repro.core.kaware`) does not. A required final
+        configuration never counts toward k (the destination node lies
+        beyond stage n in the sequence graph).
         """
         changes = 0
-        previous = self.initial_index
+        previous = self.initial_index if count_initial_change \
+            else assignment[0]
         for cfg in assignment:
             if cfg != previous:
                 changes += 1

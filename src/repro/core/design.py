@@ -64,13 +64,7 @@ class DesignSequence:
     @property
     def change_count(self) -> int:
         """Design changes, counting C0 -> C1 (the paper's rule)."""
-        changes = 0
-        previous = self.initial
-        for config in self.assignments:
-            if config != previous:
-                changes += 1
-            previous = config
-        return changes
+        return len(self.change_points())
 
     def runs(self) -> List[DesignRun]:
         """Run-length encoding of the assignment."""
@@ -106,9 +100,9 @@ class DesignSequence:
     # ------------------------------------------------------------------
 
     def cost(self, matrices: CostMatrices) -> float:
-        """Objective value under the given matrices."""
-        indices = [matrices.config_index(c) for c in self.assignments]
-        return matrices.sequence_cost(indices)
+        """Objective value under the given matrices (the trace's, or
+        another workload's): :meth:`CostMatrices.sequence_cost`."""
+        return matrices.sequence_cost(self.to_indices(matrices))
 
     def to_indices(self, matrices: CostMatrices) -> List[int]:
         return [matrices.config_index(c) for c in self.assignments]

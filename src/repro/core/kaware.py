@@ -10,8 +10,9 @@ optimal constrained design is the shortest such path — O(k n |C|^2).
 
 We solve the layered DAG with a dynamic program over
 ``dist[layer, config]`` per stage, vectorized with NumPy, with full
-parent tracking for path reconstruction. A pure-Python reference
-implementation backs the property tests.
+parent tracking for path reconstruction. The pure-Python reference
+implementation the property tests compare against is
+:func:`repro.verify.reference.reference_constrained`.
 
 One presentation subtlety, resolved here explicitly: Definition 1
 counts the step from the given initial design C0 to C1 as a change
@@ -31,7 +32,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import DesignError, InfeasibleProblemError
+from ..errors import InfeasibleProblemError
 from .costmatrix import CostMatrices
 
 _INF = np.inf
@@ -133,9 +134,8 @@ def solve_constrained(matrices: CostMatrices, k: int,
     assignment = _reconstruct(parent_cfg, parent_stay, layer, cfg)
     return ConstrainedResult(
         assignment=assignment, cost=cost,
-        change_count=matrices.change_count(assignment)
-        if count_initial_change else _changes_excluding_initial(
-            matrices, assignment),
+        change_count=matrices.change_count(assignment,
+                                           count_initial_change),
         layers_used=layer)
 
 
@@ -152,15 +152,6 @@ def _reconstruct(parent_cfg: np.ndarray, parent_stay: np.ndarray,
         assignment.append(cfg)
     assignment.reverse()
     return tuple(assignment)
-
-
-def _changes_excluding_initial(matrices: CostMatrices,
-                               assignment: Tuple[int, ...]) -> int:
-    changes = 0
-    for previous, current in zip(assignment, assignment[1:]):
-        if current != previous:
-            changes += 1
-    return changes
 
 
 def constrained_invariant_violations(
@@ -194,9 +185,7 @@ def constrained_invariant_violations(
         violations.append(
             f"reported cost {result.cost!r} != canonical "
             f"sequence cost {canonical!r}")
-    changes = matrices.change_count(assignment) \
-        if count_initial_change \
-        else _changes_excluding_initial(matrices, assignment)
+    changes = matrices.change_count(assignment, count_initial_change)
     if changes != result.change_count:
         violations.append(
             f"reported change count {result.change_count} != "
@@ -218,92 +207,3 @@ def constrained_invariant_violations(
                     f"{space_bound_bytes}")
                 break
     return violations
-
-
-def solve_constrained_reference(matrices: CostMatrices, k: int,
-                                count_initial_change: bool = True
-                                ) -> ConstrainedResult:
-    """Pure-Python k-aware DP (validates the vectorized solver)."""
-    if k < 0:
-        raise InfeasibleProblemError(f"change budget k={k} is negative")
-    exec_matrix, trans = matrices.exec_matrix, matrices.trans_matrix
-    n_seg, n_cfg = exec_matrix.shape
-    n_layers = k + 1
-    inf = float("inf")
-    dist = [[inf] * n_cfg for _ in range(n_layers)]
-    back: List[List[List[Optional[Tuple[int, int]]]]] = []
-    if count_initial_change:
-        dist[0][matrices.initial_index] = float(
-            exec_matrix[0, matrices.initial_index])
-        if n_layers > 1:
-            for c in range(n_cfg):
-                if c != matrices.initial_index:
-                    dist[1][c] = float(
-                        trans[matrices.initial_index, c] +
-                        exec_matrix[0, c])
-    else:
-        for c in range(n_cfg):
-            dist[0][c] = float(trans[matrices.initial_index, c] +
-                               exec_matrix[0, c])
-    back.append([[None] * n_cfg for _ in range(n_layers)])
-    for i in range(1, n_seg):
-        new_dist = [[inf] * n_cfg for _ in range(n_layers)]
-        pointers: List[List[Optional[Tuple[int, int]]]] = \
-            [[None] * n_cfg for _ in range(n_layers)]
-        for l in range(n_layers):
-            for c in range(n_cfg):
-                exec_cost = float(exec_matrix[i, c])
-                best = dist[l][c] + exec_cost
-                best_ptr: Optional[Tuple[int, int]] = (l, c)
-                if l > 0:
-                    # Pick the change parent on the pre-exec base
-                    # (dist + trans), then compare totals with the
-                    # stay edge, ties going to "stay" — exactly the
-                    # vectorized solver's order. (a + e) == (b + e)
-                    # can hold bitwise for a != b, so where exec is
-                    # added changes which tied parent wins.
-                    base, parent = inf, None
-                    for p in range(n_cfg):
-                        if p == c:
-                            continue
-                        candidate = dist[l - 1][p] + float(trans[p, c])
-                        if candidate < base:
-                            base, parent = candidate, p
-                    if parent is not None and base + exec_cost < best:
-                        best = base + exec_cost
-                        best_ptr = (l - 1, parent)
-                if best < inf:
-                    new_dist[l][c] = best
-                    pointers[l][c] = best_ptr
-        dist = new_dist
-        back.append(pointers)
-    best, best_state = inf, None
-    for l in range(n_layers):
-        for c in range(n_cfg):
-            total = dist[l][c]
-            if matrices.final_index is not None and total < inf:
-                total += float(trans[c, matrices.final_index])
-            if total < best:
-                best, best_state = total, (l, c)
-    if best_state is None:
-        raise InfeasibleProblemError(
-            f"no design sequence with at most {k} changes is feasible")
-    layer, cfg = best_state
-    assignment = [cfg]
-    for i in range(n_seg - 1, 0, -1):
-        pointer = back[i][layer][cfg]
-        if pointer is None:
-            raise DesignError(
-                f"broken backpointer chain at segment {i} "
-                f"(layer {layer}, config {cfg}); the DP table is "
-                f"inconsistent")
-        layer, cfg = pointer
-        assignment.append(cfg)
-    assignment.reverse()
-    assignment_t = tuple(assignment)
-    return ConstrainedResult(
-        assignment=assignment_t, cost=float(best),
-        change_count=matrices.change_count(assignment_t)
-        if count_initial_change else _changes_excluding_initial(
-            matrices, assignment_t),
-        layers_used=best_state[0])

@@ -22,17 +22,15 @@ strategies:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import DesignError
-from ..workload.model import Workload
-from ..workload.segmentation import Segment, segment_by_count
-from ..workload.summary import CostUnit, WorkloadSummary
+from ..workload.segmentation import segment_by_count
 from .costmatrix import (CostMatrices, CostProvider,
-                         build_cost_matrices, supports_batching)
+                         build_cost_matrices)
 from .design import DesignSequence, design_from_indices
 from .kaware import solve_constrained
 from .problem import ProblemInstance
@@ -68,8 +66,8 @@ def sweep_k(matrices: CostMatrices,
     """Solve the constrained problem for every k in ``ks`` (default:
     0..l, where l is the unconstrained change count)."""
     unconstrained = solve_unconstrained(matrices)
-    l_changes = unconstrained.change_count if count_initial_change \
-        else _changes_excl_initial(unconstrained.assignment)
+    l_changes = matrices.change_count(unconstrained.assignment,
+                                      count_initial_change)
     if ks is None:
         ks = range(0, l_changes + 1)
     ks = sorted(set(int(k) for k in ks))
@@ -178,24 +176,11 @@ def validated_k(problem: ProblemInstance, provider: CostProvider,
     """
     matrices = build_cost_matrices(problem, provider)
     unconstrained = solve_unconstrained(matrices)
-    l_changes = unconstrained.change_count if count_initial_change \
-        else _changes_excl_initial(unconstrained.assignment)
+    l_changes = matrices.change_count(unconstrained.assignment,
+                                      count_initial_change)
     if ks is None:
         ks = range(0, l_changes + 1)
     ks = sorted(set(int(k) for k in ks))
-
-    variation_segments: List[List[CostUnit]] = []
-    for variation in variations:
-        if isinstance(variation, WorkloadSummary) or \
-                hasattr(variation, "phases"):
-            segments = list(variation.phases)
-        else:
-            segments = segment_by_count(variation, block_size)
-        if len(segments) != problem.n_segments:
-            raise DesignError(
-                f"variation {variation.name!r} has {len(segments)} "
-                f"blocks, trace has {problem.n_segments}")
-        variation_segments.append(segments)
 
     training_costs: List[float] = []
     designs: Dict[int, DesignSequence] = {}
@@ -205,35 +190,32 @@ def validated_k(problem: ProblemInstance, provider: CostProvider,
                                         problem.initial)
         training_costs.append(result.cost)
 
-    # Price every k's design on every variation. A batch-capable
-    # provider fills one deduplicated EXEC matrix per variation over
-    # the configurations the designs actually use, so the pricing
-    # loops below reduce to array lookups; the summation order (and
-    # thus the result) is identical to the scalar path.
-    exec_lookups: List[Optional[object]] = [None] * len(
-        variation_segments)
-    if supports_batching(provider):
-        used: List[object] = []
-        for design in designs.values():
-            for config in design.assignments:
-                if config not in used:
-                    used.append(config)
-        columns = {config: j for j, config in enumerate(used)}
-        for v, segments in enumerate(variation_segments):
-            exec_matrix = provider.exec_matrix(segments, tuple(used))
-
-            def lookup(i, config, _m=exec_matrix, _c=columns):
-                return float(_m[i, _c[config]])
-
-            exec_lookups[v] = lookup
-    validation_costs: List[float] = []
-    for k in ks:
-        design = designs[k]
-        validation_costs.append(float(np.mean([
-            _design_cost_on(provider, segments, design, problem,
-                            exec_lookup)
-            for segments, exec_lookup
-            in zip(variation_segments, exec_lookups)])))
+    # Price every k's design on every variation: one CostMatrices per
+    # variation over the configurations the designs actually use (plus
+    # initial/final), then the one pricing fold.
+    used = [problem.initial]
+    if problem.final is not None:
+        used.append(problem.final)
+    for design in designs.values():
+        used.extend(design.assignments)
+    used = tuple(dict.fromkeys(used))
+    variation_matrices: List[CostMatrices] = []
+    for variation in variations:
+        if hasattr(variation, "phases"):  # a WorkloadSummary
+            segments = tuple(variation.phases)
+        else:
+            segments = tuple(segment_by_count(variation, block_size))
+        if len(segments) != problem.n_segments:
+            raise DesignError(
+                f"variation {variation.name!r} has {len(segments)} "
+                f"blocks, trace has {problem.n_segments}")
+        variation_matrices.append(build_cost_matrices(
+            replace(problem, segments=segments, configurations=used),
+            provider))
+    validation_costs = [
+        float(np.mean([designs[k].cost(variant)
+                       for variant in variation_matrices]))
+        for k in ks]
     best_index = int(np.argmin(validation_costs))
     # Prefer the smallest k within a hair of the best. The tolerance
     # needs an absolute floor: a purely relative bound collapses when
@@ -249,33 +231,3 @@ def validated_k(problem: ProblemInstance, provider: CostProvider,
                             training_costs=training_costs,
                             validation_costs=validation_costs,
                             designs=designs)
-
-
-def _design_cost_on(provider: CostProvider,
-                    segments: Sequence[CostUnit],
-                    design: DesignSequence,
-                    problem: ProblemInstance,
-                    exec_lookup=None) -> float:
-    """Price a fixed design on a segment sequence.
-
-    ``exec_lookup(i, config)``, when given, replaces the per-segment
-    ``provider.exec_cost`` calls with prebuilt batch-matrix lookups.
-    """
-    total = 0.0
-    current = design.initial
-    for i, (segment, config) in enumerate(zip(segments,
-                                              design.assignments)):
-        if config != current:
-            total += provider.trans_cost(current, config)
-            current = config
-        if exec_lookup is not None:
-            total += exec_lookup(i, config)
-        else:
-            total += provider.exec_cost(segment, config)
-    if problem.final is not None and problem.final != current:
-        total += provider.trans_cost(current, problem.final)
-    return total
-
-
-def _changes_excl_initial(assignment: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(assignment, assignment[1:]) if a != b)

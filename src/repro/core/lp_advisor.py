@@ -9,8 +9,8 @@ one side constraint coincides with the LP-relaxation dual bound:
 
 * For a multiplier ``lam >= 0``, charge every counted change edge an
   extra ``lam`` and solve the now-unconstrained sequence graph with
-  the ordinary O(n |C|^2) DP. The resulting path minimizes
-  ``cost + lam * changes``; its dual value
+  the ordinary O(n |C|^2) DP (``sequence_graph._stage_dp``). The
+  resulting path minimizes ``cost + lam * changes``; its dual value
   ``g(lam) = penalized_cost - lam * k`` is a valid lower bound on the
   constrained optimum for every ``lam``.
 * ``changes(lam)`` is non-increasing in ``lam``, so a bisection on
@@ -40,12 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..errors import InfeasibleProblemError
 from .costmatrix import CostMatrices
 from .merging import merge_to_k
-from .sequence_graph import _walk_parents
+from .sequence_graph import _stage_dp
 
 
 @dataclass(frozen=True)
@@ -77,53 +75,6 @@ class LPResult:
     method: str
 
 
-def _solve_penalized(matrices: CostMatrices, lam: float,
-                     count_initial_change: bool
-                     ) -> Tuple[Tuple[int, ...], float]:
-    """Shortest path minimizing ``cost + lam * counted_changes``.
-
-    Same vectorized stage DP as :func:`~repro.core.sequence_graph.
-    solve_unconstrained`, with ``lam`` added to every counted change
-    edge. Returns the path and its *penalized* value.
-    """
-    exec_matrix, trans = matrices.exec_matrix, matrices.trans_matrix
-    n_seg, n_cfg = exec_matrix.shape
-    trans_pen = trans + lam
-    np.fill_diagonal(trans_pen, 0.0)  # staying is never a change
-
-    parents = np.empty((n_seg, n_cfg), dtype=np.int64)
-    first = trans_pen if count_initial_change else trans
-    dist = first[matrices.initial_index] + exec_matrix[0]
-    parents[0] = matrices.initial_index
-    reach = np.empty((n_cfg, n_cfg),
-                     dtype=np.result_type(trans_pen, exec_matrix, dist))
-    cols = np.arange(n_cfg)
-    for i in range(1, n_seg):
-        np.add(trans_pen.T, dist[None, :], out=reach)  # reach[c, p]
-        best_parent = np.argmin(reach, axis=1)
-        np.add(reach[cols, best_parent], exec_matrix[i], out=dist)
-        parents[i] = best_parent
-    if matrices.final_index is not None:
-        # The destination hop is charged but never counted against k,
-        # so it carries no penalty.
-        dist = dist + trans[:, matrices.final_index]
-    last = int(np.argmin(dist))
-    return _walk_parents(parents, last), float(dist[last])
-
-
-def _counted_changes(matrices: CostMatrices,
-                     assignment: Tuple[int, ...],
-                     count_initial_change: bool) -> int:
-    changes = 0
-    previous = matrices.initial_index if count_initial_change else \
-        assignment[0]
-    for cfg in assignment:
-        if cfg != previous:
-            changes += 1
-        previous = cfg
-    return changes
-
-
 def solve_lp_rounding(matrices: CostMatrices, k: int,
                       count_initial_change: bool = True,
                       max_iterations: int = 48,
@@ -147,11 +98,11 @@ def solve_lp_rounding(matrices: CostMatrices, k: int,
         raise InfeasibleProblemError(f"change budget k={k} is negative")
 
     def solve(lam: float):
-        assignment, penalized = _solve_penalized(
-            matrices, lam, count_initial_change)
+        assignment, penalized = _stage_dp(matrices, lam,
+                                          count_initial_change)
         cost = matrices.sequence_cost(assignment)
-        changes = _counted_changes(matrices, assignment,
-                                   count_initial_change)
+        changes = matrices.change_count(assignment,
+                                        count_initial_change)
         return assignment, cost, changes, penalized - lam * k
 
     iterations = 1

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..errors import DesignError
 from ..workload.model import Workload
-from ..workload.segmentation import Segment, segment_by_count
+from ..workload.segmentation import segment_by_count
 from .costmatrix import CostProvider, build_cost_matrices
 from .design import DesignSequence
 from .problem import ProblemInstance
@@ -77,7 +77,7 @@ def evaluate_robustness(design: DesignSequence,
                         design_label: str = "design"
                         ) -> RobustnessReport:
     """Price ``design`` on every variation, against each variation's
-    own unconstrained optimum (over the same configuration space).
+    own unconstrained optimum (same matrices, same configuration space).
 
     Each variation must segment into the trace's block count so the
     design aligns block-for-block.
@@ -91,7 +91,6 @@ def evaluate_robustness(design: DesignSequence,
             raise DesignError(
                 f"variation {variation.name!r}: {len(segments)} blocks "
                 f"!= {problem.n_segments}")
-        design_cost = _cost_on(provider, segments, design, problem)
         variant_problem = ProblemInstance(
             segments=tuple(segments),
             configurations=problem.configurations,
@@ -100,7 +99,8 @@ def evaluate_robustness(design: DesignSequence,
         optimal = solve_unconstrained(matrices)
         outcomes.append(VariantOutcome(
             variant_name=variation.name or f"variant-{i}",
-            design_cost=design_cost, optimal_cost=optimal.cost))
+            design_cost=design.cost(matrices),
+            optimal_cost=optimal.cost))
     return RobustnessReport(design_label=design_label,
                             outcomes=outcomes)
 
@@ -116,18 +116,3 @@ def compare_robustness(designs: Dict[str, DesignSequence],
                                        variations, block_size,
                                        design_label=label)
             for label, design in designs.items()}
-
-
-def _cost_on(provider: CostProvider, segments: Sequence[Segment],
-             design: DesignSequence,
-             problem: ProblemInstance) -> float:
-    total = 0.0
-    current = design.initial
-    for segment, config in zip(segments, design.assignments):
-        if config != current:
-            total += provider.trans_cost(current, config)
-            current = config
-        total += provider.exec_cost(segment, config)
-    if problem.final is not None and problem.final != current:
-        total += provider.trans_cost(current, problem.final)
-    return total

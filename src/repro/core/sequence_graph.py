@@ -9,10 +9,12 @@ unconstrained design is the shortest path (the SIGMOD'06 baseline the
 paper builds on).
 
 Because the graph is a layered DAG, we solve it as a stage-by-stage
-dynamic program, vectorized over the transition matrix; a pure-Python
-reference implementation is kept for the tests. The explicit graph
-representation (:class:`SequenceGraph`) backs the path-ranking solver
-of Section 5 and the graph-shape unit tests.
+dynamic program, vectorized over the transition matrix — one kernel,
+:func:`_stage_dp`, shared with the LP solver's penalized solves. The
+pure-Python reference DP and the explicit-graph shortest path live in
+:mod:`repro.verify.reference`. The explicit graph representation
+(:class:`SequenceGraph`) is the adjacency the path-ranking solver of
+Section 5 walks, plus the graph-shape unit tests.
 """
 
 from __future__ import annotations
@@ -46,79 +48,58 @@ class ShortestPathResult:
     change_count: int
 
 
-def solve_unconstrained(matrices: CostMatrices) -> ShortestPathResult:
-    """Shortest path through the sequence graph, as a vectorized DP.
+def _stage_dp(matrices: CostMatrices, penalty: float,
+              count_initial_change: bool
+              ) -> Tuple[Tuple[int, ...], float]:
+    """The stage-by-stage shortest-path kernel: the path minimizing
+    ``cost + penalty * counted_changes``, and that penalized value.
 
-    ``dist[c]`` after stage i is the cheapest cost of any design prefix
-    ending with configuration c at segment i. The stage transition is
-    ``dist' = min over p of dist[p] + trans[p, c] + exec[i, c]`` —
-    one (|C| x |C|) matrix-broadcast per stage.
+    ``dist[c]`` after stage i is the cheapest value of any design prefix
+    ending with configuration c at segment i; the stage transition
+    ``dist' = min over p of dist[p] + step[p, c] + exec[i, c]`` is one
+    (|C| x |C|) broadcast, ``step`` being TRANS plus ``penalty`` on
+    every counted change edge (at penalty 0, ``trans`` itself — no
+    copy). Without ``count_initial_change`` the C0 -> C1 hop carries no
+    penalty; the hop to a required final configuration never does.
 
-    The (|C| x |C|) ``reach`` broadcast buffer is allocated once and
-    reused across stages (``np.add(..., out=reach)``); without the
-    ``out=`` the DP churned a fresh |C|^2 array per stage. The buffer
-    is laid out ``[c, p]`` so the parent argmin reduces over the
-    *last* axis — ``np.argmin(..., axis=0)`` on the ``[p, c]`` layout
-    silently copies the whole array per stage.
+    The ``reach`` buffer is allocated once and reused across stages
+    (``out=reach``) instead of churning a |C|^2 array per stage, and is
+    laid out ``[c, p]`` so the parent argmin reduces over the *last*
+    axis — ``argmin(axis=0)`` on ``[p, c]`` copies the array per stage.
     """
     exec_matrix, trans = matrices.exec_matrix, matrices.trans_matrix
     n_seg, n_cfg = exec_matrix.shape
+    step = trans
+    if penalty:
+        step = trans + penalty
+        np.fill_diagonal(step, 0.0)  # staying is never a change
+    first = step if count_initial_change else trans
     parents = np.empty((n_seg, n_cfg), dtype=np.int64)
-    dist = trans[matrices.initial_index] + exec_matrix[0]
+    dist = first[matrices.initial_index] + exec_matrix[0]
     parents[0] = matrices.initial_index
     reach = np.empty((n_cfg, n_cfg),
-                     dtype=np.result_type(trans, exec_matrix, dist))
+                     dtype=np.result_type(step, exec_matrix, dist))
     cols = np.arange(n_cfg)
     for i in range(1, n_seg):
-        np.add(trans.T, dist[None, :], out=reach)  # reach[c, p]
+        np.add(step.T, dist[None, :], out=reach)  # reach[c, p]
         best_parent = np.argmin(reach, axis=1)
         np.add(reach[cols, best_parent], exec_matrix[i], out=dist)
         parents[i] = best_parent
     if matrices.final_index is not None:
         dist = dist + trans[:, matrices.final_index]
     last = int(np.argmin(dist))
-    cost = float(dist[last])
-    assignment = _walk_parents(parents, last)
+    return _walk_parents(parents, last), float(dist[last])
+
+
+def solve_unconstrained(matrices: CostMatrices) -> ShortestPathResult:
+    """Shortest path through the sequence graph (the vectorized stage
+    DP at penalty 0). ``change_count`` is the strict Definition 1
+    count; callers on the experimental convention recount with
+    :meth:`CostMatrices.change_count`."""
+    assignment, cost = _stage_dp(matrices, 0.0, True)
     return ShortestPathResult(
         assignment=assignment, cost=cost,
         change_count=matrices.change_count(assignment))
-
-
-def solve_unconstrained_reference(matrices: CostMatrices
-                                  ) -> ShortestPathResult:
-    """Pure-Python reference DP (used to validate the vectorized one)."""
-    exec_matrix, trans = matrices.exec_matrix, matrices.trans_matrix
-    n_seg, n_cfg = exec_matrix.shape
-    dist = [float(trans[matrices.initial_index, c] + exec_matrix[0, c])
-            for c in range(n_cfg)]
-    parents: List[List[int]] = [[matrices.initial_index] * n_cfg]
-    for i in range(1, n_seg):
-        new_dist = []
-        stage_parents = []
-        for c in range(n_cfg):
-            best, best_p = float("inf"), 0
-            for p in range(n_cfg):
-                candidate = dist[p] + float(trans[p, c])
-                if candidate < best:
-                    best, best_p = candidate, p
-            new_dist.append(best + float(exec_matrix[i, c]))
-            stage_parents.append(best_p)
-        dist = new_dist
-        parents.append(stage_parents)
-    if matrices.final_index is not None:
-        dist = [d + float(trans[c, matrices.final_index])
-                for c, d in enumerate(dist)]
-    last = min(range(n_cfg), key=lambda c: dist[c])
-    cost = float(dist[last])
-    assignment = [last]
-    for i in range(n_seg - 1, 0, -1):
-        last = parents[i][last]
-        assignment.append(last)
-    assignment.reverse()
-    assignment_t = tuple(assignment)
-    return ShortestPathResult(
-        assignment=assignment_t, cost=cost,
-        change_count=matrices.change_count(assignment_t))
 
 
 def _walk_parents(parents: np.ndarray, last: int) -> Tuple[int, ...]:
@@ -205,43 +186,6 @@ class SequenceGraph:
             matrices.trans_matrix[c, cfg] +
             matrices.exec_matrix[stage, cfg]))
             for c in range(self.n_configurations)]
-
-    # -- solving -----------------------------------------------------------
-
-    def shortest_path(self) -> ShortestPathResult:
-        """Shortest source-to-sink path over the *explicit* edge lists.
-
-        This is deliberately a third, independent implementation of the
-        unconstrained optimum: a node-by-node relaxation in topological
-        order over :meth:`successors` adjacency, with none of the
-        matrix broadcasting of :func:`solve_unconstrained`. The
-        verification harness cross-checks all three paths against each
-        other. Ties break toward the lowest predecessor configuration
-        index (the same rule the DP solvers use). The reported cost is
-        the canonical :meth:`CostMatrices.sequence_cost` of the
-        reconstructed assignment, so agreement checks compare exact
-        like with like.
-        """
-        dist = {SOURCE: 0.0}
-        parent: dict = {}
-        for node in self.nodes():
-            node_dist = dist.get(node)
-            if node_dist is None:
-                continue
-            for successor, weight in self.successors(node):
-                candidate = node_dist + weight
-                if successor not in dist or candidate < dist[successor]:
-                    dist[successor] = candidate
-                    parent[successor] = node
-        path = [SINK]
-        while path[-1] != SOURCE:
-            path.append(parent[path[-1]])
-        path.reverse()
-        assignment = self.path_assignment(path)
-        return ShortestPathResult(
-            assignment=assignment,
-            cost=self.matrices.sequence_cost(assignment),
-            change_count=self.matrices.change_count(assignment))
 
     def path_assignment(self, path: Sequence[Node]) -> Tuple[int, ...]:
         """Extract the per-segment configuration indices from a

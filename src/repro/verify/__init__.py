@@ -1,11 +1,11 @@
 """Verification harness: differential testing and invariant checking.
 
-The solvers in :mod:`repro.core` deliberately ship multiple
-implementations of the same optimum (vectorized DP, pure-Python
-reference, explicit graph), and the engine deliberately separates
-estimation (:mod:`repro.sqlengine.whatif`) from execution. This
-package turns that redundancy into an executable oracle with five
-check families:
+Every optimum :mod:`repro.core` computes has slower, independent
+implementations here (:mod:`repro.verify.reference`: pure-Python DPs
+and an explicit-graph shortest path), and the engine deliberately
+separates estimation (:mod:`repro.sqlengine.whatif`) from execution.
+This package turns that redundancy into an executable oracle with
+these check families:
 
 1. solver equivalence — all solver paths agree exactly (0 ulp);
 2. constrained invariants — every k-aware solution satisfies the

@@ -71,16 +71,16 @@ from ..core.costmatrix import (CostMatrices, WhatIfCostProvider,
                                build_cost_matrices)
 from ..core.costservice import CostService
 from ..core.kaware import (constrained_invariant_violations,
-                           solve_constrained,
-                           solve_constrained_reference)
+                           solve_constrained)
 from ..core.lp_advisor import solve_lp_rounding
 from ..core.problem import summarize_problem
-from ..core.sequence_graph import (SequenceGraph, solve_unconstrained,
-                                   solve_unconstrained_reference)
+from ..core.sequence_graph import SequenceGraph, solve_unconstrained
 from ..errors import InfeasibleProblemError
 from ..sqlengine.sql.ast import SelectStmt
 from ..sqlengine.sql.parser import _Parser, parse
 from .generators import MatrixInstance, TraceInstance
+from .reference import (graph_shortest_path, reference_constrained,
+                        reference_unconstrained)
 from .report import CheckResult
 
 #: Relative-error budgets for estimate-vs-executed cost units, per
@@ -99,13 +99,8 @@ DEFAULT_GROUND_TRUTH_BUDGETS: Dict[str, float] = {
 
 def _max_useful_k(matrices: CostMatrices,
                   count_initial_change: bool) -> int:
-    unconstrained = solve_unconstrained(matrices)
-    if count_initial_change:
-        return unconstrained.change_count
-    changes = sum(1 for a, b in zip(unconstrained.assignment,
-                                    unconstrained.assignment[1:])
-                  if a != b)
-    return changes
+    return matrices.change_count(
+        solve_unconstrained(matrices).assignment, count_initial_change)
 
 
 # ----------------------------------------------------------------------
@@ -120,8 +115,8 @@ def check_solver_equivalence(instance: MatrixInstance,
     label = instance.label
 
     vec = solve_unconstrained(matrices)
-    ref = solve_unconstrained_reference(matrices)
-    graph = SequenceGraph(matrices).shortest_path()
+    ref = reference_unconstrained(matrices)
+    graph = graph_shortest_path(SequenceGraph(matrices))
     result.check(
         vec.cost == ref.cost, label,
         f"unconstrained cost: vectorized {vec.cost!r} != "
@@ -155,8 +150,8 @@ def check_solver_equivalence(instance: MatrixInstance,
             except InfeasibleProblemError as exc:
                 vec_exc = exc
             try:
-                ref_k = solve_constrained_reference(matrices, k,
-                                                    count_initial)
+                ref_k = reference_constrained(matrices, k,
+                                              count_initial)
             except InfeasibleProblemError as exc:
                 ref_exc = exc
             if not result.check(
@@ -235,8 +230,8 @@ def solver_agreement_failures(matrices: CostMatrices, k: int,
     result = CheckResult("experiment-verify",
                          "post-experiment solver agreement")
     vec = solve_unconstrained(matrices)
-    ref = solve_unconstrained_reference(matrices)
-    graph = SequenceGraph(matrices).shortest_path()
+    ref = reference_unconstrained(matrices)
+    graph = graph_shortest_path(SequenceGraph(matrices))
     result.check(vec.cost == ref.cost, label,
                  f"unconstrained: vectorized {vec.cost!r} != "
                  f"reference {ref.cost!r}")
@@ -244,8 +239,8 @@ def solver_agreement_failures(matrices: CostMatrices, k: int,
                  f"unconstrained: graph {graph.cost!r} != "
                  f"vectorized {vec.cost!r}")
     solved = solve_constrained(matrices, k, count_initial_change)
-    reference = solve_constrained_reference(matrices, k,
-                                            count_initial_change)
+    reference = reference_constrained(matrices, k,
+                                      count_initial_change)
     result.check(solved.cost == reference.cost, label,
                  f"k={k}: vectorized {solved.cost!r} != "
                  f"reference {reference.cost!r}")

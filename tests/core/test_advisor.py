@@ -96,3 +96,42 @@ class TestRankingAdvisor:
         exact = ConstrainedGraphAdvisor(k).recommend(
             small_problem, small_provider, small_matrices)
         assert ranked.cost == pytest.approx(exact.cost)
+
+
+class TestCountingMode:
+    """``Recommendation.change_count`` is "under the advisor's counting
+    mode" for every advisor, not only the constrained ones."""
+
+    def test_unconstrained_honours_counting_mode(
+            self, small_problem, small_provider, small_matrices):
+        def recommend(advisor):
+            return advisor.recommend(small_problem, small_provider,
+                                     small_matrices)
+
+        strict = recommend(UnconstrainedAdvisor())
+        relaxed = recommend(
+            UnconstrainedAdvisor(count_initial_change=False))
+        hybrid = recommend(HybridAdvisor(small_problem.n_segments,
+                                         count_initial_change=False))
+        assert relaxed.design == strict.design == hybrid.design
+        assert relaxed.change_count == hybrid.change_count
+        # Segment 0 leaves C0 on W1, so the strict count is one more.
+        assert strict.design[0] != small_problem.initial
+        assert relaxed.change_count == strict.change_count - 1
+
+    def test_every_advisor_reports_its_own_mode(
+            self, small_problem, small_provider, small_matrices):
+        for advisor in (StaticAdvisor(count_initial_change=False),
+                        MergingAdvisor(2, count_initial_change=False),
+                        GreedySeqAdvisor(None,
+                                         count_initial_change=False)):
+            rec = advisor.recommend(small_problem, small_provider)
+            between = sum(a != b for a, b in zip(
+                rec.design.assignments, rec.design.assignments[1:]))
+            assert rec.change_count == between, advisor.name
+        merging = MergingAdvisor(2, count_initial_change=False) \
+            .recommend(small_problem, small_provider, small_matrices)
+        unconstrained = UnconstrainedAdvisor(count_initial_change=False) \
+            .recommend(small_problem, small_provider, small_matrices)
+        assert merging.stats["initial_changes"] == \
+            unconstrained.change_count

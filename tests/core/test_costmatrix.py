@@ -104,6 +104,18 @@ class TestMatrixCostProvider:
         with pytest.raises(DesignError):
             provider.exec_cost(stranger, configs[0])
 
+    def test_unknown_configuration_raises_design_error(self):
+        """Regression: a configuration off the matrix axis used to
+        escape as a bare KeyError while an unknown segment raised
+        DesignError; both are DesignError naming the offender."""
+        segs, configs, provider = self.make()
+        stranger = Configuration({IndexDef("t", ("b",))})
+        for call in (lambda: provider.exec_cost(segs[0], stranger),
+                     lambda: provider.trans_cost(configs[0], stranger),
+                     lambda: provider.trans_cost(stranger, configs[0])):
+            with pytest.raises(DesignError, match=r"I\(b\)"):
+                call()
+
 
 class TestCostMatrices:
     def test_build_from_problem(self, small_problem, small_provider):
@@ -164,3 +176,24 @@ class TestCostMatrices:
         assert matrices.change_count([0, 0, 0]) == 0
         assert matrices.change_count([1, 1, 1]) == 1
         assert matrices.change_count([1, 0, 1]) == 3
+
+    @pytest.mark.parametrize("assignment, strict, between", [
+        ([0, 0, 0], 0, 0), ([1, 1, 1], 1, 0), ([1, 0, 1], 3, 2),
+        ([0, 1, 1], 1, 1), ([2], 1, 0)])
+    def test_change_count_both_counting_modes(self, assignment,
+                                              strict, between):
+        """The one Definition 1 counter: C0 -> C1 counts under the
+        strict mode and is free under the experimental one."""
+        matrices = random_matrices(len(assignment), 3, seed=5,
+                                   initial_index=0)
+        assert matrices.change_count(assignment) == strict
+        assert matrices.change_count(
+            assignment, count_initial_change=True) == strict
+        assert matrices.change_count(
+            assignment, count_initial_change=False) == between
+
+    def test_change_count_ignores_required_final(self):
+        matrices = random_matrices(3, 3, seed=5, initial_index=0,
+                                   final_index=2)
+        assert matrices.change_count([0, 0, 0]) == 0
+        assert matrices.change_count([1, 1, 1], False) == 0

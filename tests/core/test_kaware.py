@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.kaware import (solve_constrained,
-                               solve_constrained_reference)
+from repro.core.kaware import solve_constrained
 from repro.core.sequence_graph import solve_unconstrained
 from repro.errors import InfeasibleProblemError
+from repro.verify.reference import reference_constrained
 
 from .helpers import brute_force_best, random_matrices
 
@@ -45,7 +45,7 @@ class TestOptimality:
         matrices = random_matrices(n_seg=6, n_cfg=4, seed=seed)
         for k in (0, 1, 3, 5):
             fast = solve_constrained(matrices, k)
-            slow = solve_constrained_reference(matrices, k)
+            slow = reference_constrained(matrices, k)
             assert fast.cost == pytest.approx(slow.cost), f"k={k}"
             assert fast.change_count == slow.change_count
 
@@ -136,7 +136,7 @@ class TestParentTableDtype:
         matrices = random_matrices(n_seg=6, n_cfg=5, seed=seed)
         for k in (0, 1, 2, 4):
             fast = solve_constrained(matrices, k)
-            slow = solve_constrained_reference(matrices, k)
+            slow = reference_constrained(matrices, k)
             assert fast.assignment == slow.assignment, f"k={k}"
             assert fast.cost == pytest.approx(slow.cost), f"k={k}"
             assert fast.change_count == slow.change_count, f"k={k}"

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core import (Configuration, EMPTY_CONFIGURATION,
-                        MatrixCostProvider, ProblemInstance,
+from repro.core import (Configuration, CostService,
+                        EMPTY_CONFIGURATION, MatrixCostProvider,
+                        ProblemInstance, WhatIfCostProvider,
                         build_cost_matrices, knee_k, sweep_k,
                         validated_k)
 from repro.core.ktuning import KSweepResult
 from repro.errors import DesignError
 from repro.sqlengine import IndexDef
-from repro.workload import (Statement, Workload, make_paper_workload,
-                            paper_generator, segment_by_count,
-                            standard_variations)
+from repro.workload import (Statement, Workload, jitter_blocks,
+                            make_paper_workload, paper_generator,
+                            segment_by_count, standard_variations)
 
 from .helpers import random_matrices
 
@@ -117,19 +118,21 @@ class TestKneeK:
         assert knee == 2
 
 
+def heavy_jitter_variations():
+    """Heavily jittered minors: the scenario where overfit designs
+    lose (the W3 relationship, synthesized)."""
+    workload = make_paper_workload("W1", paper_generator(seed=5),
+                                   block_size=50)
+    return [jitter_blocks(workload, 50, seed=77 + i, max_displacement=3,
+                          swap_fraction=0.9)
+            for i in range(4)]
+
+
 class TestValidatedK:
     @pytest.fixture(scope="class")
     def tuned(self, small_db, small_problem, small_provider):
-        from repro.workload import jitter_blocks
-        workload = make_paper_workload("W1", paper_generator(seed=5),
-                                       block_size=50)
-        # Heavily jittered minors: the scenario where overfit designs
-        # lose (the W3 relationship, synthesized).
-        variations = [jitter_blocks(workload, 50, seed=77 + i,
-                                    max_displacement=3,
-                                    swap_fraction=0.9)
-                      for i in range(4)]
-        return validated_k(small_problem, small_provider, variations,
+        return validated_k(small_problem, small_provider,
+                           heavy_jitter_variations(),
                            block_size=50, ks=[0, 1, 2, 6, 10, 14],
                            count_initial_change=False)
 
@@ -184,3 +187,59 @@ class TestValidatedK:
         with pytest.raises(DesignError):
             validated_k(small_problem, small_provider, [short],
                         block_size=50, ks=[1])
+
+
+#: ``float.hex()`` of the small-problem k-selection numbers, recorded
+#: at d5fa8e5 (before pricing moved onto the one
+#: ``CostMatrices.sequence_cost`` fold). Held to the bit, under both
+#: providers: the fold may be shared, the floats may not move.
+PINNED_KS = [0, 1, 2, 6, 10, 14]
+PINNED_VALIDATION = [
+    "0x1.35aad0ec92ebap+16", "0x1.35aad0ec92ebap+16",
+    "0x1.24b1fbf4ae42cp+16", "0x1.33800365127eap+16",
+    "0x1.40b6c9e4a26d3p+16", "0x1.4a2d4fe482626p+16"]
+PINNED_TRAINING = [
+    "0x1.35aad0ec92ebbp+16", "0x1.35aad0ec92ebbp+16",
+    "0x1.01120923b1e04p+16", "0x1.e148bedcb4b1ap+15",
+    "0x1.cd7d6186f8367p+15", "0x1.bf0ffda7a2a2dp+15"]
+#: sweep_k(count_initial_change=False).costs for k = 0..14; the strict
+#: sweep is the stay-on-C0 cost followed by the same curve.
+PINNED_SWEEP = [
+    "0x1.35aad0ec92ebbp+16", "0x1.35aad0ec92ebbp+16",
+    "0x1.01120923b1e04p+16", "0x1.01120923b1e04p+16",
+    "0x1.f17a6aa887324p+15", "0x1.f17a6aa887324p+15",
+    "0x1.e148bedcb4b1ap+15", "0x1.e148bedcb4b1ap+15",
+    "0x1.d6b7107497877p+15", "0x1.d6b7107497877p+15",
+    "0x1.cd7d6186f8367p+15", "0x1.cd7d6186f8367p+15",
+    "0x1.c50fb21376cafp+15", "0x1.c50fb21376cafp+15",
+    "0x1.bf0ffda7a2a2dp+15"]
+PINNED_STAY_PUT = "0x1.e078000000000p+16"
+
+
+@pytest.mark.parametrize("provider_class",
+                         [WhatIfCostProvider, CostService])
+class TestPinnedToTheBit:
+    def test_validated_k_costs(self, small_db, small_problem,
+                               provider_class):
+        tuned = validated_k(small_problem,
+                            provider_class(small_db.what_if()),
+                            heavy_jitter_variations(), block_size=50,
+                            ks=PINNED_KS, count_initial_change=False)
+        assert tuned.best_k == 2
+        assert [float(c).hex() for c in tuned.validation_costs] == \
+            PINNED_VALIDATION
+        assert [float(c).hex() for c in tuned.training_costs] == \
+            PINNED_TRAINING
+
+    def test_sweep_k_costs(self, small_db, small_problem,
+                           provider_class):
+        matrices = build_cost_matrices(
+            small_problem, provider_class(small_db.what_if()))
+        relaxed = sweep_k(matrices, count_initial_change=False)
+        strict = sweep_k(matrices)
+        assert relaxed.unconstrained_changes == 14
+        assert strict.unconstrained_changes == 15
+        assert [c.hex() for c in relaxed.costs] == PINNED_SWEEP
+        assert [c.hex() for c in strict.costs] == \
+            [PINNED_STAY_PUT] + PINNED_SWEEP
+        assert relaxed.unconstrained_cost.hex() == PINNED_SWEEP[-1]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import (ConstrainedGraphAdvisor, DesignSequence,
-                        EMPTY_CONFIGURATION, UnconstrainedAdvisor,
+from repro.core import (ConstrainedGraphAdvisor, CostService,
+                        DesignSequence, EMPTY_CONFIGURATION,
+                        UnconstrainedAdvisor, WhatIfCostProvider,
                         compare_robustness, evaluate_robustness)
 from repro.core.robustness import VariantOutcome
 from repro.errors import DesignError
@@ -102,3 +103,31 @@ class TestCompareRobustness:
             small_provider, jitter_variants, block_size=50)
         assert set(reports) == {"u", "c"}
         assert reports["u"].design_label == "u"
+
+
+#: ``float.hex()`` per jitter variant (seeds 101-103), recorded at
+#: d5fa8e5 before ``evaluate_robustness`` priced designs with
+#: ``design.cost(matrices)``; held to the bit under both providers.
+PINNED_DESIGN_COSTS = {
+    "unconstrained": ["0x1.1d41e1d731f97p+16", "0x1.0a8febc4cae9dp+16",
+                      "0x1.3792d80cede3ep+16"],
+    "k2": ["0x1.01120923b1e04p+16", "0x1.11e20259ca5d6p+16",
+           "0x1.2696fae93f6b1p+16"],
+}
+PINNED_OPTIMAL_COSTS = ["0x1.c0412244c663dp+15", "0x1.c685b4b955683p+15",
+                        "0x1.c977fdf39cea4p+15"]
+
+
+@pytest.mark.parametrize("provider_class",
+                         [WhatIfCostProvider, CostService])
+def test_outcomes_pinned_to_the_bit(designs, jitter_variants, small_db,
+                                    small_problem, provider_class):
+    reports = compare_robustness(
+        dict(zip(("unconstrained", "k2"), designs)), small_problem,
+        provider_class(small_db.what_if()), jitter_variants,
+        block_size=50)
+    for label, report in reports.items():
+        assert [o.design_cost.hex() for o in report.outcomes] == \
+            PINNED_DESIGN_COSTS[label]
+        assert [o.optimal_cost.hex() for o in report.outcomes] == \
+            PINNED_OPTIMAL_COSTS

@@ -5,8 +5,8 @@ import pytest
 
 from repro.errors import DesignError
 from repro.core.sequence_graph import (SINK, SOURCE, SequenceGraph,
-                                       solve_unconstrained,
-                                       solve_unconstrained_reference)
+                                       solve_unconstrained)
+from repro.verify.reference import reference_unconstrained
 
 from .helpers import brute_force_best, random_matrices
 
@@ -33,7 +33,7 @@ class TestUnconstrainedOptimality:
     def test_vectorized_equals_reference(self, seed):
         matrices = random_matrices(n_seg=7, n_cfg=4, seed=seed)
         fast = solve_unconstrained(matrices)
-        slow = solve_unconstrained_reference(matrices)
+        slow = reference_unconstrained(matrices)
         assert fast.cost == pytest.approx(slow.cost)
         assert fast.assignment == slow.assignment
 
@@ -147,4 +147,4 @@ class TestAllocationBudget:
             f"reallocated per stage (budget ~1x reach = {reach_bytes})")
         # The buffer reuse must not perturb the optimum.
         assert result.cost == pytest.approx(
-            solve_unconstrained_reference(matrices).cost)
+            reference_unconstrained(matrices).cost)

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.costmatrix import CostMatrices
-from repro.core.kaware import (solve_constrained,
-                               solve_constrained_reference)
+from repro.core.kaware import solve_constrained
 from repro.core.merging import merge_to_k
 from repro.core.ranking import solve_by_ranking
-from repro.core.sequence_graph import (solve_unconstrained,
-                                       solve_unconstrained_reference)
+from repro.core.sequence_graph import _stage_dp, solve_unconstrained
+from repro.verify.reference import (reference_constrained,
+                                    reference_unconstrained)
 
 from ..core.helpers import brute_force_best, synthetic_configs
 
@@ -66,7 +66,7 @@ def test_kaware_solver_is_optimal(matrices, k):
 @settings(max_examples=40, deadline=None)
 def test_kaware_vectorized_equals_reference(matrices, k):
     fast = solve_constrained(matrices, k)
-    slow = solve_constrained_reference(matrices, k)
+    slow = reference_constrained(matrices, k)
     assert fast.cost == pytest.approx(slow.cost)
 
 
@@ -74,7 +74,7 @@ def test_kaware_vectorized_equals_reference(matrices, k):
 @settings(max_examples=40, deadline=None)
 def test_unconstrained_vectorized_equals_reference(matrices):
     assert solve_unconstrained(matrices).cost == pytest.approx(
-        solve_unconstrained_reference(matrices).cost)
+        reference_unconstrained(matrices).cost)
 
 
 @given(matrices=matrices_strategy(max_seg=8, max_cfg=4),
@@ -110,3 +110,24 @@ def test_cost_is_monotone_in_k(matrices):
         previous = cost
     # And the loosest budget recovers the unconstrained optimum.
     assert previous == pytest.approx(solve_unconstrained(matrices).cost)
+
+
+@given(matrices=matrices_strategy(max_seg=6, max_cfg=4),
+       count_initial_change=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stage_kernel_at_zero_penalty_is_the_unconstrained_solver(
+        matrices, count_initial_change):
+    """The one stage DP: at penalty 0 the kernel the LP solver runs is
+    ``solve_unconstrained`` to the bit under either counting mode, and
+    the one change counter equals a brute-force neighbour count."""
+    assignment, cost = _stage_dp(matrices, 0.0, count_initial_change)
+    result = solve_unconstrained(matrices)
+    assert assignment == result.assignment
+    assert cost == result.cost
+    between = sum(1 for i in range(1, len(assignment))
+                  if assignment[i - 1] != assignment[i])
+    leaves_initial = int(assignment[0] != matrices.initial_index)
+    assert matrices.change_count(assignment, False) == between
+    assert matrices.change_count(assignment, True) == \
+        between + leaves_initial
+    assert result.change_count == between + leaves_initial

@@ -136,10 +136,10 @@ def test_equivalence_check_catches_a_planted_bug(make_matrix_instance):
         trans_matrix=matrices.trans_matrix,
         initial_index=matrices.initial_index,
         final_index=matrices.final_index)
-    from repro.core.sequence_graph import (solve_unconstrained,
-                                           solve_unconstrained_reference)
+    from repro.core.sequence_graph import solve_unconstrained
+    from repro.verify.reference import reference_unconstrained
     drifted = solve_unconstrained(broken)
-    honest = solve_unconstrained_reference(matrices)
+    honest = reference_unconstrained(matrices)
     result = CheckResult("solvers", "planted bug")
     result.check(drifted.cost == honest.cost, instance.label,
                  "drift undetected")
