@@ -13,8 +13,13 @@ cache. :class:`CostService` centralizes that work behind the
   StatementTemplate` (same AST shape + table + columns, constants
   folded into the exact selectivities they induce) before touching
   the what-if optimizer, then expand per-template costs back to the
-  per-segment axis with NumPy. The resulting matrices are
-  bit-identical to the serial path's.
+  per-segment axis with NumPy — one cumulative sum per unit, which
+  is the canonical left fold. The resulting matrices are
+  bit-identical to the serial path's. The service hands the
+  optimizer the workload statement itself, not its AST, so a
+  statement whose shape has a key plan is never parsed
+  (:meth:`~repro.sqlengine.whatif.WhatIfOptimizer.
+  statement_template`).
 
 * **a two-tier exact cache** — by ``(template key, configuration)``
   (constants-blind) and by ``(template key, relevance signature)``:
@@ -64,6 +69,10 @@ from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..sqlengine.whatif import StatementTemplate, WhatIfOptimizer
 from ..workload.summary import CostUnit, atoms_of
 from .structures import Configuration
+
+
+#: Atoms per block of :meth:`CostService.exec_matrix`'s row fold.
+_FOLD_BLOCK = 1024
 
 
 @dataclass
@@ -313,10 +322,11 @@ class CostService:
         templates: List[StatementTemplate] = []
         template_row: Dict[Tuple, int] = {}
         sql_row: Dict[str, int] = {}
-        unit_atoms: List[List[Tuple[int, int]]] = []
+        unit_atoms: List[Tuple[List[int], List[int]]] = []
         n_statements = 0
         for segment in segments:
-            pairs: List[Tuple[int, int]] = []
+            rows: List[int] = []
+            weights: List[int] = []
             for statement, weight in atoms_of(segment):
                 row = sql_row.get(statement.sql)
                 if row is None:
@@ -327,9 +337,10 @@ class CostService:
                         template_row[template.key] = row
                         templates.append(template)
                     sql_row[statement.sql] = row
-                pairs.append((row, weight))
+                rows.append(row)
+                weights.append(weight)
                 n_statements += weight
-            unit_atoms.append(pairs)
+            unit_atoms.append((rows, weights))
 
         # One estimate per (template, signature) not yet cached — or,
         # with an injector attached, per (template, configuration).
@@ -360,15 +371,19 @@ class CostService:
 
         matrix = np.zeros((len(segments), len(configs)),
                           dtype=np.float64)
-        for i, pairs in enumerate(unit_atoms):
-            if not pairs:
-                continue
-            total = np.zeros(len(configs), dtype=np.float64)
-            for row, weight in pairs:
-                # Left-fold of weight x unit-cost terms, not np.sum:
-                # matches the scalar paths' atom-order accumulation
-                # bit for bit.
-                total += units[row] * weight
+        for i, (rows, weights) in enumerate(unit_atoms):
+            # Left-fold of weight x unit-cost terms, not np.sum: a
+            # cumulative sum adds in atom order, so its last row
+            # matches the scalar paths' accumulation bit for bit. Done
+            # in blocks that carry the running total, so the temporary
+            # does not grow with the unit.
+            total = matrix[i]
+            for lo in range(0, len(rows), _FOLD_BLOCK):
+                hi = lo + _FOLD_BLOCK
+                terms = units[rows[lo:hi]] * np.array(
+                    weights[lo:hi], dtype=np.float64)[:, None]
+                terms[0] += total
+                total = np.cumsum(terms, axis=0)[-1]
             matrix[i] = total
 
         self.stats.batch_calls += 1
@@ -463,7 +478,7 @@ class CostService:
     def _template(self, statement) -> StatementTemplate:
         template = self._template_by_sql.get(statement.sql)
         if template is None:
-            template = self.optimizer.statement_template(statement.ast)
+            template = self.optimizer.statement_template(statement)
             self._template_by_sql[statement.sql] = template
             self._template_keys.add(template.key)
             self.stats.unique_templates = len(self._template_keys)

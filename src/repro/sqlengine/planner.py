@@ -23,7 +23,8 @@ from .plan import (Aggregate, FetchHeap, Filter, GroupAggregate, PlanNode,
                    Project, ScanHeap, ScanIndexLeaf, ScanView, SeekIndex,
                    Sort)
 from .schema import TableSchema
-from .sql.ast import Between, Comparison, OrderBy, SelectStmt
+from .sql.ast import (Between, Comparison, Conjunction, OrderBy,
+                      SelectStmt)
 from .stats import TableStats, combined_selectivity
 from .types import Value
 from .views import ViewDef, ViewGeometry
@@ -136,7 +137,7 @@ def analyze_select(stmt: SelectStmt, schema: TableSchema) -> QueryInfo:
             elif predicate.op == "!=":
                 neq.append(predicate)
             else:
-                spec = _range_from_comparison(predicate)
+                spec = comparison_range(predicate.op, predicate.value)
                 _merge_range(ranges, predicate.column, spec)
     # Normalize per column: fold equalities into ranges/neqs so that a
     # column carries exactly one kind of constraint (or none).
@@ -175,46 +176,17 @@ def analyze_select(stmt: SelectStmt, schema: TableSchema) -> QueryInfo:
                      order_by=stmt.order_by, group_by=stmt.group_by)
 
 
-def select_skeleton(stmt: SelectStmt) -> Tuple[Tuple, bool]:
-    """``stmt`` with its WHERE literals stripped, and whether that
-    skeleton is *separable*: every WHERE column constrained by exactly
-    one :class:`Comparison`. :func:`analyze_select` then merges no
-    ranges, folds no equality into a range or ``!=`` and can never set
-    ``unsatisfiable``, so everything but the constants in its result is
-    the same for every statement of the skeleton."""
-    predicates = () if stmt.where is None else stmt.where.predicates
-    columns = [p.column for p in predicates]
-    ops = [getattr(p, "op", None) for p in predicates]  # Between: None
-    separable = None not in ops and len(set(columns)) == len(columns)
-    return ((stmt.table, stmt.columns, stmt.aggregates, stmt.group_by,
-             stmt.order_by, stmt.limit, tuple(zip(columns, ops))),
-            separable)
-
-
-def bind_query_info(first: QueryInfo, stmt: SelectStmt) -> QueryInfo:
-    """:func:`analyze_select` of ``stmt``, given the result ``first``
-    for another statement of the same separable skeleton (see
-    :func:`select_skeleton`): the constants go straight into the
-    predicate maps, in WHERE order."""
-    eq: Dict[str, Value] = {}
-    ranges: Dict[str, RangeSpec] = {}
-    neq: List[Comparison] = []
-    if stmt.where is not None:
-        for predicate in stmt.where.predicates:
-            if predicate.op == "=":
-                eq[predicate.column] = predicate.value
-            elif predicate.op == "!=":
-                neq.append(predicate)
-            else:
-                ranges[predicate.column] = _range_from_comparison(
-                    predicate)
-    return QueryInfo(table=first.table,
-                     select_columns=first.select_columns,
-                     referenced_columns=first.referenced_columns,
-                     eq_predicates=eq, range_predicates=ranges,
-                     neq_predicates=tuple(neq), limit=first.limit,
-                     aggregates=first.aggregates,
-                     order_by=first.order_by, group_by=first.group_by)
+def separable(where: Optional[Conjunction]) -> bool:
+    """Whether every WHERE column is constrained by exactly one
+    :class:`Comparison` (no ``BETWEEN``, no repeated column).
+    :func:`analyze_select` then merges no ranges, folds no equality
+    into a range or ``!=`` and can never set ``unsatisfiable``: each
+    predicate lands in the result on its own, as written."""
+    if where is None:
+        return True
+    columns = where.columns
+    return len(set(columns)) == len(columns) and all(
+        isinstance(p, Comparison) for p in where.predicates)
 
 
 def _range_contains(spec: RangeSpec, value: Value) -> bool:
@@ -238,8 +210,9 @@ def _range_empty(spec: RangeSpec) -> bool:
                                        spec.hi_inclusive)
 
 
-def _range_from_comparison(predicate: Comparison) -> RangeSpec:
-    op, value = predicate.op, predicate.value
+def comparison_range(op: str, value: Value) -> RangeSpec:
+    """The one-sided range ``column <op> value`` spells (``op`` one of
+    ``< <= > >=``)."""
     if op == "<":
         return RangeSpec(hi=value, hi_inclusive=False)
     if op == "<=":

@@ -56,6 +56,16 @@ def parse(sql: str) -> Statement:
     return statement
 
 
+def binds_shape(shape: Tuple[str, ...]) -> bool:
+    """Whether :func:`parse` binds statements of ``shape`` from their
+    literals alone. The literal texts :func:`split_literals` gives for
+    such a statement are then exactly its NUMBER/STRING tokens, and
+    literal *i* is slot *i* of the AST in source order: UPDATE
+    assignments, then WHERE predicates (two for a ``BETWEEN``), then
+    LIMIT; INSERT values row by row."""
+    return _SHAPES.get(shape) is not None
+
+
 class _BindPlan:
     """How to build a statement of one shape from its literals alone.
 

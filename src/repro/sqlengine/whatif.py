@@ -22,15 +22,19 @@ additionally use the *template* entry points — statements are reduced
 to a canonical :class:`StatementTemplate` whose key folds predicate
 constants into the selectivities they induce; two statements with equal
 template keys receive identical what-if estimates, so each template is
-estimated once per configuration instead of once per statement.
+estimated once per configuration instead of once per statement. A
+statement that carries its text gets its key straight from ``(shape,
+literal texts)`` — no AST — wherever the shape has a *key plan*
+(:meth:`WhatIfOptimizer.statement_template`, DESIGN §6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Tuple, get_args)
 
-from ..errors import CatalogError, SqlUnsupportedError
+from ..errors import CatalogError, SqlSyntaxError, SqlUnsupportedError
 from .costmodel import (Cost, CostParams, ZERO_COST, cost_build_index,
                         cost_build_view, cost_drop_index,
                         cost_full_scan, cost_insert, cost_sort)
@@ -38,12 +42,13 @@ from .index import IndexDef, IndexGeometry, structure_sort_key
 from .plan import PlanNode
 from .views import ViewDef, ViewGeometry
 from .planner import (AccessPath, QueryInfo, analyze_select,
-                      bind_query_info, choose_access_path,
-                      relevant_structures, select_skeleton,
-                      total_selectivity)
+                      choose_access_path, comparison_range,
+                      relevant_structures, separable, total_selectivity)
 from .schema import TableSchema
 from .sql.ast import (DeleteStmt, InsertStmt, SelectStmt, Statement,
                       UpdateStmt)
+from .sql.lexer import literal_value, split_literals
+from .sql.parser import binds_shape
 from .stats import TableStats
 
 
@@ -89,6 +94,81 @@ class StatementTemplate:
     representative: Statement = field(compare=False, repr=False)
 
 
+#: The AST statement classes (``Statement`` is their ``Union``).
+_AST_NODES = get_args(Statement)
+
+#: ``plan(literal texts, table -> statistics lookup)``: the template
+#: key of the statement of the plan's shape that holds those literals,
+#: or ``None`` when only its AST can tell.
+_KeyPlan = Callable[[List[str], Callable[[str], TableStats]],
+                    Optional[Tuple]]
+
+
+#: Comparison operator -> the kind of key part it contributes (every
+#: other operator is one side of a range).
+_PART_KINDS = {"=": "eq", "!=": "neq"}
+
+
+def _compile_key_plan(template: StatementTemplate) -> Optional[_KeyPlan]:
+    """The key plan for the shape of ``template.representative``,
+    given that :func:`~.sql.parser.parse` binds that shape
+    (:func:`~.sql.parser.binds_shape`) — literal *i* of a member's
+    text is then slot *i* of its AST — and that ``template`` came off
+    the AST path.
+
+    An INSERT's key is the same for the whole shape. A SELECT's,
+    UPDATE's or DELETE's is a function of its literals the plan can
+    compute when its WHERE is :func:`~.planner.separable`: the
+    analysis is then never ``unsatisfiable`` and every column, in
+    sorted order, contributes the one part its own comparison spells;
+    everything else in the key is the first member's. Any other shape
+    has no plan (``None``).
+    """
+    stmt, key = template.representative, template.key
+    if isinstance(stmt, InsertStmt):
+        return lambda literals, stats_for: key
+    if not separable(stmt.where):
+        return None
+    kind, signature = key
+    table, head = stmt.table, signature[:-3]
+    first = len(stmt.assignments) if isinstance(stmt, UpdateStmt) else 0
+    predicates = () if stmt.where is None else stmt.where.predicates
+    slots = sorted((p.column, _PART_KINDS.get(p.op, "range"), p.op,
+                    first + i) for i, p in enumerate(predicates))
+    n_literals = first + len(predicates)
+    limit_slot = None
+    if signature[-3] is not None:
+        limit_slot = n_literals
+        n_literals += 1
+
+    def plan(literals, stats_for):
+        if len(literals) != n_literals:
+            return None
+        try:
+            values = [literal_value(source) for source in literals]
+        except SqlSyntaxError:
+            return None
+        limit = None
+        if limit_slot is not None:
+            limit = values[limit_slot]
+            if not isinstance(limit, int) or limit < 0:
+                return None
+        column_stats = stats_for(table).column
+        parts = []
+        for column, part, op, slot in slots:
+            if part == "range":
+                spec = comparison_range(op, values[slot])
+                selectivity = column_stats(column).selectivity_range(
+                    spec.lo, spec.hi, spec.lo_inclusive,
+                    spec.hi_inclusive)
+            else:
+                selectivity = column_stats(column).selectivity_eq(
+                    values[slot])
+            parts.append((column, ((part, selectivity),)))
+        return (kind, head + (limit, False, tuple(parts)))
+    return plan
+
+
 class WhatIfOptimizer:
     """Costs statements under arbitrary (hypothetical) configurations.
 
@@ -111,9 +191,13 @@ class WhatIfOptimizer:
         self.fault_injector = fault_injector
         self._geometry_cache: Dict[Tuple[IndexDef, int], IndexGeometry] = {}
         self._analyze_cache: Dict[SelectStmt, QueryInfo] = {}
-        #: separable skeleton -> QueryInfo of its first statement
-        #: (template derivation only; see :meth:`_template_info`).
-        self._skeleton_info: Dict[Tuple, QueryInfo] = {}
+        #: statement shape -> how to read a template key off the
+        #: shape's literal texts (``None``: only the AST can tell);
+        #: see :meth:`statement_template`.
+        self._key_plans: Dict[Tuple[str, ...], Optional[_KeyPlan]] = {}
+        #: template key -> the first template derived for it under the
+        #: current statistics.
+        self._templates: Dict[Tuple, StatementTemplate] = {}
         #: Bumped whenever statistics change; template keys computed
         #: under an older epoch are stale (selectivities moved).
         self.stats_epoch = 0
@@ -148,8 +232,38 @@ class WhatIfOptimizer:
     # templates (the batched-estimation entry point)
     # ------------------------------------------------------------------
 
-    def statement_template(self, stmt: Statement) -> StatementTemplate:
-        """Reduce ``stmt`` to its :class:`StatementTemplate`."""
+    def statement_template(self, stmt) -> StatementTemplate:
+        """Reduce ``stmt`` to its :class:`StatementTemplate`.
+
+        ``stmt`` is an AST node, or a statement that carries its text
+        (``.sql``, with a lazily parsed ``.ast`` — the workload
+        ``Statement``). From an AST the template is derived in full
+        and holds that AST. From text the key is read off the literal
+        texts by the shape's key plan and the first template derived
+        for that key is returned — no AST, no analysis; a shape
+        without a plan, a literal the plan will not vouch for or a key
+        not seen under the current statistics goes through ``.ast``
+        and the AST path, which raises what it always raised.
+        """
+        if isinstance(stmt, _AST_NODES):
+            return self._ast_template(stmt)
+        shape, literals = split_literals(stmt.sql)
+        plan = self._key_plans.get(shape)
+        if plan is not None:
+            template = self._templates.get(
+                plan(literals, self._stats_for))
+            if template is not None:
+                return template
+        template = self._ast_template(stmt.ast)
+        if shape not in self._key_plans and binds_shape(shape):
+            plan = _compile_key_plan(template)
+            if plan is not None and \
+                    plan(literals, self._stats_for) != template.key:
+                plan = None
+            self._key_plans[shape] = plan
+        return self._templates.setdefault(template.key, template)
+
+    def _ast_template(self, stmt: Statement) -> StatementTemplate:
         if isinstance(stmt, SelectStmt):
             key = ("select", self._select_signature(stmt))
             return StatementTemplate(key=key, representative=stmt)
@@ -162,12 +276,8 @@ class WhatIfOptimizer:
             # Writes cost like a SELECT * probe plus a per-affected-row
             # write term; SET values are irrelevant, the WHERE shape is
             # everything.
-            schema = self._schema_for(stmt.table)
-            probe = SelectStmt(table=stmt.table,
-                               columns=tuple(schema.column_names),
-                               where=stmt.where)
             key = (type(stmt).__name__.lower(),
-                   self._select_signature(probe))
+                   self._select_signature(self._probe(stmt)))
             return StatementTemplate(key=key, representative=stmt)
         raise SqlUnsupportedError(
             f"what-if costing does not support {type(stmt).__name__}")
@@ -219,11 +329,7 @@ class WhatIfOptimizer:
             return ("insert", stmt.table,
                     _maintenance_levels(structures, stmt.table))
         if isinstance(stmt, (UpdateStmt, DeleteStmt)):
-            schema = self._schema_for(stmt.table)
-            probe = SelectStmt(table=stmt.table,
-                               columns=tuple(schema.column_names),
-                               where=stmt.where)
-            info = self._analyze(probe)
+            info = self._analyze(self._probe(stmt))
             return ("write", relevant_structures(info, structures),
                     _maintenance_levels(structures, stmt.table))
         raise SqlUnsupportedError(
@@ -238,7 +344,7 @@ class WhatIfOptimizer:
         constraint kinds with their selectivities, in the exact order
         ``predicate_selectivity`` multiplies them.
         """
-        info = self._template_info(stmt)
+        info = self._analyze(stmt)
         stats = self._stats_for(stmt.table)
 
         columns = sorted(set(info.eq_predicates)
@@ -264,6 +370,8 @@ class WhatIfOptimizer:
         order = None
         if info.order_by is not None:
             order = (info.order_by.column, info.order_by.descending)
+        # _compile_key_plan relies on this layout: everything that
+        # holds no literal first, then (limit, unsatisfiable, parts).
         return (stmt.table, info.select_columns, info.aggregates,
                 info.group_by, order, info.limit, info.unsatisfiable,
                 tuple(predicate_parts))
@@ -293,11 +401,7 @@ class WhatIfOptimizer:
 
     def _estimate_write_with_where(self, stmt, config) -> PlanEstimate:
         """UPDATE/DELETE: locate rows like a SELECT *, then write."""
-        schema = self._schema_for(stmt.table)
-        probe = SelectStmt(table=stmt.table,
-                           columns=tuple(schema.column_names),
-                           where=stmt.where)
-        info = self._analyze(probe)
+        info = self._analyze(self._probe(stmt))
         stats = self._stats_for(stmt.table)
         indexes, views = self._geometries(stmt.table, config)
         path = choose_access_path(info, stats, indexes, self.params,
@@ -404,9 +508,12 @@ class WhatIfOptimizer:
 
     def refresh_stats(self, stats: Mapping[str, TableStats]) -> None:
         """Swap in new statistics (invalidates geometry caches and
-        bumps the stats epoch so cached templates go stale)."""
+        remembered templates, whose keys hold the old selectivities,
+        and bumps the stats epoch so templates cached elsewhere go
+        stale)."""
         self._stats = dict(stats)
         self._geometry_cache.clear()
+        self._templates.clear()
         self.stats_epoch += 1
 
     def _schema_for(self, table: str) -> TableSchema:
@@ -429,21 +536,13 @@ class WhatIfOptimizer:
             self._analyze_cache[stmt] = info
         return info
 
-    def _template_info(self, stmt: SelectStmt) -> QueryInfo:
-        """``analyze_select(stmt)`` for template derivation, which sees
-        every distinct statement once: analysed once per separable
-        skeleton, the rest bound from their constants. Kept apart from
-        :meth:`_analyze`, whose AST-keyed cache serves the few
-        representatives that are costed again and again."""
-        skeleton, separable = select_skeleton(stmt)
-        if not separable:
-            return self._analyze(stmt)
-        first = self._skeleton_info.get(skeleton)
-        if first is None:
-            first = analyze_select(stmt, self._schema_for(stmt.table))
-            self._skeleton_info[skeleton] = first
-            return first
-        return bind_query_info(first, stmt)
+    def _probe(self, stmt) -> SelectStmt:
+        """The SELECT that locates an UPDATE's or DELETE's rows:
+        every column of the table under the statement's WHERE."""
+        schema = self._schema_for(stmt.table)
+        return SelectStmt(table=stmt.table,
+                          columns=tuple(schema.column_names),
+                          where=stmt.where)
 
     def _geometry(self, definition):
         stats = self._stats_for(definition.table)

@@ -23,8 +23,8 @@
    :class:`~repro.core.costmatrix.WhatIfCostProvider` loop and to the
    service's own scalar path (warm and cold), a stats-epoch bump
    actually invalidates the caches without changing values, and
-   template keys reached through the shape-keyed front end equal the
-   keys of a cold full parse and analysis.
+   template keys read off the statement text (template by shape)
+   equal the keys a cold optimizer derives from a full parse.
 
 4. **Ground truth** (:func:`check_ground_truth`) — what-if estimates
    stay within a per-access-path relative-error budget of the cost
@@ -77,7 +77,7 @@ from ..core.problem import summarize_problem
 from ..core.sequence_graph import SequenceGraph, solve_unconstrained
 from ..errors import InfeasibleProblemError
 from ..sqlengine.sql.ast import SelectStmt
-from ..sqlengine.sql.parser import _Parser, parse
+from ..sqlengine.sql.parser import _Parser
 from .generators import MatrixInstance, TraceInstance
 from .reference import (graph_shortest_path, reference_constrained,
                         reference_unconstrained)
@@ -319,23 +319,21 @@ def check_cost_service(instance: TraceInstance,
         f"({cold.stats.whatif_calls} vs "
         f"{undecomposed_calls} undecomposed)")
 
-    # Shape-keyed front end: a template key reached through the warm
-    # shape table (literals bound into a remembered AST) and a warm
-    # skeleton entry (constants substituted into a remembered
-    # QueryInfo) equals the key a full parse and a first-of-its-
-    # skeleton analyze_select give.
+    # Shape-keyed front end: a template key read off a statement's
+    # text by a warm optimizer (shape -> key plan -> literal texts, no
+    # AST) equals the key a cold optimizer derives from a full parse.
     warm = instance.db.what_if()
     differing = [
-        sql for sql in dict.fromkeys(
-            statement.sql for segment in segments
-            for statement in segment)
-        if warm.statement_template(parse(sql)).key !=
+        sql for sql, statement in {
+            statement.sql: statement
+            for segment in segments for statement in segment}.items()
+        if warm.statement_template(statement).key !=
         instance.db.what_if().statement_template(
             _Parser(sql).parse_statement()).key]
     result.check(
         not differing, label,
-        "template keys through the shape table / skeleton binding "
-        f"differ from a cold parse + analyze_select for {differing[:3]}")
+        "template keys read off the statement text differ from a cold "
+        f"parse + AST-path derivation for {differing[:3]}")
 
     # Epoch invalidation: bumping the optimizer's stats epoch must
     # drop the caches (new what-if calls are issued) without changing
@@ -665,7 +663,7 @@ def check_deployment(instance: TraceInstance,
     templates = {}
     for segment in instance.problem.segments:
         for statement in segment:
-            template = optimizer.statement_template(statement.ast)
+            template = optimizer.statement_template(statement)
             templates.setdefault(template.key, template)
     conflated = 0
     for template in templates.values():

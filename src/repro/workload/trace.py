@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, TextIO, Tuple, Union
 
 from ..errors import WorkloadError
 from .model import Statement, Workload
@@ -36,6 +36,36 @@ def save_trace(workload: Workload, path: Union[str, Path]) -> int:
     return len(workload)
 
 
+def _record(path: Path, line_no: int, line: str) -> dict:
+    """The JSON object on one non-blank line."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise WorkloadError(
+            f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise WorkloadError(
+            f"{path}:{line_no}: record is not a JSON object")
+    return record
+
+
+def _read_header(path: Path, handle: TextIO) -> Tuple[dict, int]:
+    """Consume ``handle`` through the header — the first non-blank
+    line — and return it, validated, with its line number."""
+    for line_no, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        header = _record(path, line_no, line)
+        if header.get("format") != "repro-trace":
+            raise WorkloadError(f"{path} is not a repro trace file")
+        if header.get("version") != _FORMAT_VERSION:
+            raise WorkloadError(
+                f"{path}: unsupported trace version "
+                f"{header.get('version')}")
+        return header, line_no
+    raise WorkloadError(f"{path} is empty, not a repro trace file")
+
+
 def iter_trace(path: Union[str, Path]) -> Iterator[Statement]:
     """Stream statements from a trace file without materializing it.
 
@@ -45,27 +75,15 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Statement]:
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle):
+        _, header_line = _read_header(path, handle)
+        for line_no, line in enumerate(handle, start=header_line + 1):
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise WorkloadError(
-                    f"{path}:{line_no + 1}: invalid JSON: {exc}") from exc
-            if line_no == 0:
-                if record.get("format") != "repro-trace":
-                    raise WorkloadError(
-                        f"{path} is not a repro trace file")
-                if record.get("version") != _FORMAT_VERSION:
-                    raise WorkloadError(
-                        f"{path}: unsupported trace version "
-                        f"{record.get('version')}")
-                continue
+            record = _record(path, line_no, line)
             if "sql" not in record:
                 raise WorkloadError(
-                    f"{path}:{line_no + 1}: record missing 'sql'")
+                    f"{path}:{line_no}: record missing 'sql'")
             yield Statement(record["sql"], tag=record.get("tag"))
 
 
@@ -73,19 +91,7 @@ def trace_name(path: Union[str, Path]) -> Optional[str]:
     """The workload name recorded in a trace file's header."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise WorkloadError(
-                    f"{path}:1: invalid JSON: {exc}") from exc
-            if record.get("format") != "repro-trace":
-                raise WorkloadError(f"{path} is not a repro trace file")
-            return record.get("name")
-    raise WorkloadError(f"{path} is empty, not a repro trace file")
+        return _read_header(path, handle)[0].get("name")
 
 
 def load_trace(path: Union[str, Path]) -> Workload:

@@ -6,6 +6,8 @@ matrix entry — the batched service must be bit-identical to the serial
 ``WhatIfCostProvider`` path on every paper workload.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,10 @@ from repro.core import (Configuration, ConstrainedGraphAdvisor,
                         supports_batching, sweep_k, validated_k)
 from repro.core.online import OnlineTuner
 from repro.sqlengine import IndexDef
-from repro.workload import (Segment, Statement, atoms_of,
-                            jitter_blocks, make_paper_workload,
-                            paper_generator, segment_by_count,
-                            summarize_segments)
+from repro.workload import (PhaseSummary, Segment, Statement,
+                            WorkloadAtom, atoms_of, jitter_blocks,
+                            make_paper_workload, paper_generator,
+                            segment_by_count, summarize_segments)
 
 BLOCK = 50
 
@@ -263,9 +265,10 @@ class TestShapeKeyedFrontEnd:
                                                monkeypatch):
         import repro.sqlengine.sql.parser as parser_module
         import repro.sqlengine.whatif as whatif_module
+        import repro.workload.model as model_module
         from repro.workload import summarize_statements
 
-        calls = {"tokenize": 0, "analyze_select": 0}
+        calls = {"tokenize": 0, "parse": 0, "analyze_select": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -277,6 +280,7 @@ class TestShapeKeyedFrontEnd:
 
         monkeypatch.setattr(parser_module, "_SHAPES", {})
         counting(parser_module, "tokenize")
+        counting(model_module, "parse")  # what ``Statement.ast`` calls
         counting(whatif_module, "analyze_select")
 
         rng = np.random.default_rng(17)
@@ -297,6 +301,7 @@ class TestShapeKeyedFrontEnd:
         templates = service.stats.unique_templates
         assert templates <= 2 * shapes
         assert calls["tokenize"] <= shapes
+        assert 0 < calls["parse"] <= shapes + templates
         assert calls["analyze_select"] <= shapes + templates
         assert len(optimizer._analyze_cache) <= templates
 
@@ -304,6 +309,53 @@ class TestShapeKeyedFrontEnd:
         assert np.array_equal(matrix, np.array(
             [[reference.exec_cost(phase, config) for config in configs]
              for phase in summary.phases]))
+
+
+class TestExecFold:
+    """``exec_matrix`` folds a unit's atoms with one cumulative sum
+    per block; the row must still be the canonical left fold."""
+
+    def test_long_unit_row_is_the_left_fold(self, small_db,
+                                            paper_candidates):
+        from repro.core.costservice import _FOLD_BLOCK
+
+        rng = np.random.default_rng(23)
+        n_atoms = 5 * _FOLD_BLOCK + 7  # ends inside a block
+        assert n_atoms >= 5_000
+        columns = ("a", "b", "c", "d")
+        # Out-of-domain constants (selectivity 0) mix cheap terms in.
+        sqls = dict.fromkeys(
+            f"SELECT {columns[int(c)]} FROM t WHERE "
+            f"{columns[int(c)]} = {int(v)}"
+            for c, v in zip(rng.integers(0, 4, 2 * n_atoms),
+                            rng.integers(0, 700_000, 2 * n_atoms)))
+        atoms = tuple(
+            WorkloadAtom(Statement(sql), int(weight))
+            for sql, weight in zip(list(sqls)[:n_atoms],
+                                   rng.integers(1, 1_000, n_atoms)))
+        assert len(atoms) == n_atoms
+        length = sum(atom.weight for atom in atoms)
+        phase = PhaseSummary(atoms, start=0, length=length)
+        empty = PhaseSummary((), start=length, length=0)
+        configs = single_index_configurations(paper_candidates)[:3]
+
+        service = CostService(small_db.what_if())
+        before = time.perf_counter()
+        matrix = service.exec_matrix([phase, empty], configs)
+        elapsed = time.perf_counter() - before
+        assert not matrix[1].any()
+        # The timer brackets the call — it is an interval, not a
+        # clock reading or a block offset.
+        assert 0.0 <= service.stats.exec_seconds <= elapsed
+
+        reference = WhatIfCostProvider(small_db.what_if())
+        for j, config in enumerate(configs):
+            total = 0.0
+            for atom in atoms:
+                total += service.exec_cost(
+                    PhaseSummary((atom,), 0, atom.weight), config)
+            assert matrix[0, j] == total
+            assert matrix[0, j] == reference.exec_cost(phase, config)
 
 
 class TestSupportsBatching:

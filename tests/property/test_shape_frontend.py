@@ -1,31 +1,32 @@
 """Property tests for the shape-keyed SQL front end.
 
 ``parse`` tokenizes and parses one statement per literal-stripped
-*shape* and binds literals for the rest; template derivation analyses
-one SELECT per separable *skeleton* and substitutes constants for the
-rest. Neither shortcut may be observable:
+*shape* and binds literals for the rest; template derivation reads a
+statement's key straight off its literal texts when the shape has a
+key plan. Neither shortcut may be observable:
 
 (a) ``parse`` of a statement whose shape is already remembered equals
     the full parser's result — or raises the full parser's error;
-(b) a ``QueryInfo`` bound from a skeleton equals ``analyze_select``
-    field for field, and template keys agree with a cold optimizer's;
+(b) a template key read off the text equals the key a cold optimizer
+    derives from the full parser's AST — or fails the same way — the
+    returned representative costs like the statement itself, and a
+    statistics refresh leaves nothing of the old epoch behind;
 (c) where the literal regex and the lexer disagree on what the
     literals of an accepted text are, the shape is never bound.
 """
 
-import dataclasses
-
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ParseError, SqlError
-from repro.sqlengine import Database
-from repro.sqlengine.planner import analyze_select
+from repro.sqlengine import Database, IndexDef
 from repro.sqlengine.sql import parse, tokenize
 from repro.sqlengine.sql import parser as parser_module
-from repro.sqlengine.sql.ast import SelectStmt
 from repro.sqlengine.sql.lexer import literal_spans, literal_value
 from repro.sqlengine.sql.parser import _Parser
+from repro.sqlengine.whatif import WhatIfOptimizer
+from repro.workload import Statement
 
 # ----------------------------------------------------------------------
 # statement texts: a token list with holes for literals, the gaps
@@ -232,27 +233,37 @@ def test_known_disagreements_are_covered():
 
 
 # ----------------------------------------------------------------------
-# (b) analysis by skeleton
+# (b) template by shape
 # ----------------------------------------------------------------------
 
 COLUMNS = ("a", "b", "c", "d")
 DOMAIN = 60
 
 
-def _build_db():
+def _build_db(seed, domain):
     db = Database()
     db.create_table("t", [(c, "INTEGER") for c in COLUMNS])
-    rng = np.random.default_rng(5)
-    db.bulk_load("t", {c: rng.integers(0, DOMAIN, 1_500)
+    rng = np.random.default_rng(seed)
+    db.bulk_load("t", {c: rng.integers(0, domain, 1_500)
                        for c in COLUMNS})
     return db
 
 
-_DB = _build_db()
+_DB = _build_db(5, DOMAIN)
+#: Other statistics for the same schema: half the domain, so both
+#: equality and range selectivities move.
+_OTHER_STATS = {"t": _build_db(6, DOMAIN // 2).stats("t")}
+
+CONFIGS = [frozenset(), frozenset({IndexDef("t", ("a",))}),
+           frozenset({IndexDef("t", ("b", "a")),
+                      IndexDef("t", ("c",))})]
 
 plain_columns_st = st.sampled_from(COLUMNS)
-values_st = st.one_of(st.integers(-5, DOMAIN + 5),
-                      st.floats(-5, DOMAIN + 5, allow_nan=False))
+values_st = st.one_of(
+    st.integers(-5, DOMAIN + 5).map(repr),
+    st.integers(0, DOMAIN).map(lambda n: f"+{n}"),
+    st.floats(-5, DOMAIN + 5, allow_nan=False).map(repr),
+    st.sampled_from(["'7'", "'it''s'", "-0", "5."]))
 
 
 @st.composite
@@ -274,54 +285,135 @@ def skeleton_members(draw, members=3):
         suffix = ""
         if "(" not in head and draw(st.booleans()):
             suffix += f" ORDER BY {draw(plain_columns_st)}"
-        if draw(st.booleans()):
-            suffix += f" LIMIT {draw(st.integers(0, 9))}"
+        limit = draw(st.booleans())
     elif kind == "update":
-        prefix, suffix = "UPDATE t SET b = 1", ""
+        prefix, suffix, limit = "UPDATE t SET b = 1, c = -2", "", False
     else:
-        prefix, suffix = "DELETE FROM t", ""
+        prefix, suffix, limit = "DELETE FROM t", "", False
     texts = []
     for _ in range(members):
         clauses = []
         for column, op in predicates:
             if op == "between":
-                clauses.append(f"{column} BETWEEN {draw(values_st)!r} "
-                               f"AND {draw(values_st)!r}")
+                clauses.append(f"{column} BETWEEN {draw(values_st)} "
+                               f"AND {draw(values_st)}")
             else:
-                clauses.append(f"{column} {op} {draw(values_st)!r}")
+                clauses.append(f"{column} {op} {draw(values_st)}")
         where = " WHERE " + " AND ".join(clauses) if clauses else ""
-        texts.append(prefix + where + suffix)
+        tail = f" LIMIT {draw(st.integers(0, 9))}" if limit else ""
+        texts.append(prefix + where + suffix + tail)
     return texts
 
 
-class TestAnalyseBySkeleton:
+def key_outcome(optimizer, source):
+    """The template key ``optimizer`` gives ``source`` — a workload
+    statement, or SQL text for the full parser and the AST path — or
+    how deriving it failed. (A string compared with a number fails in
+    the analysis or the statistics, the same way on either path.)"""
+    try:
+        stmt = full_parse(source) if isinstance(source, str) else source
+        return "ok", optimizer.statement_template(stmt).key
+    except SqlError as exc:
+        return (type(exc).__name__, str(exc),
+                getattr(exc, "position", None))
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc), None
+
+
+def warmed(texts):
+    """An optimizer that has derived every text's template once."""
+    parser_module._SHAPES.clear()
+    warm = _DB.what_if()
+    for sql in texts:
+        key_outcome(warm, Statement(sql))
+    return warm
+
+
+class TestTemplateByShape:
     @given(texts=skeleton_members())
     @settings(max_examples=300, deadline=None)
-    def test_bound_query_info_equals_analyze_select(self, texts):
-        optimizer = _DB.what_if()
-        schema = _DB.table("t").schema
-        for sql in texts:
-            stmt = parse(sql)
-            if not isinstance(stmt, SelectStmt):  # the DML probe
-                stmt = SelectStmt(table="t", where=stmt.where,
-                                  columns=tuple(schema.column_names))
-            bound = optimizer._template_info(stmt)
-            reference = analyze_select(stmt, schema)
-            for field in dataclasses.fields(reference):
-                assert getattr(bound, field.name) == \
-                    getattr(reference, field.name), field.name
-            assert list(bound.eq_predicates.items()) == \
-                list(reference.eq_predicates.items())
-            assert list(bound.range_predicates.items()) == \
-                list(reference.range_predicates.items())
+    def test_text_path_keys_equal_a_cold_optimizers(self, texts):
+        warm = warmed(texts[:1])
+        for sql in texts + texts:
+            assert key_outcome(warm, Statement(sql)) == \
+                key_outcome(_DB.what_if(), sql)
 
     @given(texts=skeleton_members())
-    @settings(max_examples=300, deadline=None)
-    def test_template_keys_equal_a_cold_optimizers(self, texts):
-        warm = _DB.what_if()
+    @settings(max_examples=150, deadline=None)
+    def test_representative_costs_like_the_member(self, texts):
+        warm = warmed(texts)
         for sql in texts:
-            cold = _DB.what_if()
-            assert warm.statement_template(parse(sql)).key == \
-                cold.statement_template(full_parse(sql)).key
-        assert not any(info.unsatisfiable
-                       for info in warm._skeleton_info.values())
+            try:
+                template = warm.statement_template(Statement(sql))
+            except (SqlError, TypeError, ValueError):
+                continue
+            member = full_parse(sql)
+            for config in CONFIGS:
+                assert warm.estimate_template(
+                    template, config).units == \
+                    _DB.what_if().estimate_statement(
+                        member, config).units
+
+    @given(texts=skeleton_members())
+    @settings(max_examples=150, deadline=None)
+    def test_refresh_stats_forgets_the_old_epochs_templates(self, texts):
+        warm = warmed(texts)
+        warm.refresh_stats(_OTHER_STATS)
+        assert not warm._templates
+        cold = WhatIfOptimizer({"t": _DB.table("t").schema},
+                               _OTHER_STATS, _DB.params)
+        fresh = set()
+        for sql in texts + texts:
+            result = key_outcome(warm, Statement(sql))
+            assert result == key_outcome(cold, sql)
+            if result[0] == "ok":
+                fresh.add(result[1])
+        assert set(warm._templates) == fresh
+
+
+FALL_THROUGHS = [
+    # (a sibling of the same shape, the statement)
+    ("SELECT a FROM t WHERE a BETWEEN 1 AND-0",
+     "SELECT a FROM t WHERE a BETWEEN 1 AND-5"),
+    ("SELECT a FROM t WHERE a = 1", "SELECT a FROM t WHERE a = 1e"),
+    ("SELECT a FROM t WHERE a = 1", "SELECT a FROM t WHERE a = 1.5.3"),
+    ("SELECT a FROM t WHERE a = 1 LIMIT 3",
+     "SELECT a FROM t WHERE a = 1 LIMIT -1"),
+    ("SELECT a FROM t WHERE a = 1 LIMIT 3",
+     "SELECT a FROM t WHERE a = 1 LIMIT 2.5"),
+    ("SELECT a FROM t WHERE a = 6 -- note 7",
+     "SELECT a FROM t WHERE a = 5 -- note 7"),
+    ("SELECT a FROM t WHERE a > 1 AND a < 9",
+     "SELECT a FROM t WHERE a > 7 AND a < 3"),
+    ("DELETE FROM t WHERE b BETWEEN 1 AND 2",
+     "DELETE FROM t WHERE b BETWEEN 9 AND 3"),
+]
+
+
+@pytest.mark.parametrize("sibling,sql", FALL_THROUGHS)
+def test_known_fall_throughs_take_the_ast_path(sibling, sql):
+    """What the key plan cannot vouch for is the AST path's business:
+    same key, or the same error type, message and position."""
+    warm = warmed([sibling, sibling])
+    statement = Statement(sql)
+    result = key_outcome(warm, statement)
+    assert result == key_outcome(_DB.what_if(), sql)
+    assert result[0] != "ok" or statement._ast is not None
+
+
+@pytest.mark.parametrize("first,second", [
+    ("SELECT a FROM t WHERE a = 1 AND b != 2 LIMIT 3",
+     "SELECT a FROM t WHERE a = 41 AND b != 17 LIMIT 3"),
+    ("UPDATE t SET b = 1, c = -2 WHERE d = 5 AND a = 3",
+     "UPDATE t SET b = 8, c = 9 WHERE d = 44 AND a = 7"),
+    ("DELETE FROM t WHERE c = 5", "DELETE FROM t WHERE c = 6"),
+    ("INSERT INTO t (a, b, c, d) VALUES (1, 2, 3, 4)",
+     "INSERT INTO t (a, b, c, d) VALUES (5, 6, 7, 8)"),
+])
+def test_text_path_builds_no_ast(first, second):
+    """The case the fall-throughs are the exceptions to."""
+    warm = warmed([first])
+    statement = Statement(second)
+    assert key_outcome(warm, statement) == \
+        key_outcome(_DB.what_if(), second)
+    assert statement._ast is None

@@ -70,3 +70,31 @@ class TestMalformedFiles:
         path.write_text(header + "\n\n"
                         '{"sql": "SELECT a FROM t"}\n')
         assert len(load_trace(path)) == 1
+
+    def test_leading_blank_line(self, tmp_path):
+        """The header is the first non-blank line for both readers."""
+        path = tmp_path / "ok.jsonl"
+        header = json.dumps({"format": "repro-trace", "version": 1,
+                             "name": "demo"})
+        path.write_text("\n" + header + "\n"
+                        '{"sql": "SELECT a FROM t"}\n')
+        loaded = load_trace(path)
+        assert loaded.name == "demo"
+        assert [s.sql for s in loaded] == ["SELECT a FROM t"]
+
+    @pytest.mark.parametrize("line", ['["sql"]', "7", "null"])
+    def test_record_not_an_object(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"format": "repro-trace", "version": 1}\n'
+            '{"sql": "SELECT a FROM t"}\n' + line + "\n")
+        with pytest.raises(WorkloadError) as exc:
+            load_trace(path)
+        assert f"{path}:3:" in str(exc.value)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("[1]\n")
+        with pytest.raises(WorkloadError) as exc:
+            load_trace(path)
+        assert f"{path}:1:" in str(exc.value)
