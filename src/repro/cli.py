@@ -313,10 +313,11 @@ def _cmd_analyze(args) -> int:
                      key=lambda kv: -kv[1])[:2]
         rendered = ", ".join(f"{c}:{f:.0%}" for c, f in top)
         marker = ""
+        score = report.scores[profile.block_index]
         if profile.block_index in report.major_shifts:
-            marker = "  <- major shift"
+            marker = f"  <- major shift ({score:.2f})"
         elif profile.block_index in report.minor_shifts:
-            marker = "  <- minor shift"
+            marker = f"  <- minor shift ({score:.2f})"
         print(f"  block {profile.block_index:3d}: {rendered}{marker}")
     print(f"major shifts at blocks: {list(report.major_shifts)}")
     print(f"minor shifts: {len(report.minor_shifts)}")

@@ -65,7 +65,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import (DesignError, EstimationUnavailable,
                       TransitionError)
-from ..workload.analysis import (BlockProfile, detect_shifts_from_profiles,
+from ..workload.analysis import (BlockProfile, ShiftReport,
+                                 detect_shifts_from_profiles,
                                  dominant_column, segment_profile)
 from ..workload.segmentation import Segment, iter_segments_by_count
 from ..workload.model import Statement
@@ -260,6 +261,9 @@ class BanditTuner:
             raise DesignError("decay must be in (0, 1]")
         if observe_every < 1:
             raise DesignError("observe_every must be >= 1")
+        if shift_window < 1 or shift_threshold <= 0:
+            raise DesignError(
+                "shift_window must be >= 1 and shift_threshold > 0")
         self.gate = gate if gate is not None else GateConfig()
         self.provider = provider
         self.db = db
@@ -290,6 +294,7 @@ class BanditTuner:
         self._decisions: List[BanditDecision] = []
         self._profiles: List[BlockProfile] = []
         self._seen_shifts: Set[int] = set()
+        self._shift_report: Optional[ShiftReport] = None
         self._observation = 0
         self._last_switch = -10 ** 9
 
@@ -619,9 +624,10 @@ class BanditTuner:
         clearing it re-arms the cooldown-free revert path."""
         if len(self._profiles) < 2 * self.shift_window:
             return
-        report = detect_shifts_from_profiles(
+        report = self._shift_report = detect_shifts_from_profiles(
             self._profiles, window=self.shift_window,
-            threshold=self.shift_threshold)
+            threshold=self.shift_threshold,
+            previous=self._shift_report)
         fresh = [b for b in report.major_shifts
                  if b not in self._seen_shifts]
         if not fresh:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SqlError
+from ..errors import SqlError, WorkloadError
 from ..sqlengine.sql.ast import SelectStmt
 from .model import Statement, Workload
 from .segmentation import iter_segments_by_count
@@ -62,11 +62,21 @@ class ShiftReport:
             query distribution begins.
         minor_shifts: block indices of local (non-sustained) changes.
         profiles: the per-block profiles the detection ran on.
+        scores: per boundary (``scores[b]`` is the boundary in front of
+            block ``b``; index 0 is never one): ``None`` where the
+            adjacent blocks are closer than the threshold, else the
+            sustained distance between the windowed averages either
+            side — at or over the threshold for a major shift and for
+            the weaker boundaries of its cluster, under it otherwise.
+        window / threshold: the arguments the detection ran with.
     """
 
     major_shifts: Tuple[int, ...]
     minor_shifts: Tuple[int, ...]
     profiles: Tuple[BlockProfile, ...]
+    scores: Tuple[Optional[float], ...]
+    window: int
+    threshold: float
 
     @property
     def suggested_k(self) -> int:
@@ -158,12 +168,31 @@ def detect_summary_shifts(summary: WorkloadSummary, window: int = 4,
 
 def detect_shifts_from_profiles(profiles: Sequence[BlockProfile],
                                 window: int = 4,
-                                threshold: float = 0.25
+                                threshold: float = 0.25,
+                                previous: Optional[ShiftReport] = None
                                 ) -> ShiftReport:
-    """The shift-detection core, over prebuilt block/phase profiles."""
-    candidates: List[Tuple[int, float]] = []   # (boundary, sustained)
-    minor: List[int] = []
-    for boundary in range(1, len(profiles)):
+    """The shift-detection core, over prebuilt block/phase profiles.
+
+    ``previous``, the report of a prefix of ``profiles``, makes the
+    call pay for the new blocks only: a boundary's score is final once
+    its after-window is full, so the prefix's other scores are kept.
+    """
+    if window < 1 or threshold <= 0:
+        raise WorkloadError(
+            "shift detection needs window >= 1 and threshold > 0")
+    start, scores = 1, []
+    if previous is not None:
+        seen = len(previous.profiles)
+        if (seen > len(profiles)
+                or seen and previous.profiles[-1] is not profiles[seen - 1]
+                or (previous.window, previous.threshold)
+                != (window, threshold)):
+            raise WorkloadError("previous is not the report of a "
+                                "prefix of these profiles")
+        start = max(1, seen - window + 1)
+        scores = list(previous.scores[:start])
+    scores += [None] * (len(profiles) - len(scores))
+    for boundary in range(start, len(profiles)):
         local = profiles[boundary - 1].distance(profiles[boundary])
         if local < threshold:
             continue
@@ -171,11 +200,11 @@ def detect_shifts_from_profiles(profiles: Sequence[BlockProfile],
                                  max(0, boundary - window), boundary)
         after = _window_average(profiles, boundary,
                                 min(len(profiles), boundary + window))
-        sustained = before.distance(after)
-        if sustained >= threshold:
-            candidates.append((boundary, sustained))
-        else:
-            minor.append(boundary)
+        scores[boundary] = before.distance(after)
+    candidates = [(b, s) for b, s in enumerate(scores)
+                  if s is not None and s >= threshold]
+    minor = [b for b, s in enumerate(scores)
+             if s is not None and s < threshold]
     # Candidates within one window of each other belong to a single
     # transition (the window straddles the phase edge for a few blocks
     # around a genuine shift); keep the strongest boundary of each
@@ -198,7 +227,8 @@ def detect_shifts_from_profiles(profiles: Sequence[BlockProfile],
     minor.sort()
     return ShiftReport(major_shifts=tuple(collapsed),
                        minor_shifts=tuple(minor),
-                       profiles=tuple(profiles))
+                       profiles=tuple(profiles), scores=tuple(scores),
+                       window=window, threshold=threshold)
 
 
 def suggest_k(workload: Workload, block_size: int, window: int = 4,

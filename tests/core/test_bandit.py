@@ -90,6 +90,13 @@ class TestConstruction:
             BanditTuner([CA], provider=None, observe_every=0)
 
     @pytest.mark.parametrize("bad", [
+        dict(shift_window=0), dict(shift_threshold=0.0),
+        dict(shift_threshold=-0.25)])
+    def test_bad_shift_arguments_raise(self, bad):
+        with pytest.raises(DesignError):
+            BanditTuner([CA], provider=None, **bad)
+
+    @pytest.mark.parametrize("bad", [
         dict(regression_bound=-0.1), dict(slack_units=-1.0),
         dict(call_budget=-1), dict(build_factor=0.0),
         dict(cooldown=-1), dict(epsilon=1.5)])
@@ -139,6 +146,15 @@ class TestAdaptation:
         assert first.design.assignments == second.design.assignments
         assert first.total_cost == second.total_cost
         assert first.safety == second.safety
+
+    def test_second_run_on_one_tuner_equals_the_first(self):
+        """``run`` resets: the shift report carried between
+        observations belongs to the first stream, not the second."""
+        stmts = statements(40) + statements(40, column="b")
+        tuner = _tuner(SyntheticProvider(hot_a_cost), shift_window=2)
+        first = tuner.run(stmts)
+        assert first.safety["shift_resets"] == 1
+        assert tuner.run(stmts) == first
 
 
 class TestBudget:

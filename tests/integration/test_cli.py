@@ -36,6 +36,12 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "major shifts at blocks: [10, 20]" in out
         assert "suggested change budget: k = 2" in out
+        # Every marker carries its sustained distance; block 8 is over
+        # the 0.25 threshold yet minor — the weaker boundary of block
+        # 10's cluster.
+        assert "block  10: c:65%, b:18%  <- major shift (0.62)" in out
+        assert "block  20: a:62%, b:28%  <- major shift (0.60)" in out
+        assert "block   8: a:48%, b:30%  <- minor shift (0.26)" in out
 
     def test_missing_trace_fails_cleanly(self, capsys, tmp_path):
         code = main(["analyze", "--trace",

@@ -13,6 +13,7 @@ from repro.workload import (Statement, Workload, block_profiles,
                             make_paper_workload, paper_generator,
                             suggest_k, summarize_workload)
 from repro.workload.analysis import (BlockProfile, _queried_column,
+                                     detect_shifts_from_profiles,
                                      segment_profile)
 
 
@@ -128,6 +129,42 @@ class TestDetectShifts:
         report = detect_shifts(workload, 50)
         assert report.major_shifts == ()
         assert report.suggested_k == 0
+
+
+class TestResumableDetection:
+    def test_scores_explain_every_marker(self, w1):
+        report = detect_shifts(w1, 100)
+        assert len(report.scores) == len(report.profiles) == 30
+        assert report.scores[0] is None
+        scored = {b for b, s in enumerate(report.scores)
+                  if s is not None}
+        assert scored == {*report.major_shifts, *report.minor_shifts}
+        for boundary in report.major_shifts:
+            assert report.scores[boundary] >= report.threshold
+        assert (report.window, report.threshold) == (4, 0.25)
+
+    @pytest.mark.parametrize("window, threshold", [
+        (0, 0.25), (-1, 0.25), (4, 0.0), (4, -0.5)])
+    def test_bad_window_or_threshold_raises(self, w1, window,
+                                            threshold):
+        with pytest.raises(WorkloadError):
+            detect_shifts(w1, 100, window, threshold)
+
+    def test_previous_must_be_a_prefix_report(self, w1):
+        profiles = block_profiles(w1, 100)
+        previous = detect_shifts_from_profiles(profiles[:12], 3, 0.25)
+        assert detect_shifts_from_profiles(
+            profiles, 3, 0.25, previous=previous) == \
+            detect_shifts_from_profiles(profiles, 3, 0.25)
+        rebuilt = block_profiles(w1, 100)    # equal, not identical
+        for stream, window, threshold in [
+                (profiles[:11], 3, 0.25),    # previous is longer
+                (rebuilt, 3, 0.25),          # another stream
+                (profiles, 4, 0.25),         # another window
+                (profiles, 3, 0.3)]:         # another threshold
+            with pytest.raises(WorkloadError):
+                detect_shifts_from_profiles(stream, window, threshold,
+                                            previous=previous)
 
 
 class TestSuggestK:
