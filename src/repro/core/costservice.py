@@ -1,12 +1,9 @@
 """CostService: batched, instrumented cost estimation for the advisors.
 
 Advisor runtime is dominated by what-if cost estimation (the paper's
-Figure 4 measures exactly this), and historically every consumer —
-advisors, the k-sweep, the bench harness — re-drove
-``WhatIfOptimizer.estimate_statement`` through its own serial
-per-(statement, configuration) loop with only a flat ``(sql, config)``
-cache. :class:`CostService` centralizes that work behind the
-:class:`~repro.core.costmatrix.CostProvider` protocol and adds:
+Figure 4 measures exactly this). :class:`CostService` puts that work
+behind the :class:`~repro.core.costmatrix.CostProvider` protocol and
+adds:
 
 * **a batch API** — :meth:`exec_matrix` / :meth:`trans_matrix`
   deduplicate statements by :class:`~repro.sqlengine.whatif.
@@ -21,17 +18,18 @@ cache. :class:`CostService` centralizes that work behind the
   (:meth:`~repro.sqlengine.whatif.WhatIfOptimizer.
   statement_template`).
 
-* **a two-tier exact cache** — by ``(template key, configuration)``
-  (constants-blind) and by ``(template key, relevance signature)``:
-  the what-if optimizer derives, per template, the subset of a
-  configuration's structures that can possibly affect its plan
-  (:meth:`~repro.sqlengine.whatif.WhatIfOptimizer.
-  relevance_signature`), and every configuration identical on that
-  subset shares one bit-identical estimate. This is the CoPhy-style
+* **a two-tier exact cache** — per template, by configuration
+  (constants-blind) and by relevance signature: the subset of a
+  configuration's structures that can possibly affect the template's
+  plan; every configuration identical on that subset shares one
+  bit-identical estimate. Whether a structure serves a template is a
+  fact about that pair, so a batch derives one *row* of signatures
+  per template (:meth:`~repro.sqlengine.whatif.WhatIfOptimizer.
+  relevance_signatures`), not one per cell. This is the CoPhy-style
   *atomic cost decomposition*: what-if work drops from
   O(templates x |C|) to O(templates x relevant subsets). Scalar
-  calls resolve ``sql -> template -> (template, config)`` through
-  the same tiers.
+  calls resolve ``sql -> template -> configuration`` through the
+  same tiers, one signature at a time.
 
 * **instrumentation** — :class:`CostEstimationStats` counts what-if
   calls issued vs avoided, per-tier cache hits (template /
@@ -197,26 +195,25 @@ class CostService:
         self.stats = CostEstimationStats()
         self._stats_epoch = optimizer.stats_epoch
         self._template_by_sql: Dict[str, StatementTemplate] = {}
-        self._template_keys: set = set()
-        self._template_units: Dict[Tuple[Tuple, Configuration], float] = {}
+        # Exact estimates, template first: {template key:
+        # {configuration: units}}; _template opens a template's row.
+        self._template_units: Dict[Tuple,
+                                   Dict[Configuration, float]] = {}
         self._trans_cache: Dict[Tuple[Configuration, Configuration],
                                 float] = {}
         self._size_cache: Dict[Configuration, int] = {}
-        # Atomic cost decomposition. _signature_units keys exact
-        # estimates by (template key, relevance signature);
-        # _signature_of memoizes the signature derivation per
-        # (template key, configuration).
-        self._signature_units: Dict[Tuple[Tuple, Tuple], float] = {}
-        self._signature_of: Dict[Tuple[Tuple, Configuration],
-                                 Tuple] = {}
+        # Atomic cost decomposition, same layout: {template key:
+        # {relevance signature: units}}; _signature_keys: pairs seen.
+        self._signature_units: Dict[Tuple, Dict[Tuple, float]] = {}
         self._signature_keys: set = set()
         # Degradation ladder state. _stale_units keeps the last known
-        # exact value per (template, config) across epoch
+        # exact value (the layout of _template_units) across epoch
         # invalidations — rung 2 of the ladder. _degraded_units pins
         # degraded answers for within-epoch determinism; it is a
         # separate cache precisely so degraded values are never
         # promoted into the exact caches above.
-        self._stale_units: Dict[Tuple[Tuple, Configuration], float] = {}
+        self._stale_units: Dict[Tuple,
+                                Dict[Configuration, float]] = {}
         self._degraded_units: Dict[Tuple[Tuple, Configuration],
                                    float] = {}
         # Pessimistic scan bounds served by upper_bound_cost — pure
@@ -356,15 +353,15 @@ class CostService:
             # family's determinism contract.
             for j, config in enumerate(configs):
                 for r, template in enumerate(templates):
-                    key = (template.key, config)
-                    value = self._template_units.get(key)
+                    known = self._template_units[template.key]
+                    value = known.get(config)
                     if value is None:
                         value, degraded = self._issue_template(
                             template, config)
                         if degraded:
                             degraded_cells.add((r, j))
                         else:
-                            self._template_units[key] = value
+                            known[config] = value
                     else:
                         self.stats.template_hits += 1
                     units[r, j] = value
@@ -431,16 +428,15 @@ class CostService:
         outages after a stats refresh degrade to the last known exact
         answer instead of the crude upper bound.
         """
-        self._stale_units.update(self._template_units)
+        for key, known in self._template_units.items():
+            self._stale_units.setdefault(key, {}).update(known)
         self._template_by_sql.clear()
-        self._template_keys.clear()
         self._template_units.clear()
         self._trans_cache.clear()
         self._size_cache.clear()
         self._degraded_units.clear()
         self._upper_bound_units.clear()
         self._signature_units.clear()
-        self._signature_of.clear()
         self._signature_keys.clear()
 
     # ------------------------------------------------------------------
@@ -460,56 +456,49 @@ class CostService:
         # fault lands on.
         return self.optimizer.fault_injector is None
 
-    def _signature(self, template: StatementTemplate,
-                   config: Configuration) -> Tuple:
-        key = (template.key, config)
-        sig = self._signature_of.get(key)
-        if sig is None:
-            sig = self.optimizer.relevance_signature(
-                template, config.structures)
-            self._signature_of[key] = sig
-            pair = (template.key, sig)
-            if pair not in self._signature_keys:
-                self._signature_keys.add(pair)
-                self.stats.unique_signatures = len(
-                    self._signature_keys)
-        return sig
+    def _saw_signature(self, template_key: Tuple, sig: Tuple) -> None:
+        pair = (template_key, sig)
+        if pair not in self._signature_keys:
+            self._signature_keys.add(pair)
+            self.stats.unique_signatures = len(self._signature_keys)
 
     def _template(self, statement) -> StatementTemplate:
         template = self._template_by_sql.get(statement.sql)
         if template is None:
             template = self.optimizer.statement_template(statement)
             self._template_by_sql[statement.sql] = template
-            self._template_keys.add(template.key)
-            self.stats.unique_templates = len(self._template_keys)
+            self._template_units.setdefault(template.key, {})
+            self.stats.unique_templates = len(self._template_units)
         return template
 
     def _statement_units_for(self, statement,
                              config: Configuration) -> float:
         template = self._template(statement)
-        config_key = (template.key, config)
-        units = self._template_units.get(config_key)
-        if units is None:
-            sig_key = None
-            if self._decomposing:
-                sig_key = (template.key,
-                           self._signature(template, config))
-                units = self._signature_units.get(sig_key)
-                if units is not None:
-                    self.stats.signature_hits += 1
-                    self.stats.whatif_calls_avoided += 1
-                    self._template_units[config_key] = units
-                    return units
-            units, degraded = self._issue_template(template, config)
-            if degraded:
-                # Degraded answers never enter the exact caches.
-                return units
-            self._template_units[config_key] = units
-            if sig_key is not None:
-                self._signature_units[sig_key] = units
-        else:
+        known = self._template_units[template.key]
+        units = known.get(config)
+        if units is not None:
             self.stats.template_hits += 1
             self.stats.whatif_calls_avoided += 1
+            return units
+        by_signature = None
+        if self._decomposing:
+            sig = self.optimizer.relevance_signature(
+                template, config.structures)
+            self._saw_signature(template.key, sig)
+            by_signature = self._signature_units.setdefault(
+                template.key, {})
+            units = by_signature.get(sig)
+            if units is not None:
+                self.stats.signature_hits += 1
+                self.stats.whatif_calls_avoided += 1
+                known[config] = units
+                return units
+        units, degraded = self._issue_template(template, config)
+        if not degraded:
+            # Degraded answers never enter the exact caches.
+            known[config] = units
+            if by_signature is not None:
+                by_signature[sig] = units
         return units
 
     def _issue_template(self, template: StatementTemplate,
@@ -543,7 +532,7 @@ class CostService:
         units = self._degraded_units.get(key)
         if units is not None:
             return units, True
-        stale = self._stale_units.get(key)
+        stale = self._stale_units.get(template.key, {}).get(config)
         if stale is not None:
             self.stats.stale_fallbacks += 1
             units = stale
@@ -561,36 +550,38 @@ class CostService:
         signature tier: one estimate per (template, relevant subset),
         every configuration sharing the subset filled from it.
 
-        Cells in neither cache tier are accumulated as *pending* work
-        — one item per (template row, signature) — estimated against
-        the first configuration carrying the signature (any sharer
-        yields the same bits — that is the decomposition invariant
-        the verify harness checks), then written to every column
-        sharing the signature.
+        A template with a cell the template tier lacks asks for its
+        row of signatures once (``relevance_signatures``: one
+        derivation per template) and groups the open columns by
+        signature; a signature the signature tier lacks is estimated
+        against the first configuration carrying it (any sharer
+        yields the same bits — the decomposition invariant the verify
+        harness checks).
         """
-        pending: Dict[Tuple[int, Tuple], List[int]] = {}
         for r, template in enumerate(templates):
-            for j, config in enumerate(configs):
-                config_key = (template.key, config)
-                value = self._template_units.get(config_key)
-                if value is not None:
-                    self.stats.template_hits += 1
-                    units[r, j] = value
-                    continue
-                sig = self._signature(template, config)
-                value = self._signature_units.get((template.key, sig))
-                if value is not None:
-                    self.stats.signature_hits += 1
-                    self._template_units[config_key] = value
-                    units[r, j] = value
-                    continue
-                pending.setdefault((r, sig), []).append(j)
-        for (r, sig), cols in pending.items():
-            template = templates[r]
-            value, _degraded = self._issue_template(
-                template, configs[cols[0]])
-            self._signature_units[(template.key, sig)] = value
-            self.stats.signature_fills += len(cols) - 1
-            for j in cols:
-                self._template_units[(template.key, configs[j])] = value
-                units[r, j] = value
+            known = self._template_units[template.key]
+            row = [known.get(config) for config in configs]
+            missing = [j for j, value in enumerate(row) if value is None]
+            self.stats.template_hits += len(row) - len(missing)
+            if missing:
+                signatures = self.optimizer.relevance_signatures(
+                    template, [configs[j].structures for j in missing])
+                groups: Dict[Tuple, List[int]] = {}
+                for j, sig in zip(missing, signatures):
+                    groups.setdefault(sig, []).append(j)
+                by_signature = self._signature_units.setdefault(
+                    template.key, {})
+                for sig, cols in groups.items():
+                    self._saw_signature(template.key, sig)
+                    value = by_signature.get(sig)
+                    if value is None:
+                        value, _degraded = self._issue_template(
+                            template, configs[cols[0]])
+                        by_signature[sig] = value
+                        self.stats.signature_fills += len(cols) - 1
+                    else:
+                        self.stats.signature_hits += len(cols)
+                    for j in cols:
+                        row[j] = value
+                known.update((configs[j], row[j]) for j in missing)
+            units[r] = row

@@ -92,9 +92,6 @@ class Cost:
                     self.cpu_units + other.cpu_units)
 
 
-ZERO_COST = Cost()
-
-
 def cost_full_scan(stats: TableStats, params: CostParams) -> Cost:
     """Sequentially read every heap page and examine every row."""
     return Cost(page_reads=float(stats.n_pages),

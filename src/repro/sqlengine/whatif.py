@@ -22,7 +22,10 @@ additionally use the *template* entry points — statements are reduced
 to a canonical :class:`StatementTemplate` whose key folds predicate
 constants into the selectivities they induce; two statements with equal
 template keys receive identical what-if estimates, so each template is
-estimated once per configuration instead of once per statement. A
+estimated once per configuration instead of once per statement. Two
+facts are kept per structure, not per cell: its build cost (a table
+per statistics epoch) and whether it can serve a template (a row of
+relevance signatures per template, from one derivation). A
 statement that carries its text gets its key straight from ``(shape,
 literal texts)`` — no AST — wherever the shape has a *key plan*
 (:meth:`WhatIfOptimizer.statement_template`, DESIGN §6).
@@ -35,7 +38,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Tuple, get_args)
 
 from ..errors import CatalogError, SqlSyntaxError, SqlUnsupportedError
-from .costmodel import (Cost, CostParams, ZERO_COST, cost_build_index,
+from .costmodel import (Cost, CostParams, cost_build_index,
                         cost_build_view, cost_drop_index,
                         cost_full_scan, cost_insert, cost_sort)
 from .index import IndexDef, IndexGeometry, structure_sort_key
@@ -190,6 +193,9 @@ class WhatIfOptimizer:
         #: site (raising :class:`EstimationUnavailable`).
         self.fault_injector = fault_injector
         self._geometry_cache: Dict[Tuple[IndexDef, int], IndexGeometry] = {}
+        #: structure -> :meth:`_build_facts`, per statistics epoch
+        self._build_table: Dict[object, Tuple] = {}
+        self._drop_charge = cost_drop_index(self.params).cpu_units
         self._analyze_cache: Dict[SelectStmt, QueryInfo] = {}
         #: statement shape -> how to read a template key off the
         #: shape's literal texts (``None``: only the AST can tell);
@@ -335,6 +341,35 @@ class WhatIfOptimizer:
         raise SqlUnsupportedError(
             f"what-if costing does not support {type(stmt).__name__}")
 
+    def relevance_signatures(self, template: StatementTemplate,
+                             configs: Iterable[Iterable[IndexDef]]
+                             ) -> List[Tuple]:
+        """``[relevance_signature(template, c) for c in configs]``
+        from **one** such call, on the union of the configurations:
+        a structure serves or not whatever else is there, so each
+        serving subset is the configuration's part of the union's, in
+        the union's order; DML maintenance levels are its own. A plan
+        over several structures would void this (DESIGN §9)."""
+        configs = [frozenset(config) for config in configs]
+        signature = self.relevance_signature(
+            template, frozenset().union(*configs))
+        kind, table = signature[0], template.representative.table
+        if kind == "insert":
+            return [(kind, table, _maintenance_levels(config, table))
+                    for config in configs]
+        serving, served = signature[1], frozenset(signature[1])
+        ordered: Dict[FrozenSet, Tuple] = {}
+        subsets = []
+        for config in configs:
+            hit = config & served
+            if hit not in ordered:
+                ordered[hit] = tuple(d for d in serving if d in hit)
+            subsets.append(ordered[hit])
+        if kind == "select":
+            return [(kind, subset) for subset in subsets]
+        return [(kind, subset, _maintenance_levels(config, table))
+                for subset, config in zip(subsets, configs)]
+
     def _select_signature(self, stmt: SelectStmt) -> Tuple:
         """The selectivity-folded signature of a SELECT.
 
@@ -473,22 +508,19 @@ class WhatIfOptimizer:
     def transition_cost(self, old_config: Iterable[IndexDef],
                         new_config: Iterable[IndexDef]) -> Cost:
         """Cost of changing the physical design: build what's new,
-        drop what's gone."""
+        drop what's gone — per-structure build facts added in
+        :func:`structure_sort_key` order, then one drop charge per
+        dropped structure, each ``Cost`` component from ``0.0``."""
         old, new = frozenset(old_config), frozenset(new_config)
-        cost = ZERO_COST
-        for definition in sorted(new - old, key=structure_sort_key):
-            stats = self._stats_for(definition.table)
-            geometry = self._geometry(definition)
-            if isinstance(definition, ViewDef):
-                cost = cost + cost_build_view(
-                    stats, geometry.n_pages, self.params,
-                    geometry.build_cpu_factor)
-            else:
-                cost = cost + cost_build_index(stats, geometry,
-                                               self.params)
-        for _definition in sorted(old - new, key=structure_sort_key):
-            cost = cost + cost_drop_index(self.params)
-        return cost
+        reads = writes = cpu = 0.0
+        for _key, build_reads, build_writes, build_cpu in sorted(
+                [self._build_facts(d) for d in new - old]):
+            reads += build_reads
+            writes += build_writes
+            cpu += build_cpu
+        for _definition in old - new:
+            cpu += self._drop_charge
+        return Cost(reads, writes, cpu)
 
     def transition_units(self, old_config: Iterable[IndexDef],
                          new_config: Iterable[IndexDef]) -> float:
@@ -513,6 +545,7 @@ class WhatIfOptimizer:
         stale)."""
         self._stats = dict(stats)
         self._geometry_cache.clear()
+        self._build_table.clear()
         self._templates.clear()
         self.stats_epoch += 1
 
@@ -560,6 +593,24 @@ class WhatIfOptimizer:
                     definition.compression)
             self._geometry_cache[key] = geometry
         return geometry
+
+    def _build_facts(self, definition) -> Tuple:
+        """``(sort key, page reads, page writes, cpu units)`` of
+        building ``definition`` under the current statistics."""
+        facts = self._build_table.get(definition)
+        if facts is None:
+            stats = self._stats_for(definition.table)
+            geometry = self._geometry(definition)
+            if isinstance(definition, ViewDef):
+                cost = cost_build_view(stats, geometry.n_pages,
+                                       self.params,
+                                       geometry.build_cpu_factor)
+            else:
+                cost = cost_build_index(stats, geometry, self.params)
+            facts = self._build_table[definition] = (
+                structure_sort_key(definition), cost.page_reads,
+                cost.page_writes, cost.cpu_units)
+        return facts
 
     @staticmethod
     def maintenance_surcharge(config: Iterable[IndexDef],

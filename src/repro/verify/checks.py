@@ -22,9 +22,10 @@
    bit-identical to the serial
    :class:`~repro.core.costmatrix.WhatIfCostProvider` loop and to the
    service's own scalar path (warm and cold), a stats-epoch bump
-   actually invalidates the caches without changing values, and
+   actually invalidates the caches without changing values,
    template keys read off the statement text (template by shape)
-   equal the keys a cold optimizer derives from a full parse.
+   equal the keys a cold optimizer derives from a full parse, and a
+   template's row of signatures equals its per-cell signatures.
 
 4. **Ground truth** (:func:`check_ground_truth`) — what-if estimates
    stay within a per-access-path relative-error budget of the cost
@@ -318,6 +319,18 @@ def check_cost_service(instance: TraceInstance,
         "relevance-signature decomposition saved zero what-if calls "
         f"({cold.stats.whatif_calls} vs "
         f"{undecomposed_calls} undecomposed)")
+
+    # Per-structure facts: the row of signatures the batch fill asks
+    # for equals the per-cell derivation the scalar path runs.
+    structure_sets = [config.structures for config in configs]
+    for template in {t.key: t for t in (
+            optimizer.statement_template(statement)
+            for segment in segments for statement in segment)}.values():
+        result.check(
+            optimizer.relevance_signatures(template, structure_sets) ==
+            [optimizer.relevance_signature(template, structures)
+             for structures in structure_sets], label,
+            "row signatures differ from the per-cell signatures")
 
     # Shape-keyed front end: a template key read off a statement's
     # text by a warm optimizer (shape -> key plan -> literal texts, no

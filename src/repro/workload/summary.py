@@ -242,8 +242,8 @@ def summarize_statements(statements: Iterable[Statement],
     boundaries exactly: empty input yields zero phases and a final
     partial block becomes a short final phase.
     """
-    if block_size <= 0:
-        raise WorkloadError("block_size must be positive")
+    if not isinstance(block_size, int) or block_size < 1:
+        raise WorkloadError("block_size must be an int >= 1")
     phases: List[PhaseSummary] = []
     acc = _PhaseAccumulator(start=0)
     for statement in statements:

@@ -72,6 +72,8 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Statement]:
     Validates the header, then yields one :class:`Statement` per
     record — the input side of the bounded-memory summarization
     pipeline (:func:`repro.workload.summary.summarize_statements`).
+    ``sql`` must be a non-empty string and ``tag`` a string, ``null``
+    or absent; anything else is a ``WorkloadError`` at that line.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -81,10 +83,16 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Statement]:
             if not line:
                 continue
             record = _record(path, line_no, line)
-            if "sql" not in record:
-                raise WorkloadError(
-                    f"{path}:{line_no}: record missing 'sql'")
-            yield Statement(record["sql"], tag=record.get("tag"))
+            sql, tag = record.get("sql"), record.get("tag")
+            if not isinstance(sql, str):
+                raise WorkloadError(f"{path}:{line_no}: 'sql' is not a string")
+            if tag is not None and not isinstance(tag, str):
+                raise WorkloadError(f"{path}:{line_no}: 'tag' is not a string")
+            try:
+                statement = Statement(sql, tag=tag)
+            except WorkloadError as exc:
+                raise WorkloadError(f"{path}:{line_no}: {exc}") from None
+            yield statement
 
 
 def trace_name(path: Union[str, Path]) -> Optional[str]:

@@ -532,13 +532,17 @@ class TestDecomposition:
         service.exec_matrix(small_problem.segments,
                             small_problem.configurations)
         assert service._signature_units
+        signatures = service.stats.unique_signatures
+        assert signatures == sum(
+            len(row) for row in service._signature_units.values())
         service.invalidate()
         assert not service._signature_units
-        assert not service._signature_of
         calls = service.stats.whatif_calls
         service.exec_matrix(small_problem.segments,
                             small_problem.configurations)
         assert service.stats.whatif_calls > calls
+        # The signature count restarts with the caches.
+        assert service.stats.unique_signatures == signatures
 
     def test_l3_keys_distinguish_compression_levels(self, small_db):
         """Cache-conflation regression: compressed variants are

@@ -62,8 +62,8 @@ def test_cost_service_check_detects_poisoned_cache(quick_trace):
     service = trace.service
     service.exec_matrix(trace.problem.segments,
                         trace.problem.configurations)
-    key = next(iter(service._template_units))
-    service._template_units[key] += 0.5
+    row = next(iter(service._template_units.values()))
+    row[next(iter(row))] += 0.5
     result = CheckResult("costservice", "negative")
     check_cost_service(trace, result)
     assert not result.ok

@@ -46,6 +46,14 @@ class TestSummarizeStatements:
         with pytest.raises(WorkloadError):
             summarize_statements(iter([]), 0)
 
+    @pytest.mark.parametrize("block_size", [2.5, 3.0, "3", None, -1])
+    def test_block_size_must_be_a_positive_int(self, repeated_trace,
+                                               block_size):
+        """2.5 used to fold the whole stream into one phase: a
+        running length never equals a fractional block size."""
+        with pytest.raises(WorkloadError):
+            summarize_statements(iter(repeated_trace), block_size)
+
     def test_compresses_repeated_sql(self, repeated_trace):
         summary = summarize_statements(iter(repeated_trace), 12)
         assert summary.n_statements == 12

@@ -98,3 +98,50 @@ class TestMalformedFiles:
         with pytest.raises(WorkloadError) as exc:
             load_trace(path)
         assert f"{path}:1:" in str(exc.value)
+
+
+class TestRecordFields:
+    """A record's ``sql`` / ``tag`` are checked where the line number
+    is known, not left to crash (or pass) further down the pipeline."""
+
+    HEADER = '{"format": "repro-trace", "version": 1}\n'
+
+    def _trace(self, tmp_path, record):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(self.HEADER + '{"sql": "SELECT a FROM t"}\n'
+                        + record + "\n")
+        return path
+
+    @pytest.mark.parametrize("record", [
+        '{"sql": 5}', '{"sql": NaN}', '{"sql": ["SELECT a FROM t"]}'])
+    def test_sql_not_a_string(self, tmp_path, record):
+        path = self._trace(tmp_path, record)
+        with pytest.raises(WorkloadError) as exc:
+            load_trace(path)
+        assert f"{path}:3:" in str(exc.value)
+
+    @pytest.mark.parametrize("record", [
+        '{"sql": ""}', '{"sql": null}', '{"sql": "  "}'])
+    def test_empty_sql_names_the_line(self, tmp_path, record):
+        path = self._trace(tmp_path, record)
+        with pytest.raises(WorkloadError) as exc:
+            load_trace(path)
+        assert f"{path}:3:" in str(exc.value)
+
+    @pytest.mark.parametrize("tag", ['7', '["A"]', '{"mix": "A"}',
+                                     'true'])
+    def test_tag_not_a_string(self, tmp_path, tag):
+        path = self._trace(
+            tmp_path, '{"sql": "SELECT b FROM t", "tag": %s}' % tag)
+        with pytest.raises(WorkloadError) as exc:
+            load_trace(path)
+        assert f"{path}:3:" in str(exc.value)
+        assert "tag" in str(exc.value)
+
+    def test_null_and_absent_tags_accepted(self, tmp_path):
+        path = self._trace(
+            tmp_path, '{"sql": "SELECT b FROM t", "tag": null}\n'
+                      '{"sql": "SELECT c FROM t", "tag": "A"}')
+        loaded = load_trace(path)
+        assert [s.tag for s in loaded] == [None, None, "A"]
+        assert loaded.tag_counts() == {None: 2, "A": 1}
