@@ -6,11 +6,17 @@ node ``(stage i, layer l, config C)`` has a same-layer edge to
 ``(i+1, l, C)`` (no change) and edges to ``(i+1, l+1, C')`` for every
 ``C' != C`` (one more change). With ``k+1`` layers, source-to-sink
 paths are exactly the design sequences with at most k changes, and the
-optimal constrained design is the shortest such path — O(k n |C|^2).
+optimal constrained design is the shortest such path. A design over n
+segments makes at most n changes, so layers above that are never
+built: O(n min(k, n) |C|^2).
 
 We solve the layered DAG with a dynamic program over
 ``dist[layer, config]`` per stage, vectorized with NumPy, with full
-parent tracking for path reconstruction. The pure-Python reference
+parent tracking for path reconstruction. The per-stage change step
+runs over TRANS transposed to ``[c, p]`` (the parent argmin reduces the
+last, contiguous axis), covers only the source layers that can already
+be finite, and walks them in blocks of :data:`_BLOCK` layers through
+one reused buffer (DESIGN §9). The pure-Python reference
 implementation the property tests compare against is
 :func:`repro.verify.reference.reference_constrained`.
 
@@ -37,6 +43,11 @@ from .costmatrix import CostMatrices
 
 _INF = np.inf
 
+#: Source layers per change-step block: a ``(_BLOCK, |C|, |C|)`` float64
+#: buffer is 0.6 MB at |C| = 137 and 1.4 MB at 211, so it stays in cache
+#: while amortizing the per-call NumPy overhead (DESIGN §9 has the sizing).
+_BLOCK = 4
+
 
 @dataclass(frozen=True)
 class ConstrainedResult:
@@ -60,6 +71,11 @@ def solve_constrained(matrices: CostMatrices, k: int,
                       ) -> ConstrainedResult:
     """Shortest path through the (k+1)-layer k-aware sequence graph.
 
+    Only ``min(k, hops) + 1`` layers are built, ``hops`` being the
+    number of transitions that can count as a change (n segments, or
+    n - 1 when C0 -> C1 is free); the result is the same for any larger
+    k.
+
     Args:
         matrices: EXEC/TRANS matrices (with initial/final columns).
         k: maximum number of design changes.
@@ -75,51 +91,62 @@ def solve_constrained(matrices: CostMatrices, k: int,
         raise InfeasibleProblemError(f"change budget k={k} is negative")
     exec_matrix, trans = matrices.exec_matrix, matrices.trans_matrix
     n_seg, n_cfg = exec_matrix.shape
-    n_layers = k + 1
-    # trans with an infinite diagonal: "change" edges must move to a
-    # different configuration (a same-config hop is the stay edge).
-    trans_change = trans.copy()
-    np.fill_diagonal(trans_change, _INF)
+    # A design makes at most one change per hop, so layers above the
+    # hop count stay infinite and the result equals the one at the cap.
+    n_layers = min(k, n_seg if count_initial_change else n_seg - 1) + 1
+    # change[c, p] = TRANS(p -> c) with an infinite diagonal: "change"
+    # edges must move to a different configuration (a same-config hop
+    # is the stay edge), and the parent argmin runs over the last axis.
+    change = trans.T.copy()
+    np.fill_diagonal(change, _INF)
 
     dist = np.full((n_layers, n_cfg), _INF)
     if count_initial_change:
         dist[0, matrices.initial_index] = \
             exec_matrix[0, matrices.initial_index]
         if n_layers > 1:
-            first = trans_change[matrices.initial_index] + exec_matrix[0]
-            better = first < dist[1]
-            dist[1, better] = first[better]
+            dist[1] = change[:, matrices.initial_index] + exec_matrix[0]
     else:
         dist[0] = trans[matrices.initial_index] + exec_matrix[0]
 
     # Parent bookkeeping: for stage i, layer l, config c we record the
-    # predecessor config (same layer and config when "stay").
-    # int32 halves the solver's dominant table; config indices are
-    # bounded by |C| < 2**31.
+    # predecessor config (same layer and config when "stay", the
+    # prefill). int32 halves the solver's dominant table; config
+    # indices are bounded by |C| < 2**31.
     parent_cfg = np.empty((n_seg, n_layers, n_cfg), dtype=np.int32)
-    parent_stay = np.zeros((n_seg, n_layers, n_cfg), dtype=bool)
+    parent_cfg[...] = np.arange(n_cfg, dtype=np.int32)
+    parent_stay = np.ones((n_seg, n_layers, n_cfg), dtype=bool)
     parent_cfg[0] = matrices.initial_index
     parent_stay[0] = False
 
+    new_dist = np.empty_like(dist)
+    n_block = min(_BLOCK, n_layers - 1)
+    reach = np.empty((n_block, n_cfg, n_cfg),
+                     dtype=np.result_type(change, dist))
+    best = np.empty((n_block, n_cfg), dtype=np.intp)
+    # Flat offset of row [l, c] in the block: the argmin gather is one
+    # ``take`` on the raveled buffer.
+    rows = np.arange(n_block * n_cfg).reshape(n_block, n_cfg) * n_cfg
+    # Entering stage i, dist holds segments 0..i-1: i hops so far, the
+    # first free unless counted, so layers above i - lag are infinite
+    # and the change step skips them.
+    lag = 0 if count_initial_change else 1
     for i in range(1, n_seg):
-        stay = dist + exec_matrix[i]
-        new_dist = stay.copy()
-        parent_stay[i] = True
-        parent_cfg[i] = np.arange(n_cfg)
-        if n_layers > 1:
-            # change: from layer l-1, any other config.
-            reach = dist[:-1, :, None] + trans_change[None, :, :]
-            change_parent = np.argmin(reach, axis=1)       # (k, n_cfg)
-            change_cost = np.take_along_axis(
-                reach, change_parent[:, None, :], axis=1)[:, 0, :]
-            change_cost = change_cost + exec_matrix[i]
-            better = change_cost < new_dist[1:]
-            new_dist[1:][better] = change_cost[better]
-            layer_idx, cfg_idx = np.nonzero(better)
-            parent_stay[i, layer_idx + 1, cfg_idx] = False
-            parent_cfg[i, layer_idx + 1, cfg_idx] = \
-                change_parent[layer_idx, cfg_idx]
-        dist = new_dist
+        np.add(dist, exec_matrix[i], out=new_dist)          # stay
+        band = min(i - lag, n_layers - 2) + 1
+        for lo in range(0, band, _BLOCK):
+            hi = min(lo + _BLOCK, band)
+            # change: from layer l, any other config, into layer l+1.
+            block, parent = reach[:hi - lo], best[:hi - lo]
+            np.add(change, dist[lo:hi, None, :], out=block)  # [l, c, p]
+            np.argmin(block, axis=2, out=parent)
+            change_cost = block.take(parent + rows[:hi - lo])
+            change_cost += exec_matrix[i]
+            better = change_cost < new_dist[lo + 1:hi + 1]
+            np.copyto(new_dist[lo + 1:hi + 1], change_cost, where=better)
+            np.copyto(parent_stay[i, lo + 1:hi + 1], False, where=better)
+            np.copyto(parent_cfg[i, lo + 1:hi + 1], parent, where=better)
+        dist, new_dist = new_dist, dist
 
     final = dist
     if matrices.final_index is not None:

@@ -22,6 +22,7 @@ strategies:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -60,19 +61,37 @@ class KSweepResult:
                 for i in range(len(self.costs) - 1)]
 
 
+def _budgets(ks: Optional[Sequence[int]]) -> Optional[List[int]]:
+    """``ks`` as sorted distinct budgets (``None`` stays ``None``: the
+    caller's default range). Raises :class:`DesignError` for an empty
+    list and for any budget that is not a non-negative integer — a
+    float or a bool is refused rather than truncated."""
+    if ks is None:
+        return None
+    ks = list(ks)
+    if not ks:
+        raise DesignError("no budgets given: ks is empty")
+    for k in ks:
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise DesignError(f"budget {k!r} is not an integer")
+        if k < 0:
+            raise DesignError("budgets must be non-negative")
+    return sorted(set(int(k) for k in ks))
+
+
 def sweep_k(matrices: CostMatrices,
             ks: Optional[Sequence[int]] = None,
             count_initial_change: bool = True) -> KSweepResult:
     """Solve the constrained problem for every k in ``ks`` (default:
-    0..l, where l is the unconstrained change count)."""
+    0..l, where l is the unconstrained change count). An empty ``ks``
+    or a budget that is not a non-negative integer raises
+    :class:`DesignError`."""
+    ks = _budgets(ks)
     unconstrained = solve_unconstrained(matrices)
     l_changes = matrices.change_count(unconstrained.assignment,
                                       count_initial_change)
     if ks is None:
-        ks = range(0, l_changes + 1)
-    ks = sorted(set(int(k) for k in ks))
-    if any(k < 0 for k in ks):
-        raise DesignError("budgets must be non-negative")
+        ks = range(l_changes + 1)
     costs = [solve_constrained(matrices, k, count_initial_change).cost
              for k in ks]
     return KSweepResult(ks=tuple(ks), costs=tuple(costs),
@@ -172,15 +191,16 @@ def validated_k(problem: ProblemInstance, provider: CostProvider,
             blocks/phases as the training problem.
         block_size: segmentation used for raw variation workloads
             (summaries carry their own phase boundaries).
-        ks: candidate budgets (default 0..l).
+        ks: candidate budgets (default 0..l), checked as in
+            :func:`sweep_k`.
     """
+    ks = _budgets(ks)
     matrices = build_cost_matrices(problem, provider)
     unconstrained = solve_unconstrained(matrices)
     l_changes = matrices.change_count(unconstrained.assignment,
                                       count_initial_change)
     if ks is None:
-        ks = range(0, l_changes + 1)
-    ks = sorted(set(int(k) for k in ks))
+        ks = range(l_changes + 1)
 
     training_costs: List[float] = []
     designs: Dict[int, DesignSequence] = {}

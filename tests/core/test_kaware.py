@@ -98,6 +98,24 @@ class TestRelationToUnconstrained:
             result = solve_constrained(matrices, k)
             assert result.layers_used <= k
 
+    @pytest.mark.parametrize("count_initial_change", [True, False])
+    @pytest.mark.parametrize("final_index", [None, 1])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_budget_beyond_the_segments_changes_nothing(
+            self, seed, final_index, count_initial_change):
+        """n segments allow at most n changes, so the solver builds no
+        layers above that: a huge k is the k = n answer, to the bit,
+        and costs no more memory (k = 10**6 used to allocate 10**6
+        layers)."""
+        n_seg = 5
+        matrices = random_matrices(n_seg, 4, seed=seed,
+                                   final_index=final_index,
+                                   trans_scale=0.5)
+        at_n = solve_constrained(matrices, n_seg, count_initial_change)
+        for k in (n_seg + 1, 10 ** 6):
+            assert solve_constrained(matrices, k,
+                                     count_initial_change) == at_n
+
 
 class TestCostAccounting:
     @pytest.mark.parametrize("seed", range(5))

@@ -49,6 +49,34 @@ class TestSweepK:
         assert all(g >= -1e-9 for g in sweep.marginal_gains())
 
 
+#: Budgets ``sweep_k`` / ``validated_k`` refuse: an empty list (the
+#: sweep came back empty and ``knee_k`` died with IndexError) and
+#: anything but a non-negative integer (2.7 and True were truncated to
+#: 2 and 1).
+BAD_BUDGETS = [[], [2.7, True], [True], [0, False], [1.0], ["2"], [-1]]
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("ks", BAD_BUDGETS)
+    def test_sweep_k_refuses(self, ks):
+        with pytest.raises(DesignError):
+            sweep_k(random_matrices(4, 3, seed=3), ks=ks)
+
+    @pytest.mark.parametrize("ks", BAD_BUDGETS)
+    def test_validated_k_refuses(self, ks, small_problem,
+                                 small_provider):
+        with pytest.raises(DesignError):
+            validated_k(small_problem, small_provider,
+                        heavy_jitter_variations(), block_size=50, ks=ks)
+
+    def test_integer_budgets_are_sorted_and_deduplicated(self):
+        matrices = random_matrices(6, 3, seed=2)
+        sweep = sweep_k(matrices, ks=[np.int64(4), 0, 4, 2])
+        assert sweep.ks == (0, 2, 4)
+        assert all(type(k) is int for k in sweep.ks)
+        assert sweep.costs == sweep_k(matrices, ks=range(0, 5, 2)).costs
+
+
 class TestKneeK:
     def test_synthetic_knee_detected(self):
         # Cost plunges until k=3 then flattens.

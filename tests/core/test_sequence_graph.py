@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import DesignError
+from repro.core import kaware
+from repro.core.kaware import solve_constrained
 from repro.core.sequence_graph import (SINK, SOURCE, SequenceGraph,
                                        solve_unconstrained)
 from repro.verify.reference import reference_unconstrained
@@ -148,3 +150,27 @@ class TestAllocationBudget:
         # The buffer reuse must not perturb the optimum.
         assert result.cost == pytest.approx(
             reference_unconstrained(matrices).cost)
+
+    def test_kaware_change_step_holds_one_block(self):
+        """The k-aware change step walks the layers in blocks through
+        one reused (_BLOCK x |C| x |C|) buffer: peak traced allocation
+        is one block, the [c, p] change matrix and the parent tables —
+        not the k x |C| x |C| temporary the step used to build per
+        stage."""
+        import tracemalloc
+
+        n_seg, n_cfg, k = 20, 300, 16
+        matrices = random_matrices(n_seg=n_seg, n_cfg=n_cfg, seed=0)
+        solve_constrained(matrices, k)  # warm numpy / import caches
+        tracemalloc.start()
+        solve_constrained(matrices, k)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        square = n_cfg * n_cfg * 8
+        parents_bytes = n_seg * (k + 1) * n_cfg * 5  # int32 + bool
+        slack = 256 * 1024  # gather indices, dist rows, bookkeeping
+        budget = parents_bytes + square + kaware._BLOCK * square + slack
+        assert budget < k * square
+        assert peak < budget, (
+            f"peak {peak} bytes exceeds one {kaware._BLOCK}-layer block "
+            f"plus the change matrix and parent tables ({budget})")

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -73,6 +75,21 @@ class TestRecommendCommand:
                      "--advisor", "unconstrained"]) == 0
         out = capsys.readouterr().out
         assert "unconstrained:" in out
+
+    def test_budget_beyond_the_segments_prints_the_same_design(
+            self, trace_path, capsys):
+        """--k 1000000 builds only the layers 30 segments can use: the
+        same output as --k 30 once timings are stripped (it took ~35 s
+        before the layer cap, and --k 5000000 ran out of memory)."""
+        outputs = []
+        for k in ("30", "1000000"):
+            assert main(["recommend", "--trace", str(trace_path),
+                         "--block-size", "40", "--rows", "20000",
+                         "--k", k]) == 0
+            outputs.append(re.sub(r"[0-9]+(\.[0-9]+)? ?m?s\b", "<t>",
+                                  capsys.readouterr().out))
+        assert "kaware:" in outputs[0]
+        assert outputs[0] == outputs[1]
 
     def test_empty_trace_is_an_error(self, tmp_path, capsys):
         from repro.workload import Workload, save_trace, Statement
