@@ -3,8 +3,9 @@
 Each ``run_*`` function regenerates one table or figure of the paper's
 Section 6 (plus ablations DESIGN.md calls out), returning a structured
 result with a ``format()`` that prints the same rows/series the paper
-reports. The pytest-benchmark wrappers in ``benchmarks/`` call straight
-into these functions.
+reports. ``repro experiment NAME`` runs each one at a stated scale;
+``tests/integration/test_paper_reproduction.py`` asserts their
+qualitative claims.
 
 Scale note: the paper used a 2.5M-row SQL Server table and 15000-query
 workloads. Costs here are deterministic simulation units, so the

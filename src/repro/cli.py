@@ -23,7 +23,9 @@ Commands:
   TRANS plus the workload's cost under every intermediate design,
   print the schedule, then run it through the crash-safe catalog
   operations.
-* ``experiment`` — regenerate a table/figure of the paper.
+* ``experiment`` — regenerate one artefact of the paper's evaluation:
+  Table 1/2, Figure 3/4, the ablations and the extensions (13 names,
+  one runner each in ``_EXPERIMENTS``).
 * ``verify`` — the differential verification harness: cross-check the
   solver implementations against each other, the constrained-solver
   invariants, cost-service bit-identity, what-if estimates against
@@ -55,7 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, bench
 from .core.advisor import (ConstrainedGraphAdvisor, GreedySeqAdvisor,
                            HybridAdvisor, LPAdvisor, MergingAdvisor,
                            UnconstrainedAdvisor)
@@ -87,6 +89,27 @@ _ADVISORS = {
     "greedy-seq": lambda k: GreedySeqAdvisor(
         k, count_initial_change=False),
     "unconstrained": lambda k: UnconstrainedAdvisor(),
+}
+
+#: ``repro experiment NAME`` -> runner taking the shared
+#: :class:`~repro.bench.PaperSetup` and returning the artefact's
+#: result; the one entry point per paper artefact. Table 1 samples
+#: the mixes alone and ignores the setup.
+_EXPERIMENTS = {
+    "table1": lambda setup: bench.run_table1(),
+    "table2": bench.run_table2,
+    "figure3": lambda setup: bench.run_figure3(
+        setup, bench.run_table2(setup), metered=True),
+    "figure4": bench.run_figure4,
+    "greedy-seq": bench.run_ablation_greedy_seq,
+    "ranking": bench.run_ablation_ranking,
+    "hybrid": bench.run_ablation_hybrid,
+    "space-bound": bench.run_ablation_space_bound,
+    "structures": bench.run_ablation_structures,
+    "granularity": bench.run_ablation_granularity,
+    "ktuning": bench.run_extension_ktuning,
+    "robustness": bench.run_extension_robustness,
+    "online": bench.run_extension_online,
 }
 
 
@@ -232,9 +255,9 @@ def _build_parser() -> argparse.ArgumentParser:
     deploy.set_defaults(handler=_cmd_deploy)
 
     experiment = sub.add_parser(
-        "experiment", help="regenerate a table/figure of the paper")
-    experiment.add_argument("name", choices=(
-        "table1", "table2", "figure3", "figure4"))
+        "experiment", help="regenerate a table, figure, ablation or "
+                           "extension of the paper's evaluation")
+    experiment.add_argument("name", choices=list(_EXPERIMENTS))
     experiment.add_argument("--rows", type=int, default=100_000)
     experiment.add_argument("--block-size", type=int, default=100)
     experiment.add_argument("--seed", type=int, default=0)
@@ -547,22 +570,10 @@ def _cmd_deploy(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .bench.experiments import (build_paper_setup, run_figure3,
-                                    run_figure4, run_table1,
-                                    run_table2)
-    if args.name == "table1":
-        print(run_table1().format())
-        return 0
-    setup = build_paper_setup(nrows=args.rows,
-                              block_size=args.block_size,
-                              seed=args.seed)
-    if args.name == "table2":
-        print(run_table2(setup).format())
-    elif args.name == "figure3":
-        table2 = run_table2(setup)
-        print(run_figure3(setup, table2, metered=True).format())
-    else:
-        print(run_figure4(setup).format())
+    setup = bench.build_paper_setup(nrows=args.rows,
+                                    block_size=args.block_size,
+                                    seed=args.seed)
+    print(_EXPERIMENTS[args.name](setup).format())
     return 0
 
 

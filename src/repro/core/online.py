@@ -20,7 +20,7 @@ The tuner is deliberately reactive: on workloads with recurring phases
 it re-pays index builds at every phase boundary and lags each shift by
 however long the evidence takes to accumulate — exactly the behaviour
 that motivates doing the optimization offline when a trace is
-available (see ``benchmarks/bench_ablation_online.py``).
+available (see ``repro experiment online``).
 """
 
 from __future__ import annotations

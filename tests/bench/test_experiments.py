@@ -1,6 +1,7 @@
 """Smoke tests for the experiment harness at tiny scale.
 
-The full-scale assertions live in ``benchmarks/``; these verify the
+The paper's claims are asserted at the ``repro experiment`` scale in
+``tests/integration/test_paper_reproduction.py``; these verify the
 harness machinery (setup builders, result structures, report
 rendering) quickly.
 """
@@ -59,19 +60,12 @@ class TestFigure3:
         assert len(result.relative) == 6
         assert "Figure 3" in result.format()
 
-    def test_metered_mode_runs(self, tiny_setup):
-        result = run_figure3(tiny_setup, metered=True)
-        assert all(v > 0 for v in result.relative.values())
-        # Engine left clean.
-        assert tiny_setup.db.current_configuration() == frozenset()
-
 
 class TestFigure4:
     def test_series_lengths(self, tiny_setup):
         result = run_figure4(tiny_setup, ks=(2, 6, 10), repeats=2)
         assert len(result.graph_relative) == 3
         assert len(result.merging_relative) == 3
-        assert result.unconstrained_seconds > 0
         assert "Figure 4" in result.format()
 
 
