@@ -18,6 +18,7 @@ final partial block) are handled once, without list indexing.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -55,6 +56,21 @@ class Segment:
         return f"Segment([{self.start}:{self.end}]{tag})"
 
 
+def check_block_size(block_size) -> int:
+    """``block_size`` as an ``int`` >= 1, or a :class:`WorkloadError`.
+
+    Numpy integers are accepted; a float or a bool is refused rather
+    than truncated — a running count never equals 2.5, so a fractional
+    block would silently make the whole stream one block.
+    """
+    if (isinstance(block_size, bool)
+            or not isinstance(block_size, numbers.Integral)
+            or block_size < 1):
+        raise WorkloadError(
+            f"block_size must be an int >= 1, got {block_size!r}")
+    return int(block_size)
+
+
 def iter_segments_by_count(statements: Iterable[Statement],
                            block_size: int) -> Iterator[Segment]:
     """Stream fixed-size blocks from any statement iterable.
@@ -64,8 +80,7 @@ def iter_segments_by_count(statements: Iterable[Statement],
     partial block (including a single-statement trace) is emitted as a
     well-formed short segment.
     """
-    if block_size <= 0:
-        raise WorkloadError("block_size must be positive")
+    block_size = check_block_size(block_size)
     block: List[Statement] = []
     start = 0
     for statement in statements:

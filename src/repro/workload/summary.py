@@ -32,12 +32,13 @@ verify family 7.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
                     Union)
 
 from ..errors import WorkloadError
 from .model import Statement, Workload
-from .segmentation import Segment
+from .segmentation import Segment, check_block_size
 
 
 @dataclass(frozen=True)
@@ -200,35 +201,30 @@ def atoms_of(unit: CostUnit) -> Iterator[Tuple[Statement, int]]:
         yield statement, weight
 
 
-class _PhaseAccumulator:
-    """Mutable per-phase atom table used by the streaming builders."""
-
-    __slots__ = ("grouped", "tag_counts", "start", "length")
-
-    def __init__(self, start: int):
-        self.grouped: Dict[str, List] = {}
-        self.tag_counts: Dict[str, int] = {}
-        self.start = start
-        self.length = 0
-
-    def add(self, statement: Statement) -> None:
-        entry = self.grouped.get(statement.sql)
-        if entry is None:
-            self.grouped[statement.sql] = [statement, 1]
-        else:
-            entry[1] += 1
+def _fold(statements: Iterable[Statement], start: int,
+          tag: Optional[str] = None) -> PhaseSummary:
+    """One phase from its statements: atoms keyed by SQL text in
+    first-appearance order, each represented by its first occurrence.
+    ``tag`` overrides the dominant tag — the most frequent non-None
+    tag, the first seen on a tie."""
+    first: Dict[str, Statement] = {}
+    counts: Dict[str, int] = {}
+    tag_counts: Dict[str, int] = {}
+    for statement in statements:
+        sql = statement.sql
+        count = counts.get(sql)
+        if count is None:
+            first[sql] = statement
+            count = 0
+        counts[sql] = count + 1
         if statement.tag is not None:
-            self.tag_counts[statement.tag] = \
-                self.tag_counts.get(statement.tag, 0) + 1
-        self.length += 1
-
-    def finish(self, tag: Optional[str] = None) -> PhaseSummary:
-        if tag is None and self.tag_counts:
-            tag = max(self.tag_counts, key=lambda t: self.tag_counts[t])
-        atoms = tuple(WorkloadAtom(statement, weight)
-                      for statement, weight in self.grouped.values())
-        return PhaseSummary(atoms=atoms, start=self.start,
-                            length=self.length, tag=tag)
+            tag_counts[statement.tag] = \
+                tag_counts.get(statement.tag, 0) + 1
+    if tag is None and tag_counts:
+        tag = max(tag_counts, key=tag_counts.__getitem__)
+    atoms = tuple(map(WorkloadAtom, first.values(), counts.values()))
+    return PhaseSummary(atoms=atoms, start=start,
+                        length=sum(counts.values()), tag=tag)
 
 
 def summarize_statements(statements: Iterable[Statement],
@@ -242,18 +238,16 @@ def summarize_statements(statements: Iterable[Statement],
     boundaries exactly: empty input yields zero phases and a final
     partial block becomes a short final phase.
     """
-    if not isinstance(block_size, int) or block_size < 1:
-        raise WorkloadError("block_size must be an int >= 1")
+    block_size = check_block_size(block_size)
+    statements = iter(statements)
     phases: List[PhaseSummary] = []
-    acc = _PhaseAccumulator(start=0)
-    for statement in statements:
-        acc.add(statement)
-        if acc.length == block_size:
-            phases.append(acc.finish())
-            acc = _PhaseAccumulator(start=acc.start + acc.length)
-    if acc.length:
-        phases.append(acc.finish())
-    return WorkloadSummary(phases, name=name)
+    start = 0
+    while True:
+        phase = _fold(islice(statements, block_size), start)
+        if not phase.length:
+            return WorkloadSummary(phases, name=name)
+        phases.append(phase)
+        start = phase.end
 
 
 def summarize_workload(workload: Workload,
@@ -269,10 +263,7 @@ def summarize_segment(segment: Segment) -> PhaseSummary:
     The resulting phase costs bit-identically to the segment under
     every cost provider (same atoms, same order, same weights).
     """
-    acc = _PhaseAccumulator(start=segment.start)
-    for statement in segment:
-        acc.add(statement)
-    return acc.finish(tag=segment.tag)
+    return _fold(segment, segment.start, segment.tag)
 
 
 def summarize_segments(segments: Iterable[Segment],

@@ -16,12 +16,20 @@ from .model import Statement, Workload
 
 _FORMAT_VERSION = 1
 
+#: One JSON value from the start of a string, with where it ended. On a
+#: stripped line, a dict ending at ``len(line)`` is exactly what
+#: ``json.loads(line)`` returns; anything else (a BOM, trailing data,
+#: invalid JSON, a non-object) goes through :func:`_record` for its
+#: error.
+_decode = json.JSONDecoder().raw_decode
+
 
 def save_trace(workload: Workload, path: Union[str, Path]) -> int:
     """Write a workload as JSONL; returns the statement count.
 
-    The first line is a header record carrying the format version and
-    the workload name.
+    The first line is a header record carrying the format version, the
+    workload name and the statement count ``n``, which
+    :func:`iter_trace` checks at end of file.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
@@ -73,16 +81,25 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Statement]:
     record — the input side of the bounded-memory summarization
     pipeline (:func:`repro.workload.summary.summarize_statements`).
     ``sql`` must be a non-empty string and ``tag`` a string, ``null``
-    or absent; anything else is a ``WorkloadError`` at that line.
+    or absent; anything else is a ``WorkloadError`` at that line. A
+    header with an integer ``n`` must match the record count: a trace
+    cut short (or grown) is a ``WorkloadError`` at end of file, not a
+    different workload.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
-        _, header_line = _read_header(path, handle)
+        header, header_line = _read_header(path, handle)
+        records = 0
         for line_no, line in enumerate(handle, start=header_line + 1):
             line = line.strip()
             if not line:
                 continue
-            record = _record(path, line_no, line)
+            try:
+                record, end = _decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line) or not isinstance(record, dict):
+                record = _record(path, line_no, line)
             sql, tag = record.get("sql"), record.get("tag")
             if not isinstance(sql, str):
                 raise WorkloadError(f"{path}:{line_no}: 'sql' is not a string")
@@ -92,7 +109,13 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Statement]:
                 statement = Statement(sql, tag=tag)
             except WorkloadError as exc:
                 raise WorkloadError(f"{path}:{line_no}: {exc}") from None
+            records += 1
             yield statement
+    expected = header.get("n")
+    if (isinstance(expected, int) and not isinstance(expected, bool)
+            and expected != records):
+        raise WorkloadError(f"{path}: header records n={expected}, "
+                            f"file has {records} records")
 
 
 def trace_name(path: Union[str, Path]) -> Optional[str]:

@@ -1,5 +1,6 @@
 """Unit tests for workload segmentation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -33,6 +34,23 @@ class TestSegmentByCount:
     def test_zero_block_raises(self, workload):
         with pytest.raises(WorkloadError):
             segment_by_count(workload, 0)
+
+    @pytest.mark.parametrize("split", [
+        segment_by_count,
+        lambda statements, size: list(iter_segments_by_count(
+            iter(statements), size))], ids=["list", "iter"])
+    @pytest.mark.parametrize("block_size", [2.5, 3.0, "3", None, -1,
+                                            True])
+    def test_block_size_must_be_a_positive_int(self, workload, split,
+                                               block_size):
+        """2.5 used to make the whole stream one segment: a block's
+        length never equals a fractional block size. True is not 1."""
+        with pytest.raises(WorkloadError):
+            split(workload, block_size)
+
+    def test_numpy_block_size_accepted(self, workload):
+        segments = segment_by_count(workload, np.int64(3))
+        assert [(s.start, len(s)) for s in segments] == [(0, 3), (3, 3)]
 
     def test_dominant_tag(self, workload):
         segments = segment_by_count(workload, 3)

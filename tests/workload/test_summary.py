@@ -1,5 +1,6 @@
 """Unit tests for the compressed workload-summary IR."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
@@ -46,13 +47,19 @@ class TestSummarizeStatements:
         with pytest.raises(WorkloadError):
             summarize_statements(iter([]), 0)
 
-    @pytest.mark.parametrize("block_size", [2.5, 3.0, "3", None, -1])
+    @pytest.mark.parametrize("block_size", [2.5, 3.0, "3", None, -1,
+                                            True])
     def test_block_size_must_be_a_positive_int(self, repeated_trace,
                                                block_size):
         """2.5 used to fold the whole stream into one phase: a
         running length never equals a fractional block size."""
         with pytest.raises(WorkloadError):
             summarize_statements(iter(repeated_trace), block_size)
+
+    def test_numpy_block_size_accepted(self, repeated_trace):
+        assert [(p.start, p.length) for p in summarize_statements(
+            iter(repeated_trace), np.int64(5)).phases] == \
+            [(0, 5), (5, 5), (10, 2)]
 
     def test_compresses_repeated_sql(self, repeated_trace):
         summary = summarize_statements(iter(repeated_trace), 12)

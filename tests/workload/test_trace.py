@@ -145,3 +145,48 @@ class TestRecordFields:
         loaded = load_trace(path)
         assert [s.tag for s in loaded] == [None, None, "A"]
         assert loaded.tag_counts() == {None: 2, "A": 1}
+
+
+class TestRecordCount:
+    """``save_trace`` writes the statement count ``n`` into the header;
+    a file whose records disagree with it was cut short or appended to
+    and must not load as a different workload."""
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        save_trace(Workload([Statement(f"SELECT a FROM t WHERE a = {i}")
+                             for i in range(3)], name="w"), path)
+        return path
+
+    def test_one_line_missing(self, tmp_path):
+        path = self._saved(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        with pytest.raises(WorkloadError) as exc:
+            load_trace(path)
+        assert str(exc.value) == \
+            f"{path}: header records n=3, file has 2 records"
+
+    def test_one_line_extra(self, tmp_path):
+        path = self._saved(tmp_path)
+        with path.open("a") as handle:
+            handle.write('{"sql": "SELECT b FROM t"}\n')
+        with pytest.raises(WorkloadError) as exc:
+            load_trace(path)
+        assert str(exc.value) == \
+            f"{path}: header records n=3, file has 4 records"
+
+    def test_blank_lines_are_not_records(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_text(path.read_text().replace("\n", "\n\n"))
+        assert len(load_trace(path)) == 3
+
+    @pytest.mark.parametrize("header", [
+        '{"format": "repro-trace", "version": 1}',
+        '{"format": "repro-trace", "version": 1, "n": "5"}',
+        '{"format": "repro-trace", "version": 1, "n": true}'])
+    def test_header_without_integer_n_is_not_checked(self, tmp_path,
+                                                     header):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(header + '\n{"sql": "SELECT a FROM t"}\n')
+        assert len(load_trace(path)) == 1
