@@ -40,9 +40,7 @@ Commands:
 
 ``recommend`` and ``costs`` stream the trace through the workload
 summarizer in bounded memory — the advisor works on per-phase
-``(statement, weight)`` atoms and never sees the raw statement list;
-the ``lp`` advisor solves the summarized problem by LP-relaxation +
-rounding with a certified optimality gap.
+``(statement, weight)`` atoms and never sees the raw statement list.
 
 The CLI is self-contained: ``recommend`` infers the schema from the
 trace's queries and populates a synthetic table, so no database setup
@@ -392,11 +390,6 @@ def _cmd_recommend(args) -> int:
     recommendation = advisor.recommend(problem, provider)
     print(f"\n{recommendation.summary()}")
     print(recommendation.design.format_table())
-    if "gap" in recommendation.stats:
-        print(f"optimality: true optimum within "
-              f"[{recommendation.stats['lower_bound']:.1f}, "
-              f"{recommendation.cost:.1f}] "
-              f"(gap {recommendation.stats['gap']:.1f})")
     costing = recommendation.costing
     if costing is not None:
         print(f"costing: {costing['whatif_calls']} what-if calls "

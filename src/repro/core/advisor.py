@@ -11,8 +11,7 @@ Advisors never look inside the sequence axis of a
 :class:`~repro.core.problem.ProblemInstance`: raw segments and
 summarized phases cost bit-identically, so any advisor accepts
 either. On summaries, matrix building scales with atoms instead of
-raw statements, and :class:`LPAdvisor` keeps the solve itself
-independent of the change budget as well.
+raw statements.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .design import DesignSequence, design_from_indices
 from .greedy_seq import reduce_problem
 from .hybrid import solve_hybrid
 from .kaware import solve_constrained
-from .lp_advisor import solve_lp_rounding
 from .merging import merge_to_k
 from .problem import ProblemInstance
 from .ranking import solve_by_ranking
@@ -201,34 +199,29 @@ class ConstrainedGraphAdvisor(Advisor):
 
 
 class LPAdvisor(Advisor):
-    """Constrained designs via LP-relaxation + rounding — the
-    scalable alternative to the exact k-aware DP.
-
-    The solve is O(iterations x n x |C|^2) independent of k, and the
-    result carries a certified optimality interval:
-    ``stats["lower_bound"] <= optimum <= cost`` with
-    ``stats["gap"] = cost - lower_bound`` (zero when the relaxation
-    is tight). Intended for summarized problems where phases, not
-    statements, form the sequence axis; exact on any instance where
-    the unconstrained optimum already fits the budget.
+    """The exact constrained optimum under the ``lp`` name: the
+    unconstrained optimum when it fits the budget, else the k-aware DP
+    (``stats["method"]`` says which). The optimality interval is exact,
+    ``stats["lower_bound"] == cost`` and ``stats["gap"] == 0.0``.
     """
 
     name = "lp"
 
-    def __init__(self, k: int, count_initial_change: bool = True,
-                 max_iterations: int = 48):
+    def __init__(self, k: int, count_initial_change: bool = True):
         super().__init__(count_initial_change)
         self.k = k
-        self.max_iterations = max_iterations
 
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
-        result = solve_lp_rounding(matrices, self.k,
-                                   self.count_initial_change,
-                                   max_iterations=self.max_iterations)
+        result = solve_unconstrained(matrices)
+        method = "unconstrained"
+        if matrices.change_count(result.assignment,
+                                 self.count_initial_change) > self.k:
+            result = solve_constrained(matrices, self.k,
+                                       self.count_initial_change)
+            method = "kaware"
         return (result.assignment, result.cost,
-                {"k": self.k, "lower_bound": result.lower_bound,
-                 "gap": result.gap, "iterations": result.iterations,
-                 "method": result.method})
+                {"k": self.k, "lower_bound": result.cost, "gap": 0.0,
+                 "method": method})
 
 
 class MergingAdvisor(Advisor):

@@ -48,10 +48,10 @@ first-appearance order. Swapping a :class:`~repro.core.costmatrix.
 WhatIfCostProvider` for a :class:`CostService`, or a raw trace for
 its summary, never changes a single matrix entry — only how many
 optimizer calls (and how much per-statement bookkeeping) it took to
-fill them. With a fault injector attached, decomposition switches
-itself off: the degradation ladder is keyed per (template,
-configuration) and the fault firing order is part of the chaos
-family's determinism contract.
+fill them. A fault injector changes none of this: the degradation
+ladder runs once per (template, signature) group, and a degraded
+answer fills its group for that batch without entering either exact
+tier.
 """
 
 from __future__ import annotations
@@ -114,7 +114,8 @@ class CostEstimationStats:
             counter to defer design changes.
         stale_fallbacks / upper_bound_fallbacks: which rung of the
             degradation ladder resolved each newly degraded
-            (template, config) pair.
+            (template, signature) group, estimated against the
+            group's first configuration.
     """
 
     whatif_calls: int = 0
@@ -339,32 +340,11 @@ class CostService:
                 n_statements += weight
             unit_atoms.append((rows, weights))
 
-        # One estimate per (template, signature) not yet cached — or,
-        # with an injector attached, per (template, configuration).
+        # One estimate per (template, signature) not yet cached.
         calls_before = self.stats.whatif_calls
-        degraded_cells: set = set()
         units = np.empty((len(templates), len(configs)),
                          dtype=np.float64)
-        if self._decomposing:
-            self._fill_decomposed(units, templates, configs)
-        else:
-            # Fault-injected path: the legacy config-outer loop. Its
-            # (template, config) issue order is part of the chaos
-            # family's determinism contract.
-            for j, config in enumerate(configs):
-                for r, template in enumerate(templates):
-                    known = self._template_units[template.key]
-                    value = known.get(config)
-                    if value is None:
-                        value, degraded = self._issue_template(
-                            template, config)
-                        if degraded:
-                            degraded_cells.add((r, j))
-                        else:
-                            known[config] = value
-                    else:
-                        self.stats.template_hits += 1
-                    units[r, j] = value
+        degraded_cells = self._fill_decomposed(units, templates, configs)
 
         matrix = np.zeros((len(segments), len(configs)),
                           dtype=np.float64)
@@ -388,7 +368,7 @@ class CostService:
         self.stats.batched_templates += len(templates)
         issued = self.stats.whatif_calls - calls_before
         self.stats.whatif_calls_avoided += \
-            n_statements * len(configs) - issued - len(degraded_cells)
+            n_statements * len(configs) - issued - degraded_cells
         self.stats.exec_seconds += time.perf_counter() - start
         return matrix
 
@@ -448,14 +428,6 @@ class CostService:
             self.invalidate()
             self._stats_epoch = self.optimizer.stats_epoch
 
-    @property
-    def _decomposing(self) -> bool:
-        # A fault injector keeps the undecomposed path: the
-        # degradation ladder is keyed per (template, config), and
-        # sharing estimates across configs would change which cells a
-        # fault lands on.
-        return self.optimizer.fault_injector is None
-
     def _saw_signature(self, template_key: Tuple, sig: Tuple) -> None:
         pair = (template_key, sig)
         if pair not in self._signature_keys:
@@ -480,25 +452,22 @@ class CostService:
             self.stats.template_hits += 1
             self.stats.whatif_calls_avoided += 1
             return units
-        by_signature = None
-        if self._decomposing:
-            sig = self.optimizer.relevance_signature(
-                template, config.structures)
-            self._saw_signature(template.key, sig)
-            by_signature = self._signature_units.setdefault(
-                template.key, {})
-            units = by_signature.get(sig)
-            if units is not None:
-                self.stats.signature_hits += 1
-                self.stats.whatif_calls_avoided += 1
-                known[config] = units
-                return units
+        sig = self.optimizer.relevance_signature(
+            template, config.structures)
+        self._saw_signature(template.key, sig)
+        by_signature = self._signature_units.setdefault(
+            template.key, {})
+        units = by_signature.get(sig)
+        if units is not None:
+            self.stats.signature_hits += 1
+            self.stats.whatif_calls_avoided += 1
+            known[config] = units
+            return units
         units, degraded = self._issue_template(template, config)
         if not degraded:
             # Degraded answers never enter the exact caches.
             known[config] = units
-            if by_signature is not None:
-                by_signature[sig] = units
+            by_signature[sig] = units
         return units
 
     def _issue_template(self, template: StatementTemplate,
@@ -545,7 +514,7 @@ class CostService:
 
     def _fill_decomposed(self, units: np.ndarray,
                          templates: Sequence[StatementTemplate],
-                         configs: Sequence[Configuration]) -> None:
+                         configs: Sequence[Configuration]) -> int:
         """Fill the (templates x configs) unit matrix through the
         signature tier: one estimate per (template, relevant subset),
         every configuration sharing the subset filled from it.
@@ -556,8 +525,11 @@ class CostService:
         signature; a signature the signature tier lacks is estimated
         against the first configuration carrying it (any sharer
         yields the same bits — the decomposition invariant the verify
-        harness checks).
+        harness checks). That estimate goes through the degradation
+        ladder; a degraded answer fills the group's cells for this
+        batch only. Returns the number of cells filled degraded.
         """
+        degraded_cells = 0
         for r, template in enumerate(templates):
             known = self._template_units[template.key]
             row = [known.get(config) for config in configs]
@@ -571,17 +543,26 @@ class CostService:
                     groups.setdefault(sig, []).append(j)
                 by_signature = self._signature_units.setdefault(
                     template.key, {})
+                degraded_cols: List[int] = []
                 for sig, cols in groups.items():
                     self._saw_signature(template.key, sig)
                     value = by_signature.get(sig)
                     if value is None:
-                        value, _degraded = self._issue_template(
+                        value, degraded = self._issue_template(
                             template, configs[cols[0]])
-                        by_signature[sig] = value
-                        self.stats.signature_fills += len(cols) - 1
+                        if degraded:
+                            degraded_cols += cols
+                        else:
+                            by_signature[sig] = value
+                            self.stats.signature_fills += len(cols) - 1
                     else:
                         self.stats.signature_hits += len(cols)
                     for j in cols:
                         row[j] = value
+                if degraded_cols:
+                    # Degraded answers never enter the exact tiers.
+                    degraded_cells += len(degraded_cols)
+                    missing = sorted(set(missing).difference(degraded_cols))
                 known.update((configs[j], row[j]) for j in missing)
             units[r] = row
+        return degraded_cells

@@ -1,11 +1,10 @@
-"""LP-relaxation + rounding solver for the constrained problem.
+"""LP-relaxation + rounding: a reference bound, not an advisor path.
 
-The k-aware DP (:mod:`repro.core.kaware`) is exact but its table is
-O(k x n x |C|) — for summarized multi-tenant traces with generous
-change budgets the layer dimension is pure overhead. This module
-solves the same phase-sequence problem by *Lagrangian relaxation* of
-the change-budget constraint, which for a shortest-path problem with
-one side constraint coincides with the LP-relaxation dual bound:
+``LPAdvisor`` runs the exact k-aware DP, which is faster at every
+size the repo runs; verify family 7 keeps this solver as its
+reference bound. It relaxes the change-budget constraint in the
+Lagrangian way, which for a shortest-path problem with one side
+constraint coincides with the LP-relaxation dual bound:
 
 * For a multiplier ``lam >= 0``, charge every counted change edge an
   extra ``lam`` and solve the now-unconstrained sequence graph with
@@ -26,8 +25,7 @@ The reported ``lower_bound`` and ``gap = cost - lower_bound`` certify
 solution quality: the true constrained optimum lies in
 ``[lower_bound, cost]``. When the unconstrained optimum already fits
 the budget (``lam = 0`` feasible) the result is exact and the gap is
-zero. Verify family 7 cross-checks the bound and the constraints
-against the exact DP on reference instances.
+zero.
 
 Counting conventions match :mod:`repro.core.kaware`: with
 ``count_initial_change`` (strict Definition 1) the C0 -> C1 hop is
@@ -81,6 +79,10 @@ def solve_lp_rounding(matrices: CostMatrices, k: int,
                       tolerance: float = 1e-9) -> LPResult:
     """Solve the k-constrained problem by LP-relaxation + rounding.
 
+    No advisor calls it. It is exported from :mod:`repro.core` only
+    for the advisor benchmark's ledger, and moves to
+    :mod:`repro.verify.reference` once the ledger does without it.
+
     Args:
         matrices: EXEC/TRANS matrices (with initial/final columns).
         k: maximum number of design changes.
@@ -92,7 +94,7 @@ def solve_lp_rounding(matrices: CostMatrices, k: int,
             stops.
 
     Runtime is O(iterations x n x |C|^2) — independent of k, unlike
-    the exact DP's O(k x n x |C|^2) table.
+    the exact DP's O(min(k, n) x n x |C|^2) table.
     """
     if k < 0:
         raise InfeasibleProblemError(f"change budget k={k} is negative")

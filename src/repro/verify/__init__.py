@@ -21,9 +21,10 @@ these check families:
    convergence under injected faults (:mod:`repro.faults`, run via
    ``repro chaos``);
 7. scale advisor — the compressed workload-summary formulation fills
-   bit-identical cost matrices, and the LP-relaxation solver's
-   certified interval contains the exact DP optimum while its
-   solution stays feasible;
+   bit-identical cost matrices, and the reference LP bound sits
+   below the lower convex envelope of the exact cost curve, which
+   sits below the optimum, while the LP's rounded solution stays
+   feasible;
 9. bandit safety — the safety-gated online bandit tuner stays within
    its regression bound of stay-put under every adversarial chaos
    scenario, never decides on degraded evidence, and respects its

@@ -45,10 +45,10 @@
    compressed workload-summary formulation must fill EXEC/TRANS
    matrices bit-identical to the raw segmented problem (the weighted
    atom fold is the *same* fold, not an approximation), and the
-   LP-relaxation solver's output must be feasible (budget, space
-   bound, endpoints — the same invariant hook as family 2) with its
-   certified interval ``[lower_bound, cost]`` actually containing the
-   exact DP optimum. (Family 6, fault resilience, lives in
+   reference LP-relaxation solver's output must be feasible (budget,
+   space bound, endpoints — the same invariant hook as family 2) with
+   ``lower_bound <= envelope(k) <= optimum(k) <= cost`` on the exact
+   cost-vs-k curve. (Family 6, fault resilience, lives in
    :mod:`repro.faults.chaos`.)
 
 8. **Deployment** (:func:`check_deployment`) — the compression axis
@@ -80,8 +80,8 @@ from ..errors import InfeasibleProblemError
 from ..sqlengine.sql.ast import SelectStmt
 from ..sqlengine.sql.parser import _Parser
 from .generators import MatrixInstance, TraceInstance
-from .reference import (graph_shortest_path, reference_constrained,
-                        reference_unconstrained)
+from .reference import (graph_shortest_path, lower_convex_envelope,
+                        reference_constrained, reference_unconstrained)
 from .report import CheckResult
 
 #: Relative-error budgets for estimate-vs-executed cost units, per
@@ -540,24 +540,26 @@ def check_summary_formulation(instance: TraceInstance,
 
 def check_lp_bounds(instance: MatrixInstance,
                     result: CheckResult) -> None:
-    """LP-relaxation feasibility and certified bounds (family 7).
+    """Reference LP feasibility and bounds (family 7).
 
     For every budget up to just past the unconstrained change count,
     in both counting modes: the LP solution must pass the same
     invariant hook as the exact DP (budget, space bound, cost
-    consistency), and its certified interval must contain the DP
-    optimum — ``lower_bound <= dp.cost <= lp.cost`` with
-    ``lp.cost - dp.cost <= gap``. A relative epsilon absorbs the
-    dual bound's floating-point accumulation; the feasibility checks
-    are exact.
+    consistency), and ``lower_bound <= envelope(k) <= dp.cost <=
+    lp.cost`` with ``lp.cost - dp.cost <= gap``, where ``envelope`` is
+    the lower convex envelope of ``k -> dp.cost``. A relative epsilon
+    absorbs the dual bound's floating-point accumulation; the
+    feasibility checks are exact.
     """
     matrices = instance.matrices
     for count_initial in (True, False):
         mode = f"count_initial={count_initial}"
         max_k = _max_useful_k(matrices, count_initial)
-        for k in range(0, max_k + 2):
+        optima = [solve_constrained(matrices, k, count_initial)
+                  for k in range(0, max_k + 2)]
+        envelope = lower_convex_envelope([dp.cost for dp in optima])
+        for k, dp in enumerate(optima):
             where = f"{instance.label} k={k} {mode}"
-            dp = solve_constrained(matrices, k, count_initial)
             lp = solve_lp_rounding(matrices, k, count_initial)
             violations = constrained_invariant_violations(
                 matrices, lp, k, count_initial_change=count_initial,
@@ -570,8 +572,12 @@ def check_lp_bounds(instance: MatrixInstance,
                 result.passed()
             epsilon = 1e-9 * max(1.0, abs(dp.cost))
             result.check(
-                lp.lower_bound <= dp.cost + epsilon, where,
-                f"LP lower bound {lp.lower_bound!r} exceeds the DP "
+                lp.lower_bound <= envelope[k] + epsilon, where,
+                f"LP lower bound {lp.lower_bound!r} exceeds the "
+                f"convex envelope {envelope[k]!r} of the DP curve")
+            result.check(
+                envelope[k] <= dp.cost + epsilon, where,
+                f"convex envelope {envelope[k]!r} exceeds the DP "
                 f"optimum {dp.cost!r}")
             result.check(
                 lp.cost >= dp.cost - epsilon, where,

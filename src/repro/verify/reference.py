@@ -11,7 +11,7 @@ tests require exact (0 ulp) agreement with them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.costmatrix import CostMatrices
 from ..core.kaware import ConstrainedResult
@@ -91,6 +91,20 @@ def graph_shortest_path(graph: SequenceGraph) -> ShortestPathResult:
         assignment=assignment,
         cost=graph.matrices.sequence_cost(assignment),
         change_count=graph.matrices.change_count(assignment))
+
+
+def lower_convex_envelope(values: Sequence[float]) -> List[float]:
+    """The lower convex envelope of the curve ``values`` at each index.
+
+    With ``values[j]`` the exact optimum under at most j changes, the
+    envelope at k is the Lagrangian dual of the change budget: the
+    best bound any multiplier can certify. In one dimension it is the
+    cheapest chord over a pair ``a < k < b``, or ``values[k]`` itself.
+    """
+    n = len(values)
+    return [min([values[k]] + [
+        ((b - k) * values[a] + (k - a) * values[b]) / (b - a)
+        for a in range(k) for b in range(k + 1, n)]) for k in range(n)]
 
 
 def reference_constrained(matrices: CostMatrices, k: int,

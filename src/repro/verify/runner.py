@@ -88,8 +88,8 @@ def run_verification(seed: int = 0, instances: int = 50,
                         "executor plan trees, per statement x config")
     scaleadvisor = CheckResult(
         "scaleadvisor", "summary formulation bit-identical to raw "
-                        "matrices; LP solution feasible with a "
-                        "certified bound containing the DP optimum")
+                        "matrices; reference LP feasible, LP bound <= "
+                        "convex envelope <= DP optimum <= LP cost")
     deployment = CheckResult(
         "deployment", "level-NONE structures bitwise uncompressed; "
                       "signatures never conflate levels; schedules "

@@ -572,13 +572,35 @@ class TestDecomposition:
         assert not np.array_equal(dec.exec_matrix[:, none_col],
                                   dec.exec_matrix[:, heavy_col])
 
-    def test_fault_injector_disables_decomposition(self, small_db):
+    def test_idle_injector_runs_the_same_fill(self, small_db,
+                                              paper_candidates):
+        """An attached injector that never fires changes neither a
+        cell nor a counter: the fill tested under faults is the fill
+        that ships, batch and scalar."""
         from repro.faults import FaultInjector, FaultPlan
-        injector = FaultInjector(FaultPlan(specs=()), seed=0)
-        optimizer = small_db.what_if()
-        optimizer.fault_injector = injector
-        service = CostService(optimizer)
-        assert service._decomposing is False
-        plain = CostService(small_db.what_if())
-        assert plain._decomposing is True
+        problem = _problem("W1", paper_candidates)
+        counters = ("whatif_calls", "signature_hits", "signature_fills")
+
+        def run(injector):
+            batch_optimizer = small_db.what_if()
+            batch_optimizer.fault_injector = injector
+            batch = CostService(batch_optimizer)
+            matrix = batch.exec_matrix(problem.segments,
+                                       problem.configurations)
+            scalar_optimizer = small_db.what_if()
+            scalar_optimizer.fault_injector = injector
+            scalar = CostService(scalar_optimizer)
+            replay = [scalar.exec_cost(segment, config)
+                      for segment in problem.segments
+                      for config in problem.configurations]
+            return (matrix, replay,
+                    [getattr(batch.stats, c) for c in counters],
+                    [getattr(scalar.stats, c) for c in counters])
+
+        watched = run(FaultInjector(FaultPlan(specs=()), seed=0))
+        plain = run(None)
+        assert np.array_equal(watched[0], plain[0])
+        assert watched[1:] == plain[1:]
+        # Not vacuous: both routes shared estimates across configs.
+        assert plain[2][2] > 0 and plain[3][1] > 0
 

@@ -1,11 +1,13 @@
-"""Unit tests for the LP-relaxation + rounding solver and advisor."""
+"""Unit tests for the LP-relaxation + rounding reference solver, the\n``lp`` advisor, and the convex envelope that judges the LP bound."""
 
 import pytest
 
 from repro.core import (ConstrainedGraphAdvisor, LPAdvisor,
-                        solve_lp_rounding, summarize_problem)
+                        UnconstrainedAdvisor, solve_lp_rounding,
+                        summarize_problem)
 from repro.core.kaware import solve_constrained
 from repro.errors import InfeasibleProblemError
+from repro.verify.reference import lower_convex_envelope
 
 from .helpers import brute_force_best, random_matrices
 
@@ -82,26 +84,40 @@ class TestSolveLPRounding:
 
 
 class TestLPAdvisor:
-    def test_recommendation_carries_interval(self, small_problem,
-                                             small_provider):
-        recommendation = LPAdvisor(2).recommend(small_problem,
-                                                small_provider)
-        stats = recommendation.stats
-        assert stats["k"] == 2
-        assert stats["gap"] == recommendation.cost - \
-            stats["lower_bound"]
-        assert stats["method"] in ("unconstrained", "dual",
-                                   "dual+merge")
-        assert recommendation.change_count <= 2
+    """``lp`` runs the exact solve: the k-aware optimum, zero gap."""
 
-    def test_dominated_by_exact_dp(self, small_problem,
-                                   small_provider):
-        lp = LPAdvisor(1).recommend(small_problem, small_provider)
-        dp = ConstrainedGraphAdvisor(1).recommend(small_problem,
-                                                  small_provider)
-        epsilon = 1e-9 * max(1.0, abs(dp.cost))
-        assert lp.cost >= dp.cost - epsilon
-        assert lp.stats["lower_bound"] <= dp.cost + epsilon
+    @pytest.mark.parametrize("count_initial", [True, False])
+    @pytest.mark.parametrize("k", range(5))
+    def test_cost_equals_kaware(self, small_problem, small_provider,
+                                small_matrices, k, count_initial):
+        lp = LPAdvisor(k, count_initial).recommend(
+            small_problem, small_provider, small_matrices)
+        dp = ConstrainedGraphAdvisor(k, count_initial).recommend(
+            small_problem, small_provider, small_matrices)
+        assert lp.cost == dp.cost
+        assert lp.change_count <= k
+        assert lp.stats["gap"] == 0.0
+        assert lp.stats["lower_bound"] == lp.cost
+
+    def test_recommendation_carries_interval(self, small_problem,
+                                             small_provider,
+                                             small_matrices):
+        """The interval is exact, and ``method`` names the solve."""
+        free = UnconstrainedAdvisor().recommend(
+            small_problem, small_provider, small_matrices)
+        assert free.change_count > 0
+        slack, tight = (
+            LPAdvisor(k).recommend(small_problem, small_provider,
+                                   small_matrices)
+            for k in (free.change_count, free.change_count - 1))
+        assert slack.stats["method"] == "unconstrained"
+        assert slack.cost == free.cost
+        assert tight.stats["method"] == "kaware"
+        assert tight.change_count <= free.change_count - 1
+        for recommendation in (slack, tight):
+            assert recommendation.stats["lower_bound"] == \
+                recommendation.cost
+            assert recommendation.stats["gap"] == 0.0
 
     def test_summary_problem_same_interval(self, small_problem,
                                            small_provider):
@@ -111,3 +127,28 @@ class TestLPAdvisor:
         assert compressed.cost == raw.cost
         assert compressed.stats["lower_bound"] == \
             raw.stats["lower_bound"]
+
+
+class TestLowerConvexEnvelope:
+    #: Non-convex: f(1) sits above the chord 0 -> 2, f(3) on the
+    #: chord 2 -> 4.
+    F = [10.0, 9.0, 4.0, 3.5, 3.0, 3.0]
+
+    def test_hand_made_curve(self):
+        assert lower_convex_envelope(self.F) == \
+            [10.0, 7.0, 4.0, 3.5, 3.0, 3.0]
+
+    def test_is_the_lagrangian_dual(self):
+        """At every k the envelope is the best multiplier's bound;
+        the hull's slopes (3, 0.5, 0) are the candidate multipliers."""
+        envelope = lower_convex_envelope(self.F)
+        for k in range(len(self.F)):
+            dual = max(min(f + lam * (j - k)
+                           for j, f in enumerate(self.F))
+                       for lam in (3.0, 0.5, 0.0))
+            assert envelope[k] == dual
+
+    def test_convex_curve_is_its_own_envelope(self):
+        assert lower_convex_envelope([8.0, 4.0, 2.0, 1.0]) == \
+            [8.0, 4.0, 2.0, 1.0]
+        assert lower_convex_envelope([5.0]) == [5.0]

@@ -131,6 +131,51 @@ def test_exec_matrix_survives_partial_degradation():
         assert np.all(matrix >= clean - 1e-9)
 
 
+def test_degraded_groups_stay_out_of_the_exact_tiers():
+    """A degraded answer fills its signature group for one batch only:
+    neither exact tier keeps it, and once the faults clear the next
+    fill re-issues exactly the degraded group."""
+    segments = [_segment("SELECT a FROM t WHERE a = 1"),
+                _segment("SELECT b FROM t WHERE b = 2")]
+    index_a = Configuration({IndexDef("t", ("a",))})
+    index_b = Configuration({IndexDef("t", ("b",))})
+    configs = [EMPTY_CONFIGURATION, index_a, index_b,
+               index_a.with_index(IndexDef("t", ("b",)))]
+    clean = CostService(_database().what_if())
+    expected = clean.exec_matrix(segments, configs)
+
+    service = CostService(_database().what_if())
+    service.exec_matrix(segments, configs[:2])
+    service.optimizer.fault_injector = _injector(PERMANENT)
+    avoided = service.stats.whatif_calls_avoided
+    degraded = service.exec_matrix(segments, configs)
+    # The a-query's new columns share known signatures; the b-query's
+    # two I(b) columns are one new group, and that group degrades.
+    assert service.stats.signature_hits == 2
+    assert service.stats.degraded_estimates == 1
+    assert service.stats.whatif_calls_avoided - avoided == 8 - 2
+    assert np.array_equal(degraded[:, :2], expected[:, :2])
+    assert np.array_equal(degraded[0], expected[0])
+    assert np.all(degraded[1, 2:] > expected[1, 2:])
+    assert sum(map(len, service._template_units.values())) == 8 - 2
+    assert sum(map(len, service._signature_units.values())) == 3
+    for tier, reference in ((service._template_units,
+                             clean._template_units),
+                            (service._signature_units,
+                             clean._signature_units)):
+        for key, row in tier.items():
+            assert all(reference[key][cell] == value
+                       for cell, value in row.items())
+
+    service.optimizer.fault_injector = None
+    calls = service.stats.whatif_calls
+    recovered = service.exec_matrix(segments, configs)
+    assert service.stats.whatif_calls - calls == 1
+    assert np.array_equal(recovered, expected)
+    assert service._template_units == clean._template_units
+    assert service._signature_units == clean._signature_units
+
+
 def test_fault_free_service_reports_no_degradation():
     service = CostService(_database().what_if())
     service.exec_cost(_segment(), EMPTY_CONFIGURATION)

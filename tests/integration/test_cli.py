@@ -180,14 +180,21 @@ class TestSummaryPath:
                      "--block-size", "40", "--rows", "20000"]) == 0
         assert "detected k = 2" in capsys.readouterr().out
 
-    def test_lp_advisor_reports_interval(self, trace_path, capsys):
-        assert main(["recommend", "--trace", str(trace_path),
-                     "--block-size", "40", "--rows", "20000",
-                     "--k", "2", "--advisor", "lp"]) == 0
-        out = capsys.readouterr().out
-        assert "lp:" in out
-        assert "optimality: true optimum within" in out
-        assert "gap" in out
+    def test_lp_advisor_matches_kaware(self, trace_path, capsys):
+        """``lp`` runs the exact solve: the same cost and change count
+        as ``kaware``, and no interval line."""
+        summaries = {}
+        for advisor in ("lp", "kaware"):
+            assert main(["recommend", "--trace", str(trace_path),
+                         "--block-size", "40", "--rows", "20000",
+                         "--k", "2", "--advisor", advisor]) == 0
+            out = capsys.readouterr().out
+            assert "optimality:" not in out
+            line = next(line for line in out.splitlines()
+                        if line.startswith(f"{advisor}: cost="))
+            summaries[advisor] = line.split(", time=")[0]
+        assert summaries["lp"].replace("lp:", "kaware:", 1) == \
+            summaries["kaware"]
 
     def test_costs_summary(self, trace_path, capsys):
         assert main(["costs", "--trace", str(trace_path),
