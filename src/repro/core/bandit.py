@@ -50,7 +50,7 @@ without being charged.
 
 Materialization is production-shaped: with a database attached, every
 switch is ordered by :func:`~repro.core.deployment.schedule_deployment`
-against the observation's own segment and executed through the
+against the observation's own phase and executed through the
 crash-safe, resumable :func:`~repro.core.deployment.execute_deployment`
 path; a faulted deployment is resumed once and otherwise rolled back
 (the honest landed configuration becomes the incumbent, and the valve
@@ -68,8 +68,8 @@ from ..errors import (DesignError, EstimationUnavailable,
 from ..workload.analysis import (BlockProfile, ShiftReport,
                                  detect_shifts_from_profiles,
                                  dominant_column, segment_profile)
-from ..workload.segmentation import Segment, iter_segments_by_count
 from ..workload.model import Statement
+from ..workload.summary import PhaseSummary, iter_phases
 from .costmatrix import CostProvider
 from .design import DesignSequence
 from .structures import (Configuration, EMPTY_CONFIGURATION,
@@ -238,7 +238,7 @@ class BanditTuner:
             schedule_deployment` and executed crash-safely; without
             it the tuner pays ``provider.trans_cost`` abstractly.
         decay: per-observation reward decay.
-        observe_every: statements per observation segment.
+        observe_every: statements per observation (one phase).
         seed: exploration seed — with a fault-free provider the whole
             decision sequence is a deterministic function of it.
         initial: the baseline (stay-put) configuration.
@@ -342,17 +342,21 @@ class BanditTuner:
 
     def run(self, statements: Sequence[Statement]) -> BanditResult:
         """Tune over a statement stream, one observation per
-        ``observe_every`` consecutive statements."""
+        ``observe_every`` consecutive statements.
+
+        Each observation is folded once into a
+        :class:`~repro.workload.summary.PhaseSummary`
+        (:func:`~repro.workload.summary.iter_phases`), and that one
+        unit goes to the profile, every estimate, the bound and the
+        deployment schedule — no call re-groups the statements.
+        """
         self.reset()
         snapshot = None
         if callable(getattr(self.provider, "stats_snapshot", None)):
             snapshot = self.provider.stats_snapshot()
-        any_segment = False
-        for segment in iter_segments_by_count(statements,
-                                              self.observe_every):
-            any_segment = True
-            self._observe(segment)
-        if not any_segment:
+        for phase in iter_phases(statements, self.observe_every):
+            self._observe(phase)
+        if not self._observation:
             raise DesignError("empty statement stream")
         costing = None
         if snapshot is not None:
@@ -375,7 +379,7 @@ class BanditTuner:
     # one observation
     # ------------------------------------------------------------------
 
-    def _observe(self, segment: Segment) -> None:
+    def _observe(self, segment: PhaseSummary) -> None:
         obs = self._observation
         self._observation += 1
         self.stats.observations += 1

@@ -73,6 +73,19 @@ from .structures import Configuration
 _FOLD_BLOCK = 1024
 
 
+class _TemplateRow(dict):
+    """One template's exact estimates, ``{configuration: units}``,
+    carrying the template they price. Every SQL text of the template
+    maps to the same row, so the scalar route reaches a text's
+    estimates in one lookup by text and never hashes a template key."""
+
+    __slots__ = ("template",)
+
+    def __init__(self, template: StatementTemplate):
+        super().__init__()
+        self.template = template
+
+
 @dataclass
 class CostEstimationStats:
     """Counters for one :class:`CostService` (monotone within a stats
@@ -195,11 +208,11 @@ class CostService:
         self.retry_policy = retry_policy
         self.stats = CostEstimationStats()
         self._stats_epoch = optimizer.stats_epoch
-        self._template_by_sql: Dict[str, StatementTemplate] = {}
         # Exact estimates, template first: {template key:
-        # {configuration: units}}; _template opens a template's row.
-        self._template_units: Dict[Tuple,
-                                   Dict[Configuration, float]] = {}
+        # {configuration: units}}; _row opens a template's row and
+        # files it under each SQL text of the template.
+        self._template_units: Dict[Tuple, _TemplateRow] = {}
+        self._row_by_sql: Dict[str, _TemplateRow] = {}
         self._trans_cache: Dict[Tuple[Configuration, Configuration],
                                 float] = {}
         self._size_cache: Dict[Configuration, int] = {}
@@ -229,18 +242,30 @@ class CostService:
     def exec_cost(self, segment: CostUnit,
                   config: Configuration) -> float:
         """EXEC(unit, config): the canonical weighted left-fold over
-        the unit's atoms (one estimate per distinct SQL)."""
+        the unit's atoms (one estimate per distinct SQL). An atom whose
+        text and configuration are known costs one lookup by text and
+        one by configuration."""
         self._check_epoch()
         start = time.perf_counter()
+        stats = self.stats
+        rows = self._row_by_sql
         total = 0.0
         for statement, weight in atoms_of(segment):
-            units = self._statement_units_for(statement, config)
+            row = rows.get(statement.sql)
+            if row is None:
+                row = self._row(statement)
+            units = row.get(config)
+            if units is None:
+                units = self._row_miss(row, config)
+            else:
+                stats.template_hits += 1
+                stats.whatif_calls_avoided += 1
             if weight > 1:
                 # Every statement beyond the representative is served
                 # from the atom's single estimate.
-                self.stats.whatif_calls_avoided += weight - 1
+                stats.whatif_calls_avoided += weight - 1
             total += units * weight
-        self.stats.exec_seconds += time.perf_counter() - start
+        stats.exec_seconds += time.perf_counter() - start
         return total
 
     def trans_cost(self, old: Configuration,
@@ -276,7 +301,7 @@ class CostService:
         self._check_epoch()
         total = 0.0
         for statement, weight in atoms_of(segment):
-            template = self._template(statement)
+            template = self._row(statement).template
             key = (template.key, config)
             units = self._upper_bound_units.get(key)
             if units is None:
@@ -328,7 +353,7 @@ class CostService:
             for statement, weight in atoms_of(segment):
                 row = sql_row.get(statement.sql)
                 if row is None:
-                    template = self._template(statement)
+                    template = self._row(statement).template
                     row = template_row.get(template.key)
                     if row is None:
                         row = len(templates)
@@ -410,8 +435,8 @@ class CostService:
         """
         for key, known in self._template_units.items():
             self._stale_units.setdefault(key, {}).update(known)
-        self._template_by_sql.clear()
         self._template_units.clear()
+        self._row_by_sql.clear()
         self._trans_cache.clear()
         self._size_cache.clear()
         self._degraded_units.clear()
@@ -434,24 +459,25 @@ class CostService:
             self._signature_keys.add(pair)
             self.stats.unique_signatures = len(self._signature_keys)
 
-    def _template(self, statement) -> StatementTemplate:
-        template = self._template_by_sql.get(statement.sql)
-        if template is None:
+    def _row(self, statement) -> _TemplateRow:
+        """The exact-estimate row of ``statement``'s template — one
+        lookup by SQL text once the text has been seen."""
+        row = self._row_by_sql.get(statement.sql)
+        if row is None:
             template = self.optimizer.statement_template(statement)
-            self._template_by_sql[statement.sql] = template
-            self._template_units.setdefault(template.key, {})
-            self.stats.unique_templates = len(self._template_units)
-        return template
+            row = self._template_units.get(template.key)
+            if row is None:
+                row = self._template_units[template.key] = \
+                    _TemplateRow(template)
+                self.stats.unique_templates = len(self._template_units)
+            self._row_by_sql[statement.sql] = row
+        return row
 
-    def _statement_units_for(self, statement,
-                             config: Configuration) -> float:
-        template = self._template(statement)
-        known = self._template_units[template.key]
-        units = known.get(config)
-        if units is not None:
-            self.stats.template_hits += 1
-            self.stats.whatif_calls_avoided += 1
-            return units
+    def _row_miss(self, known: _TemplateRow,
+                  config: Configuration) -> float:
+        """The units of a cell the template tier lacks: from the
+        signature tier, else one estimate through the ladder."""
+        template = known.template
         sig = self.optimizer.relevance_signature(
             template, config.structures)
         self._saw_signature(template.key, sig)

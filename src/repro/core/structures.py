@@ -33,15 +33,17 @@ class Configuration:
     index notation, e.g. ``{I(a,b), I(c)}``.
     """
 
-    __slots__ = ("_indexes", "_hash")
+    __slots__ = ("_indexes", "_hash", "_label")
 
     def __init__(self, indexes: Iterable[IndexDef] = ()):
         self._indexes: FrozenSet[IndexDef] = frozenset(indexes)
-        # Hash is memoized lazily: configurations are probed against
-        # the costing caches far more often than they are built, but
-        # enumeration also builds many configurations that are never
-        # hashed at all (space-bound rejects).
+        # Hash and label are memoized lazily: configurations are probed
+        # against the costing caches (and sorted by label) far more
+        # often than they are built, but enumeration also builds many
+        # configurations that are never hashed at all (space-bound
+        # rejects).
         self._hash: Optional[int] = None
+        self._label: Optional[str] = None
 
     # -- set-ish interface ------------------------------------------------
 
@@ -118,11 +120,12 @@ class Configuration:
 
     @property
     def label(self) -> str:
-        if not self._indexes:
-            return "{}"
-        return "{" + ", ".join(
-            d.label for d in sorted(self._indexes,
-                                    key=structure_sort_key)) + "}"
+        value = self._label
+        if value is None:
+            value = self._label = "{" + ", ".join(
+                d.label for d in sorted(self._indexes,
+                                        key=structure_sort_key)) + "}"
+        return value
 
     def __repr__(self) -> str:
         return f"Configuration({self.label})"

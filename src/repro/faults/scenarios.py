@@ -55,7 +55,7 @@ from ..workload.mixes import (PAPER_MIXES, PAPER_VALUE_RANGE,
 from ..workload.generator import workload_from_block_mixes
 from ..workload.model import Workload
 from ..workload.perturb import jitter_blocks
-from ..workload.segmentation import iter_segments_by_count
+from ..workload.summary import iter_phases
 from .chaos import chaos_database
 from .injector import (FaultInjector, FaultPlan, FaultSpec, PERMANENT,
                        SLOW, TRANSIENT)
@@ -330,12 +330,12 @@ def _clean_audit(scenario: ChaosScenario, seed: int, nrows: int,
     stayput = 0.0
     prefix_ok = True
     baseline = result.design.initial
-    for obs, segment in enumerate(iter_segments_by_count(
-            workload.statements, scenario.block_size)):
+    for obs, phase in enumerate(iter_phases(workload.statements,
+                                            scenario.block_size)):
         realized += pre_trans.get(obs, 0.0)
-        config = assignments[segment.start]
-        realized += service.exec_cost(segment, config)
-        stayput += service.exec_cost(segment, baseline)
+        config = assignments[phase.start]
+        realized += service.exec_cost(phase, config)
+        stayput += service.exec_cost(phase, baseline)
         realized += post_trans.get(obs, 0.0)
         allowed = (stayput * (1.0 + scenario.regression_bound) +
                    scenario.slack_units + 1e-6)

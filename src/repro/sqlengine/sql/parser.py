@@ -56,6 +56,22 @@ def parse(sql: str) -> Statement:
     return statement
 
 
+def shape_statement(sql: str) -> Optional[Statement]:
+    """The AST stored for ``sql``'s shape when :func:`parse` would bind
+    ``sql`` from its literals alone, else ``None`` (:func:`parse` then
+    parses in full, and may raise).
+
+    The AST is the shape's first member, with *its* literal values:
+    read off it only what the literals do not decide — the statement
+    kind, table, columns and predicate columns. The answer costs one
+    literal split and the binder's literal checks, no AST."""
+    shape, literals = split_literals(sql)
+    plan = _SHAPES.get(shape)
+    if plan is None or plan.values(literals) is None:
+        return None
+    return plan.statement
+
+
 def binds_shape(shape: Tuple[str, ...]) -> bool:
     """Whether :func:`parse` binds statements of ``shape`` from their
     literals alone. The literal texts :func:`split_literals` gives for
@@ -107,22 +123,35 @@ class _BindPlan:
         bound = plan.bind([source for _, source in spans])
         return plan if bound == statement else None
 
+    def values(self, literals: Sequence[str]) -> Optional[List[Value]]:
+        """The values of a member's literal texts, or ``None`` when
+        only the full parser can tell (a literal that fails conversion,
+        a LIMIT that is not a non-negative integer) — the one check
+        behind :meth:`bind` and :func:`shape_statement`."""
+        try:
+            values = [literal_value(source) for source in literals]
+        except SqlSyntaxError:
+            return None
+        if isinstance(self.statement, SelectStmt) and \
+                self.statement.limit is not None:
+            # LIMIT is a SELECT's last literal.
+            limit = values[-1]
+            if not isinstance(limit, int) or limit < 0:
+                return None
+        return values
+
     def bind(self, literals: Sequence[str]) -> Optional[Statement]:
         """The statement these literals spell, or ``None`` when only
         the full parser can tell (it then raises what it always
         raised, with a position)."""
-        try:
-            values = iter([literal_value(source) for source in literals])
-        except SqlSyntaxError:
+        checked = self.values(literals)
+        if checked is None:
             return None
+        values = iter(checked)
         base = self.statement
         if isinstance(base, SelectStmt):
             where = _bind_where(base.where, values)
-            limit = base.limit
-            if limit is not None:
-                limit = next(values)
-                if not isinstance(limit, int) or limit < 0:
-                    return None
+            limit = None if base.limit is None else next(values)
             return SelectStmt(table=base.table, columns=base.columns,
                               where=where, limit=limit,
                               aggregates=base.aggregates,

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SqlError, WorkloadError
 from ..sqlengine.sql.ast import SelectStmt
+from ..sqlengine.sql.parser import shape_statement
 from .model import Statement, Workload
 from .segmentation import iter_segments_by_count
 from .summary import WorkloadSummary, atoms_of
@@ -254,10 +255,18 @@ def _window_average(profiles: Sequence[BlockProfile], start: int,
 
 
 def _queried_column(statement: Statement) -> Optional[str]:
-    try:
-        ast = statement.ast
-    except SqlError:
-        return None
+    """The one column a point query's WHERE touches, else ``None``.
+
+    The column is read off the shape's stored AST whenever ``parse``
+    would bind the statement (it has the same predicate columns);
+    otherwise off the statement's own AST, so a statement that does
+    not parse profiles as ``<other>``."""
+    ast = shape_statement(statement.sql)
+    if ast is None:
+        try:
+            ast = statement.ast
+        except SqlError:
+            return None
     if not isinstance(ast, SelectStmt) or ast.where is None:
         return None
     columns = {p.column for p in ast.where.predicates}

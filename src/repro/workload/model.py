@@ -20,14 +20,23 @@ class Statement:
     """One workload statement.
 
     Args:
-        sql: the statement text.
-        tag: optional label (e.g. the query-mix name it was drawn from).
+        sql: the statement text, a non-blank ``str``.
+        tag: optional label (e.g. the query-mix name it was drawn
+            from), a ``str`` or ``None``.
+
+    Raises:
+        WorkloadError: ``sql`` is not a string or is blank, or ``tag``
+            is neither a string nor ``None``.
     """
 
     __slots__ = ("sql", "tag", "_ast")
 
     def __init__(self, sql: str, tag: Optional[str] = None):
-        if not sql or not sql.strip():
+        if not isinstance(sql, str):
+            raise WorkloadError("'sql' is not a string")
+        if tag is not None and not isinstance(tag, str):
+            raise WorkloadError("'tag' is not a string")
+        if not sql.strip():
             raise WorkloadError("empty SQL statement")
         self.sql = sql
         self.tag = tag

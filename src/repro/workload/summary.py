@@ -14,10 +14,11 @@ representation:
   :class:`~repro.workload.segmentation.Segment` would carry.
 * :class:`WorkloadSummary` — the phase sequence for a whole trace.
 
-Summaries are built by **streaming**: :func:`summarize_statements`
-consumes any statement iterable (a generator, a trace file being read
-line by line) holding only the current phase's atom table in memory —
-never the statement list. The atom table is bounded by the number of
+Summaries are built by **streaming**: :func:`iter_phases` (and
+:func:`summarize_statements`, which collects its phases) consumes any
+statement iterable (a generator, a trace file being read line by line)
+holding only the current phase's atom table in memory — never the
+statement list. The atom table is bounded by the number of
 distinct SQL texts, which for generated point-query workloads is the
 value-domain size, not the trace length.
 
@@ -227,27 +228,35 @@ def _fold(statements: Iterable[Statement], start: int,
                         length=sum(counts.values()), tag=tag)
 
 
-def summarize_statements(statements: Iterable[Statement],
-                         block_size: int,
-                         name: Optional[str] = None) -> WorkloadSummary:
-    """Stream a statement iterable into a phase-per-block summary.
+def iter_phases(statements: Iterable[Statement],
+                block_size: int) -> Iterator[PhaseSummary]:
+    """Stream a statement iterable as one phase per block.
 
-    Memory use is bounded by the largest per-phase atom table — the
-    raw statements are never materialized. Mirrors
-    :func:`~repro.workload.segmentation.iter_segments_by_count` phase
-    boundaries exactly: empty input yields zero phases and a final
-    partial block becomes a short final phase.
+    Only the current phase's atom table is held — the raw statements
+    are never materialized. The phase boundaries are exactly those of
+    :func:`~repro.workload.segmentation.iter_segments_by_count`: empty
+    input yields no phase and a final partial block becomes a short
+    final phase; each phase equals ``summarize_segment`` of its
+    segment. The online tuner observes these phases one at a time.
     """
     block_size = check_block_size(block_size)
     statements = iter(statements)
-    phases: List[PhaseSummary] = []
     start = 0
     while True:
         phase = _fold(islice(statements, block_size), start)
         if not phase.length:
-            return WorkloadSummary(phases, name=name)
-        phases.append(phase)
+            return
+        yield phase
         start = phase.end
+
+
+def summarize_statements(statements: Iterable[Statement],
+                         block_size: int,
+                         name: Optional[str] = None) -> WorkloadSummary:
+    """Stream a statement iterable into a phase-per-block summary
+    (the phases of :func:`iter_phases`)."""
+    return WorkloadSummary(iter_phases(statements, block_size),
+                           name=name)
 
 
 def summarize_workload(workload: Workload,

@@ -100,13 +100,9 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Statement]:
                 end = -1
             if end != len(line) or not isinstance(record, dict):
                 record = _record(path, line_no, line)
-            sql, tag = record.get("sql"), record.get("tag")
-            if not isinstance(sql, str):
-                raise WorkloadError(f"{path}:{line_no}: 'sql' is not a string")
-            if tag is not None and not isinstance(tag, str):
-                raise WorkloadError(f"{path}:{line_no}: 'tag' is not a string")
             try:
-                statement = Statement(sql, tag=tag)
+                statement = Statement(record.get("sql"),
+                                      tag=record.get("tag"))
             except WorkloadError as exc:
                 raise WorkloadError(f"{path}:{line_no}: {exc}") from None
             records += 1

@@ -175,7 +175,7 @@ class TestScalarCaching:
 
         # A literal no batch has seen: new SQL text, known template.
         literal = Statement("SELECT a FROM t WHERE a = 123457")
-        assert literal.sql not in service._template_by_sql
+        assert literal.sql not in service._row_by_sql
         fresh = Segment((literal,), 0)
         hits = stats.template_hits
         service.exec_cost(fresh, configs[0])

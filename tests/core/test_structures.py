@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import (Configuration, EMPTY_CONFIGURATION,
                         single_index_configurations)
+from repro.core.structures import Compression
 from repro.sqlengine import IndexDef
+from repro.sqlengine.views import ViewDef
 
 A = IndexDef("t", ("a",))
 B = IndexDef("t", ("b",))
@@ -97,3 +99,27 @@ class TestHashMemoization:
     def test_memoized_hash_matches_frozenset(self):
         config = Configuration({A, B})
         assert hash(config) == hash(frozenset({A, B}))
+
+
+class TestLabelMemoization:
+    @pytest.mark.parametrize("structures, rendered", [
+        ((), "{}"),
+        ((B, A), "{I(a), I(b)}"),
+        ((ViewDef("t", ("c", "d")), A.with_compression(Compression.HEAVY),
+          B, ViewDef("t", ("a", "b")).with_compression(Compression.LIGHT)),
+         "{I(a)@H, I(b), V(a,b)@L, V(c,d)}"),
+    ])
+    def test_label_is_the_rendered_form(self, structures, rendered):
+        config = Configuration(structures)
+        assert config.label == rendered
+        assert config.label == \
+            "{" + ", ".join(d.label for d in config) + "}"
+        assert str(config) == rendered
+        assert repr(config) == f"Configuration({rendered})"
+
+    def test_repeated_reads_return_the_same_object(self):
+        config = Configuration({A, AB})
+        assert config._label is None  # lazy until first read
+        first = config.label
+        assert config.label is first
+        assert config._label is first

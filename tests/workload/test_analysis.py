@@ -187,10 +187,14 @@ class TestQueriedColumn:
         assert profile.frequencies == {"<other>": 1.0}
 
     def test_other_exceptions_propagate(self, monkeypatch):
+        import repro.sqlengine.sql.parser as parser
         import repro.workload.model as model
 
         def broken(_sql):
             raise RuntimeError("not a SQL error")
         monkeypatch.setattr(model, "parse", broken)
+        # No shape is bound, so the column comes off the statement's
+        # own AST — the parse that raises.
+        monkeypatch.setattr(parser, "_SHAPES", {})
         with pytest.raises(RuntimeError):
             _queried_column(Statement("SELECT a FROM t WHERE a = 1"))

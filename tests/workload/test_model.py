@@ -18,6 +18,23 @@ class TestStatement:
         with pytest.raises(WorkloadError):
             Statement("   ")
 
+    @pytest.mark.parametrize("sql", [
+        5, None, b"SELECT a FROM t WHERE a = 1",
+        ["SELECT a FROM t WHERE a = 1"]])
+    def test_non_string_sql_raises(self, sql):
+        with pytest.raises(WorkloadError, match="^'sql' is not a string$"):
+            Statement(sql)
+
+    @pytest.mark.parametrize("tag", [3, b"A", ["A"]])
+    def test_non_string_tag_raises(self, tag):
+        with pytest.raises(WorkloadError, match="^'tag' is not a string$"):
+            Statement("SELECT a FROM t WHERE a = 1", tag=tag)
+
+    def test_tag_is_checked_before_blank_sql(self):
+        # The order the trace reader always reported in.
+        with pytest.raises(WorkloadError, match="'tag' is not a string"):
+            Statement(" ", tag=3)
+
     def test_equality_includes_tag(self):
         assert Statement("SELECT a FROM t", tag="A") == \
             Statement("SELECT a FROM t", tag="A")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload import (Statement, Workload, atoms_of,
-                            iter_segments_by_count, segment_by_count,
+from repro.workload import (Segment, Statement, Workload, atoms_of,
+                            iter_phases, iter_segments_by_count,
+                            segment_by_count,
                             summarize_segment, summarize_segments,
                             summarize_statements, summarize_workload)
 from repro.workload.summary import PhaseSummary, WorkloadAtom
@@ -92,6 +93,41 @@ class TestSummarizeStatements:
         summary = summarize_statements(iter(repeated_trace), 5)
         assert [(p.start, p.length, p.tag) for p in summary.phases] \
             == [(s.start, len(s), s.tag) for s in segments]
+
+
+class TestIterPhases:
+    @pytest.mark.parametrize("n", [0, 1, 7, 12])
+    def test_one_fold_for_every_block_size(self, n):
+        """The streaming phases, the collected summary and the
+        segment-by-segment fold are the same phases, for every block
+        size from one statement to past the whole stream."""
+        trace = [_point(i % 4, column="ab"[i % 3 == 0],
+                        tag=[None, "A", "B"][i % 3]) for i in range(n)]
+        for block_size in range(1, n + 2):
+            streamed = tuple(iter_phases(iter(trace), block_size))
+            assert streamed == \
+                summarize_statements(iter(trace), block_size).phases
+            assert streamed == tuple(map(summarize_segment,
+                                         iter_segments_by_count(
+                                             trace, block_size)))
+        assert tuple(iter_phases(iter(trace), n + 1)) == (
+            (summarize_segment(Segment(tuple(trace), 0)),) if n else ())
+
+    def test_streams_one_phase_at_a_time(self):
+        drawn = []
+
+        def source():
+            for i in range(10):
+                drawn.append(i)
+                yield _point(i)
+        phases = iter_phases(source(), 4)
+        assert next(phases).end == 4
+        assert len(drawn) <= 5  # the next block is not read ahead
+        assert [p.start for p in phases] == [4, 8]
+
+    def test_bad_block_size_raises_on_first_phase(self):
+        with pytest.raises(WorkloadError):
+            next(iter_phases(iter([]), 0))
 
 
 class TestSummarizeSegments:
