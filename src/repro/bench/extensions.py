@@ -12,10 +12,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.advisor import (ConstrainedGraphAdvisor,
                             UnconstrainedAdvisor)
+from ..core.bandit import BanditTuner, ReactiveRule, default_arms
 from ..core.costmatrix import build_cost_matrices
 from ..core.ktuning import (KSweepResult, ValidatedKResult, knee_k,
                             sweep_k, validated_k)
-from ..core.online import OnlineTuner
 from ..core.robustness import RobustnessReport, compare_robustness
 from ..workload.perturb import jitter_blocks, resample_values
 from .experiments import COUNT_INITIAL_CHANGE, PaperSetup
@@ -134,7 +134,6 @@ class OnlineComparisonResult:
     jittered repeat of it."""
 
     rows: List[Tuple[str, float, int]]  # (label, cost, changes)
-    online_decisions: int
 
     def format(self) -> str:
         rows = [[label, f"{cost:.0f}", changes]
@@ -167,8 +166,9 @@ def run_extension_online(setup: PaperSetup,
         problem, setup.provider, matrices)
     if cooldown is None:
         cooldown = setup.block_size // 2
-    tuner = OnlineTuner(setup.candidates, setup.provider, decay=decay,
-                        build_factor=build_factor, cooldown=cooldown)
+    tuner = BanditTuner(default_arms(setup.candidates), setup.provider,
+                        gate=ReactiveRule(build_factor, cooldown),
+                        decay=decay, observe_every=1)
     online = tuner.run(list(setup.workloads["W1"]))
     rows = [
         ("offline unconstrained", unconstrained.cost,
@@ -177,6 +177,4 @@ def run_extension_online(setup: PaperSetup,
          constrained.change_count),
         ("online tuner", online.total_cost, online.change_count),
     ]
-    return OnlineComparisonResult(rows=rows,
-                                  online_decisions=len(
-                                      online.decisions))
+    return OnlineComparisonResult(rows=rows)

@@ -14,7 +14,8 @@ from .costmatrix import (CostMatrices, CostProvider, MatrixCostProvider,
                          WhatIfCostProvider, build_cost_matrices,
                          supports_batching)
 from .bandit import (BanditDecision, BanditResult, BanditTuner,
-                     GateConfig, SafetyStats, default_arms)
+                     GateConfig, ReactiveRule, SafetyStats,
+                     default_arms)
 from .costservice import CostEstimationStats, CostService
 from .design import DesignRun, DesignSequence, design_from_indices
 from .greedy_seq import (GreedyCandidates, greedy_seq_candidates,
@@ -25,7 +26,6 @@ from .ktuning import (KSweepResult, ValidatedKResult, knee_k, sweep_k,
                       validated_k)
 from .lp_advisor import LPResult, solve_lp_rounding
 from .merging import MergeStep, MergingResult, merge_to_k
-from .online import OnlineDecision, OnlineResult, OnlineTuner
 from .problem import (ProblemInstance, enumerate_configurations,
                       problem_from_summary, summarize_problem)
 from .robustness import (RobustnessReport, VariantOutcome,
@@ -41,7 +41,7 @@ __all__ = [
     "HybridAdvisor", "LPAdvisor", "MergingAdvisor", "RankingAdvisor",
     "Recommendation", "StaticAdvisor", "UnconstrainedAdvisor",
     "BanditDecision", "BanditResult", "BanditTuner", "GateConfig",
-    "SafetyStats", "default_arms",
+    "ReactiveRule", "SafetyStats", "default_arms",
     "CostEstimationStats", "CostMatrices", "CostProvider",
     "CostService", "MatrixCostProvider",
     "WhatIfCostProvider", "build_cost_matrices", "supports_batching",
@@ -53,7 +53,6 @@ __all__ = [
     "validated_k",
     "LPResult", "solve_lp_rounding",
     "MergeStep", "MergingResult", "merge_to_k",
-    "OnlineDecision", "OnlineResult", "OnlineTuner",
     "ProblemInstance", "enumerate_configurations",
     "problem_from_summary", "summarize_problem",
     "RobustnessReport", "VariantOutcome", "compare_robustness",

@@ -1,11 +1,31 @@
-"""Safety-gated contextual-bandit online tuner.
+"""Online tuning: one observation loop, two decision rules.
 
-The plain :class:`~repro.core.online.OnlineTuner` reproduces the
-failure modes the paper holds against reactive tuning — lag, re-paid
-builds at phase boundaries — and adds one of its own: nothing stops it
-from deploying a design that *regresses* the workload when estimates
-are noisy or degraded. This module is the robustness layer on top,
-following the self-driving literature (DBA bandits; Wii — see
+The paper positions its *offline* constrained approach against online
+tuners (Bruno & Chaudhuri's ICDE'07 line of work, Section 1/7): an
+online mechanism sees only the past and must react, while the offline
+optimizer sees the whole representative trace in advance.
+:class:`BanditTuner` is the online side, and its ``gate`` picks the
+rule once per run.
+
+:class:`ReactiveRule` is the related-work baseline: every arm is
+costed each observation (what-if calls, like the real systems) and
+accumulates decayed *benefit* — the cost it would have saved, floored
+at zero — and the best arm is adopted once its benefit exceeds
+``build_factor`` times its switch cost, ``cooldown`` observations
+after the last change. On workloads with recurring phases it re-pays
+builds at every boundary and lags every shift: the behaviour that
+motivates optimizing offline when a trace is available (``repro
+experiment online``). It differs from the gated rule in exactly four
+places: (1) one context — no profile, no shift reset; (2) no pruning
+— no bound skip, no call budget; (3) no gate and no valve; (4) argmax,
+then threshold, where the gated rule keeps the arms over their
+thresholds and takes the best of those. An observation with any
+inexact estimate is deferred whole.
+
+:class:`GateConfig` (the default) covers what the reactive rule lacks
+— nothing stops that rule from deploying a design that *regresses*
+the workload when estimates are noisy or degraded. The gated rule
+follows the self-driving literature (DBA bandits; Wii — see
 PAPERS.md):
 
 * **Arms** are whole candidate configurations (structure sets,
@@ -17,7 +37,7 @@ PAPERS.md):
   (:func:`~repro.workload.analysis.detect_shifts_from_profiles`)
   resets the evidence outright.
 * **Reward** is decayed realized benefit versus the incumbent, floored
-  at zero (the :class:`~repro.core.online.OnlineTuner` hysteresis).
+  at zero (the reactive rule's hysteresis).
 
 Every decision passes a hard :class:`SafetyGate` built around a *debt
 ledger*. Let ``stayput`` be the estimated cost of never leaving the
@@ -59,9 +79,11 @@ still holds).
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import (DesignError, EstimationUnavailable,
                       TransitionError)
@@ -76,10 +98,32 @@ from .structures import (Configuration, EMPTY_CONFIGURATION,
                          compressed_variants,
                          single_index_configurations)
 
+_ONE_CONTEXT = "*"  # the reactive rule does not split evidence
+
 __all__ = [
     "BanditDecision", "BanditResult", "BanditTuner", "GateConfig",
-    "SafetyStats", "default_arms",
+    "ReactiveRule", "SafetyStats", "default_arms",
 ]
+
+
+def _require_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise DesignError(f"{name} must be finite and >= 0")
+
+
+def _require_count(name: str, value: int, minimum: int) -> None:
+    """Counts are integers: a bool or a fractional value is a typo,
+    not a count."""
+    if isinstance(value, bool) or \
+            not isinstance(value, numbers.Integral) or value < minimum:
+        raise DesignError(f"{name} must be an integer >= {minimum}")
+
+
+def _check_hysteresis(rule) -> None:
+    """The ``build_factor`` and ``cooldown`` both rules carry."""
+    if not (math.isfinite(rule.build_factor) and rule.build_factor > 0):
+        raise DesignError("build_factor must be finite and positive")
+    _require_count("cooldown", rule.cooldown, 0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +140,7 @@ class GateConfig:
             observation; ``None`` = unbounded.
         build_factor: an arm must accumulate this multiple of its
             switch cost in reward before it is deployable (the
-            :class:`~repro.core.online.OnlineTuner` hysteresis).
+            :class:`ReactiveRule` hysteresis).
         cooldown: minimum observations between two evidence-driven
             switches (fail-safe reverts are exempt — safety never
             waits).
@@ -112,18 +156,33 @@ class GateConfig:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.regression_bound < 0:
-            raise DesignError("regression_bound must be >= 0")
-        if self.slack_units < 0:
-            raise DesignError("slack_units must be >= 0")
-        if self.call_budget is not None and self.call_budget < 0:
-            raise DesignError("call_budget must be >= 0")
-        if self.build_factor <= 0:
-            raise DesignError("build_factor must be positive")
-        if self.cooldown < 0:
-            raise DesignError("cooldown must be >= 0")
+        _require_nonnegative("regression_bound", self.regression_bound)
+        _require_nonnegative("slack_units", self.slack_units)
+        if self.call_budget is not None:
+            _require_count("call_budget", self.call_budget, 0)
+        _check_hysteresis(self)
         if not 0.0 <= self.epsilon <= 1.0:
             raise DesignError("epsilon must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class ReactiveRule:
+    """The reactive baseline's knobs: pass one as ``gate=`` and
+    :class:`BanditTuner` runs the related-work online tuner.
+
+    Attributes:
+        build_factor: an arm must accumulate this multiple of its
+            switch cost in benefit before the tuner adopts it
+            (hysteresis against oscillation).
+        cooldown: minimum observations between two design changes
+            (real online tuners throttle reconfiguration).
+    """
+
+    build_factor: float = 2.0
+    cooldown: int = 50
+
+    def __post_init__(self) -> None:
+        _check_hysteresis(self)
 
 
 @dataclass
@@ -232,7 +291,9 @@ class BanditTuner:
             via ``upper_bound_cost``, deployment scheduling); any
             :class:`~repro.core.costmatrix.CostProvider` works for
             costing-only runs.
-        gate: the :class:`GateConfig` safety knobs.
+        gate: the decision rule — :class:`GateConfig` safety knobs
+            (the default), or a :class:`ReactiveRule` for the reactive
+            baseline (no gate, no valve; see the module docstring).
         db: optional live database. When given, every switch is
             scheduled with :func:`~repro.core.deployment.
             schedule_deployment` and executed crash-safely; without
@@ -249,7 +310,7 @@ class BanditTuner:
 
     def __init__(self, arms: Sequence[Configuration],
                  provider: CostProvider,
-                 gate: Optional[GateConfig] = None,
+                 gate: Union[GateConfig, ReactiveRule, None] = None,
                  db=None, decay: float = 0.9,
                  observe_every: int = 10, seed: int = 0,
                  initial: Configuration = EMPTY_CONFIGURATION,
@@ -259,11 +320,10 @@ class BanditTuner:
             raise DesignError("bandit tuner needs candidate arms")
         if not 0.0 < decay <= 1.0:
             raise DesignError("decay must be in (0, 1]")
-        if observe_every < 1:
-            raise DesignError("observe_every must be >= 1")
-        if shift_window < 1 or shift_threshold <= 0:
-            raise DesignError(
-                "shift_window must be >= 1 and shift_threshold > 0")
+        _require_count("observe_every", observe_every, 1)
+        _require_count("shift_window", shift_window, 1)
+        if not (math.isfinite(shift_threshold) and shift_threshold > 0):
+            raise DesignError("shift_threshold must be finite and > 0")
         self.gate = gate if gate is not None else GateConfig()
         self.provider = provider
         self.db = db
@@ -349,13 +409,17 @@ class BanditTuner:
         (:func:`~repro.workload.summary.iter_phases`), and that one
         unit goes to the profile, every estimate, the bound and the
         deployment schedule — no call re-groups the statements.
+        Under a :class:`ReactiveRule` the ledger is kept but never
+        consulted, and the result's ``headroom`` is infinite.
         """
         self.reset()
+        gated = isinstance(self.gate, GateConfig)
+        observe = self._observe if gated else self._react
         snapshot = None
         if callable(getattr(self.provider, "stats_snapshot", None)):
             snapshot = self.provider.stats_snapshot()
         for phase in iter_phases(statements, self.observe_every):
-            self._observe(phase)
+            observe(phase)
         if not self._observation:
             raise DesignError("empty statement stream")
         costing = None
@@ -369,7 +433,7 @@ class BanditTuner:
             trans_cost=self._trans_total,
             stayput_cost=self._stayput,
             debt=self._debt,
-            headroom=self.headroom,
+            headroom=self.headroom if gated else float("inf"),
             decisions=list(self._decisions),
             deferrals=self.stats.deferrals,
             safety=self.stats.as_dict(),
@@ -561,6 +625,63 @@ class BanditTuner:
         self._last_switch = obs
         self.stats.switches += 1
         # Fresh evidence for a fresh incumbent (anti-flapping).
+        self._reward.clear()
+
+    def _react(self, segment: PhaseSummary) -> None:
+        """One observation under :class:`ReactiveRule`: charge the
+        incumbent, cost every arm, fold each arm's decayed benefit,
+        then adopt the best arm if it clears ``build_factor`` times
+        its switch cost and the cooldown has passed."""
+        obs = self._observation
+        self._observation += 1
+        self.stats.observations += 1
+        baseline_units, incumbent_units, degraded = \
+            self._step_estimates(segment)
+        config = self.current
+        self._assignments.extend([config] * len(segment))
+        self._stayput += baseline_units
+        self._exec_total += incumbent_units
+        if config != self.initial:
+            self._debt += incumbent_units - baseline_units
+        costs = {self.initial: baseline_units, config: incumbent_units}
+        for arm in self.arms:
+            if not degraded and arm not in costs:
+                self.stats.probe_calls += 1
+                costs[arm] = self._exec_exact(segment, arm)
+                degraded = costs[arm] is None
+                self.stats.degraded_probes += degraded
+        if degraded:
+            self.stats.deferrals += 1
+            return  # non-evidence: no benefit moves, no switch.
+
+        target, best = None, 0.0
+        for arm in self.arms:
+            key = (_ONE_CONTEXT, arm)
+            # Arms the incumbent serves better lose benefit; the floor
+            # at zero keeps contrary evidence from digging a hole.
+            benefit = self._reward[key] = max(
+                0.0, self._reward.get(key, 0.0) * self.decay +
+                (incumbent_units - costs[arm]))
+            if arm != config and benefit > best:
+                target, best = arm, benefit
+        if target is None or obs - self._last_switch < self.gate.cooldown:
+            return
+        switch_cost = self.provider.trans_cost(config, target)
+        if best <= self.gate.build_factor * switch_cost:
+            return
+        paid = self._materialize(segment, target, switch_cost)
+        if paid is None:
+            return
+        landed, paid_units = paid
+        self._trans_total += paid_units
+        self._debt += paid_units
+        self._decisions.append(BanditDecision(
+            observation_index=obs, statement_index=segment.end,
+            old=config, new=landed, context=_ONE_CONTEXT, reward=best,
+            switch_cost=paid_units))
+        self.current = landed
+        self._last_switch = obs
+        self.stats.switches += 1
         self._reward.clear()
 
     # ------------------------------------------------------------------

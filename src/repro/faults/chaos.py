@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.advisor import ConstrainedGraphAdvisor
-from ..core.online import OnlineTuner
+from ..core.bandit import BanditTuner, ReactiveRule, default_arms
 from ..errors import ReproError, TransitionError
 from ..sqlengine.database import Database
 from ..sqlengine.index import IndexDef
@@ -375,7 +375,9 @@ def check_degradation(result: CheckResult, seed: int,
         {d for config in trace.problem.configurations
          for d in config.structures})
     degraded_before = trace.service.stats.degraded_estimates
-    tuner = OnlineTuner(candidates, trace.service, cooldown=5)
+    tuner = BanditTuner(default_arms(candidates), trace.service,
+                        gate=ReactiveRule(cooldown=5), decay=0.95,
+                        observe_every=1)
     statements = list(trace.workload.statements)[:30]
     try:
         outcome = tuner.run(statements)

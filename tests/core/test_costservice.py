@@ -17,7 +17,7 @@ from repro.core import (Configuration, ConstrainedGraphAdvisor,
                         UnconstrainedAdvisor, WhatIfCostProvider,
                         build_cost_matrices, single_index_configurations,
                         supports_batching, sweep_k, validated_k)
-from repro.core.online import OnlineTuner
+from repro.core.bandit import BanditTuner, ReactiveRule, default_arms
 from repro.sqlengine import IndexDef
 from repro.workload import (PhaseSummary, Segment, Statement,
                             WorkloadAtom, atoms_of, jitter_blocks,
@@ -448,8 +448,9 @@ class TestSharedAdvisorSession:
                                           paper_candidates, service):
         workload = make_paper_workload(
             "W1", paper_generator(seed=5), block_size=BLOCK)
-        result = OnlineTuner(paper_candidates, service,
-                             cooldown=10).run(workload[:120])
+        result = BanditTuner(default_arms(paper_candidates), service,
+                             gate=ReactiveRule(cooldown=10), decay=0.95,
+                             observe_every=1).run(workload[:120])
         assert result.costing is not None
         assert result.costing["whatif_calls"] > 0
         assert result.costing["cache_hit_rate"] > 0.5

@@ -253,3 +253,12 @@ def test_extension_3_online_lands_between_offline_and_nothing(
         result.cost_of("online tuner") < do_nothing
     changes = {label: n for label, _, n in result.rows}
     assert changes["online tuner"] > changes["offline constrained k=2"]
+    # Pinned to the unit: the reactive tuner's total is exact, the
+    # offline rows are the figures EXPERIMENTS.md prints.
+    assert result.cost_of("online tuner").hex() == \
+        "0x1.1afe34ec661b6p+19"
+    assert changes["online tuner"] == 18
+    assert round(result.cost_of("offline unconstrained")) == 530214
+    assert changes["offline unconstrained"] == 15
+    assert round(result.cost_of("offline constrained k=2")) == 640362
+    assert changes["offline constrained k=2"] == 2
