@@ -65,11 +65,11 @@ class ReplayReport:
 
 def replay_design(db: Database, segments: Sequence[Segment],
                   design: DesignSequence,
-                  reset_to_initial: bool = True,
                   final_config=None) -> ReplayReport:
     """Deploy ``design`` over ``segments`` on the live database.
 
-    Walks the segments in order; whenever the design changes, applies
+    Restores the design's initial configuration (not charged), then
+    walks the segments in order; whenever the design changes, applies
     the new configuration (real index builds/drops, metered), then
     executes every statement of the segment and accumulates its cost.
 
@@ -77,8 +77,6 @@ def replay_design(db: Database, segments: Sequence[Segment],
         db: the database (its current indexes are replaced).
         segments: workload units; must match the design's length.
         design: one configuration per segment.
-        reset_to_initial: first restore the design's initial
-            configuration (metered separately, not charged).
         final_config: if given, transition to this configuration after
             the last segment (charged as transition cost — the paper's
             pinned empty final design).
@@ -86,8 +84,7 @@ def replay_design(db: Database, segments: Sequence[Segment],
     if len(segments) != len(design):
         raise DesignError(
             f"{len(segments)} segments but design has {len(design)}")
-    if reset_to_initial:
-        db.apply_configuration({d for d in design.initial})
+    db.apply_configuration(design.initial)
     report = ReplayReport()
     current = design.initial
     for i, segment in enumerate(segments):

@@ -553,7 +553,7 @@ def _cmd_deploy(args) -> int:
     print(plan.describe())
     if args.dry_run:
         return 0
-    report = db.deploy(plan)
+    report = execute_deployment(db, plan)
     landed = Configuration(db.current_configuration())
     print(f"executed {len(report.executed)} steps "
           f"({len(report.skipped)} already materialized), "

@@ -702,12 +702,12 @@ class BanditTuner:
         """
         if self.db is None or not hasattr(self.provider, "optimizer"):
             return target, switch_cost
-        from .deployment import schedule_deployment
+        from .deployment import execute_deployment, schedule_deployment
         plan = schedule_deployment(self.provider, self.current,
                                    target, segment)
         for attempt in (1, 2):
             try:
-                self.db.deploy(plan)
+                execute_deployment(self.db, plan)
                 self.stats.deployments += 1
                 return target, switch_cost
             except TransitionError:

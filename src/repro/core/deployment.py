@@ -30,21 +30,25 @@ schedulers minimize:
 * **greedy** — repeatedly take the feasible action with the best
   rate of improvement ``(EXEC(C) - EXEC(C ∘ a)) / w_a``, then keep
   the better of the greedy schedule and the catalog's default order
-  (sorted drops, then sorted creates — exactly
-  :meth:`~repro.sqlengine.database.Database.apply_configuration`), so
-  the result is never worse than the unscheduled transition.
+  (:func:`~repro.sqlengine.database.transition_steps`: sorted drops,
+  then sorted creates), so the result is never worse than the
+  unscheduled transition.
+
+An idle system (no concurrent segment) gets the default order: every
+order costs the same there, and that one always fits when both
+endpoints do, because sizes are additive.
 
 A ``space_bound_bytes`` makes the schedule *constrained*: every
 intermediate configuration must fit, which is precisely why drop-vs-
 create interleaving matters (drop first to make room, or build first
 to keep serving — the bound decides).
 
-Execution (:func:`execute_deployment`) walks the schedule through the
-database's individually-atomic create/drop operations — each build
-runs under the PR 4 crash-safe
-:meth:`~repro.sqlengine.database.Database._transition` machinery — and
-is *resumable*: steps whose effect is already in the catalog are
-skipped, so re-running a plan after a mid-schedule
+Execution (:func:`execute_deployment`) checks the plan against the
+live catalog and hands its steps to
+:meth:`~repro.sqlengine.database.Database.transition`, the one
+catalog-step executor ``apply_configuration`` also runs through: each
+build is crash-safe, and steps whose effect is already in the catalog
+are skipped, so re-running a plan after a mid-schedule
 :class:`~repro.errors.TransitionError` picks up where it stopped.
 """
 
@@ -53,24 +57,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..errors import (DesignError, InfeasibleProblemError, StorageError,
-                      TransitionError)
-from ..sqlengine.costmodel import MeteredCost
+from ..errors import DesignError, InfeasibleProblemError
+from ..sqlengine.database import (CREATE, DROP, TransitionReport,
+                                  transition_steps)
 from ..sqlengine.index import structure_sort_key
-from ..sqlengine.views import ViewDef
 from .structures import Configuration
 
 __all__ = [
-    "DeploymentPlan", "DeploymentReport", "DeploymentStep",
-    "execute_deployment", "schedule_deployment",
+    "DeploymentPlan", "DeploymentStep", "execute_deployment",
+    "schedule_deployment",
 ]
 
 #: Largest action count the exact subset DP is attempted for
 #: (2^n states; 10 keeps it comfortably in the milliseconds).
 DEFAULT_EXACT_LIMIT = 10
-
-CREATE = "create"
-DROP = "drop"
 
 
 @dataclass(frozen=True)
@@ -139,20 +139,6 @@ class DeploymentPlan:
         return "\n".join(lines)
 
 
-@dataclass
-class DeploymentReport:
-    """What happened when a plan was executed.
-
-    ``skipped`` lists steps whose effect was already in the catalog —
-    non-empty exactly when the run resumed an interrupted deployment.
-    """
-
-    executed: List[DeploymentStep]
-    skipped: List[DeploymentStep]
-    metered: MeteredCost
-    completed: bool
-
-
 def schedule_deployment(
         service, source: Configuration, target: Configuration,
         segment=None, *,
@@ -170,7 +156,8 @@ def schedule_deployment(
         segment: the workload running concurrently with the
             deployment (any cost unit ``service.exec_cost`` accepts);
             ``None`` means an idle system, where every order costs the
-            same and the default order is returned.
+            same and the default order (method ``default``) is
+            returned.
         exact_limit: largest action count for the exact subset DP;
             larger transitions use greedy-vs-default.
         space_bound_bytes: optional bound every intermediate
@@ -180,7 +167,7 @@ def schedule_deployment(
         InfeasibleProblemError: the endpoints violate the bound, or
             no feasible order exists under it.
     """
-    actions = _actions(source, target)
+    actions = transition_steps(source.structures, target.structures)
     rate = _rate_fn(service, segment)
     trans = {action: _action_trans_units(service, source, action)
              for action in actions}
@@ -196,15 +183,15 @@ def schedule_deployment(
                               exec_units=0.0)
     total_trans = sum(trans[action] for action in actions)
 
-    default_order = _default_order(actions)
     orders: List[Tuple[str, Optional[Sequence[Tuple[str, object]]]]] = []
-    if len(actions) <= exact_limit:
-        orders.append(("exact", _exact_order(
-            source, actions, trans, total_trans, rate, size_ok)))
-    orders.append(("greedy", _greedy_order(
-        source, actions, trans, rate, size_ok)))
-    if _order_feasible(source, default_order, size_ok):
-        orders.append(("default", default_order))
+    if segment is not None:
+        if len(actions) <= exact_limit:
+            orders.append(("exact", _exact_order(
+                source, actions, trans, total_trans, rate, size_ok)))
+        orders.append(("greedy", _greedy_order(
+            source, actions, trans, rate, size_ok)))
+    if _order_feasible(source, actions, size_ok):
+        orders.append(("default", actions))
 
     best: Optional[DeploymentPlan] = None
     for method, order in orders:
@@ -221,23 +208,20 @@ def schedule_deployment(
     return best
 
 
-def execute_deployment(db, plan: DeploymentPlan) -> DeploymentReport:
-    """Run a plan's steps, in order, through ``db``'s individually-
-    atomic create/drop operations.
+def execute_deployment(db, plan: DeploymentPlan) -> TransitionReport:
+    """Run a plan's steps, in order, through ``db.transition``.
 
-    Steps whose effect is already in the catalog are skipped, so the
-    same plan can be re-executed to *resume* after a mid-schedule
-    :class:`~repro.errors.TransitionError` (each build is crash-safe
-    via :meth:`~repro.sqlengine.database.Database._transition`; a
-    failed build leaves no trace, and everything executed before it
-    stands). On failure the partial report is attached to the raised
-    error as ``deployment_report``.
+    The plan must start from the live catalog (up to the structures
+    it drops itself, which a resumed run has already dropped). Steps
+    whose effect is already in the catalog are skipped, so the same
+    plan can be re-executed to *resume* after a mid-schedule
+    :class:`~repro.errors.TransitionError`, whose ``report`` holds the
+    partial run (a failed build leaves no trace, and everything
+    executed before it stands). With a fault injector attached, the
+    ``deploy_step`` site fires before every step that is about to run.
 
-    When a fault injector is attached to ``db``, the ``deploy_step``
-    site fires before every step that is about to run (skipped steps
-    fire nothing), so fault plans can crash the schedule *between*
-    its atomic actions; an injected fault surfaces as the same
-    resumable :class:`~repro.errors.TransitionError`.
+    Raises:
+        DesignError: a structure the plan keeps is not materialized.
     """
     current = Configuration(db.current_configuration())
     # Source structures the plan itself drops are legitimately absent
@@ -254,95 +238,13 @@ def execute_deployment(db, plan: DeploymentPlan) -> DeploymentReport:
             f"deployment plan was scheduled from {plan.source.label} "
             f"but {missing} is not materialized; reschedule from the "
             f"live catalog")
-    before = db.buffer_manager.snapshot()
-    executed: List[DeploymentStep] = []
-    skipped: List[DeploymentStep] = []
-    drop_units = 0.0
-    injector = getattr(db, "fault_injector", None)
-    for step in plan.steps:
-        definition = step.definition
-        if step.action == CREATE:
-            already = (db.find_view(definition)
-                       if isinstance(definition, ViewDef)
-                       else db.find_index(definition))
-            if already is not None:
-                skipped.append(step)
-                continue
-            _check_deploy_step(db, injector, step, executed, skipped,
-                               before, drop_units)
-            try:
-                if isinstance(definition, ViewDef):
-                    db.create_view(definition)
-                else:
-                    db.create_index(definition)
-            except TransitionError as exc:
-                exc.deployment_report = _deployment_report(
-                    db, executed, skipped, before, drop_units,
-                    completed=False)
-                raise
-        else:
-            materialized = (db.find_view(definition)
-                            if isinstance(definition, ViewDef)
-                            else db.find_index(definition))
-            if materialized is None:
-                skipped.append(step)
-                continue
-            _check_deploy_step(db, injector, step, executed, skipped,
-                               before, drop_units)
-            if isinstance(definition, ViewDef):
-                db.drop_view(materialized.name)
-            else:
-                db.drop_index(materialized.name)
-            # Flat catalog-update charge in cost units, matching
-            # cost_drop_index / apply_configuration.
-            drop_units += db.params.drop_index_cost
-        executed.append(step)
-    return _deployment_report(db, executed, skipped, before,
-                              drop_units, completed=True)
-
-
-def _check_deploy_step(db, injector, step: DeploymentStep, executed,
-                       skipped, before, drop_units: float) -> None:
-    """Fire the ``deploy_step`` fault site for a step about to run;
-    an injected fault halts the schedule as a resumable
-    :class:`~repro.errors.TransitionError` carrying the partial
-    report (everything already landed stands)."""
-    if injector is None:
-        return
-    try:
-        injector.on_deploy_step(step.label,
-                                db.buffer_manager.metrics)
-    except StorageError as exc:
-        err = TransitionError(
-            f"deployment halted before step {step.label!r}: {exc}",
-            structure=getattr(step.definition, "label", ""))
-        err.deployment_report = _deployment_report(
-            db, executed, skipped, before, drop_units,
-            completed=False)
-        raise err from exc
+    return db.transition([(step.action, step.definition)
+                          for step in plan.steps])
 
 
 # ----------------------------------------------------------------------
 # scheduling internals
 # ----------------------------------------------------------------------
-
-def _actions(source: Configuration,
-             target: Configuration) -> Tuple[Tuple[str, object], ...]:
-    """The action set, in deterministic (kind, sort-key) order."""
-    creates = [(CREATE, d) for d in sorted(
-        target.added(source), key=structure_sort_key)]
-    drops = [(DROP, d) for d in sorted(
-        target.dropped(source), key=structure_sort_key)]
-    return tuple(drops + creates)
-
-
-def _default_order(actions: Sequence[Tuple[str, object]]
-                   ) -> Tuple[Tuple[str, object], ...]:
-    """The unscheduled catalog order: sorted drops, then sorted
-    creates — byte-for-byte what ``apply_configuration`` does."""
-    return tuple([a for a in actions if a[0] == DROP] +
-                 [a for a in actions if a[0] == CREATE])
-
 
 def _apply(config: Configuration, action: str,
            definition) -> Configuration:
@@ -506,14 +408,3 @@ def _greedy_order(source: Configuration,
 
 def _popcount(value: int) -> int:
     return bin(value).count("1")
-
-
-def _deployment_report(db, executed, skipped, before, drop_units,
-                       completed: bool) -> DeploymentReport:
-    delta = db.buffer_manager.snapshot() - before
-    metered = MeteredCost(page_reads=float(delta.logical_reads),
-                          page_writes=float(delta.physical_writes),
-                          cpu_units=drop_units + delta.latency_units)
-    return DeploymentReport(executed=list(executed),
-                            skipped=list(skipped), metered=metered,
-                            completed=completed)

@@ -117,19 +117,20 @@ class DesignError(ReproError):
 
 
 class TransitionError(DesignError):
-    """A physical-design transition (index/view build) failed.
+    """A physical-design transition step (an index/view build, or an
+    injected ``deploy_step`` fault) failed.
 
     Raised only after the catalog and buffer state have been rolled
-    back to exactly their pre-transition state, so the failure is
-    clean: nothing half-built survives.
+    back to exactly their state before the failing step, so the
+    failure is clean: nothing half-built survives.
 
     Attributes:
-        structure: label of the structure whose build failed.
+        structure: label of the structure whose step failed.
         attempts: build attempts made (including retries) before
             giving up.
-        report: a :class:`~repro.sqlengine.database.TransitionReport`
-            describing work completed *before* the failing structure
-            when raised from ``apply_configuration`` (None otherwise).
+        report: the :class:`~repro.sqlengine.database.TransitionReport`
+            of the steps completed before the failing one when raised
+            from ``Database.transition`` (None otherwise).
     """
 
     def __init__(self, message: str, structure: str = "",

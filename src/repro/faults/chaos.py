@@ -34,7 +34,7 @@ import numpy as np
 from ..core.advisor import ConstrainedGraphAdvisor
 from ..core.bandit import BanditTuner, ReactiveRule, default_arms
 from ..errors import ReproError, TransitionError
-from ..sqlengine.database import Database
+from ..sqlengine.database import CREATE, DROP, Database
 from ..sqlengine.index import IndexDef
 from ..sqlengine.views import ViewDef
 from ..verify.report import CheckResult
@@ -75,20 +75,6 @@ def _catalog_state(db: Database) -> Tuple:
             frozenset(db.views_by_name))
 
 
-def _build(db: Database, definition) -> None:
-    if isinstance(definition, ViewDef):
-        db.create_view(definition)
-    else:
-        db.create_index(definition)
-
-
-def _drop(db: Database, definition) -> None:
-    if isinstance(definition, ViewDef):
-        db.drop_view(db.find_view(definition).name)
-    else:
-        db.drop_index(db.find_index(definition).name)
-
-
 def _count_build_calls(db: Database, definition, seed: int):
     """Run one clean build under a never-firing injector to count the
     injector calls per site, then restore the database exactly."""
@@ -96,11 +82,11 @@ def _count_build_calls(db: Database, definition, seed: int):
     counter = FaultInjector(FaultPlan.none(), seed)
     db.set_fault_injector(counter)
     try:
-        _build(db, definition)
+        db.transition([(CREATE, definition)])
     finally:
         db.set_fault_injector(None)
     delta = db.buffer_manager.metrics - checkpoint.metrics
-    _drop(db, definition)
+    db.transition([(DROP, definition)])
     db.buffer_manager.restore_state(checkpoint)
     return dict(counter.calls), delta
 
@@ -147,7 +133,7 @@ def _assert_rollback_exact(result: CheckResult, db: Database,
     db.set_fault_injector(injector)
     raised = False
     try:
-        _build(db, definition)
+        db.transition([(CREATE, definition)])
     except TransitionError:
         raised = True
     finally:
@@ -159,7 +145,7 @@ def _assert_rollback_exact(result: CheckResult, db: Database,
     if not raised:
         # The structure was built; clean up so later steps start from
         # the same state.
-        _drop(db, definition)
+        db.transition([(DROP, definition)])
         return
     result.check(_catalog_state(db) == catalog_before, instance,
                  "catalog changed across a rolled-back build")
@@ -192,7 +178,7 @@ def _assert_transient_converges(result: CheckResult, db: Database,
         FaultPlan.single_shot(site, 0, kind=TRANSIENT), seed)
     db.set_fault_injector(injector)
     try:
-        _build(db, definition)
+        db.transition([(CREATE, definition)])
     except ReproError as exc:
         result.failed(instance,
                       f"transient fault was not retried away: {exc!r}")
@@ -207,7 +193,7 @@ def _assert_transient_converges(result: CheckResult, db: Database,
     result.check(delta.io_equal(clean_delta), instance,
                  f"data-plane build cost diverged from the fault-free "
                  f"build: {clean_delta} vs {delta}")
-    _drop(db, definition)
+    db.transition([(DROP, definition)])
     db.buffer_manager.restore_state(checkpoint)
 
 

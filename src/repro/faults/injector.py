@@ -14,10 +14,11 @@ site           where the hook fires
                of the B+-tree bulk load
 ``view_build`` :meth:`MaterializedView._build` entry
 ``estimate``   :meth:`WhatIfOptimizer.estimate_statement` entry
-``deploy_step`` :func:`~repro.core.deployment.execute_deployment`,
-               before each scheduled create/drop (keyed by the step
-               label), so a plan can crash *between* the
-               individually-atomic actions of a deployment
+``deploy_step`` :meth:`Database.transition`, before every catalog
+               step of any transition (``apply_configuration``,
+               ``execute_deployment``) that is about to run, keyed by
+               the step label, so a plan can crash *between* the
+               individually-atomic creates and drops
 =============  ====================================================
 
 Faults come in three kinds: ``transient`` (raises
@@ -198,10 +199,10 @@ class FaultInjector:
         self._check(site, label, metrics)
 
     def on_deploy_step(self, label: str, metrics=None) -> None:
-        """Deployment-schedule hook: fires before each planned
-        create/drop of :func:`~repro.core.deployment.
-        execute_deployment`, keyed by the step label — the tool for
-        crashing a deployment *between* its atomic actions."""
+        """Transition hook: fires before each create/drop that
+        :meth:`~repro.sqlengine.database.Database.transition` is about
+        to run, keyed by the step label — the tool for crashing a
+        transition *between* its atomic actions."""
         self._check("deploy_step", label, metrics)
 
     def on_estimate(self, key=None) -> None:

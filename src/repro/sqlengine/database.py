@@ -4,8 +4,9 @@
 views), the shared buffer pool, statistics, and the what-if optimizer.
 It executes SQL text or pre-parsed ASTs, and exposes the
 physical-design operations the advisor layer needs: materializing and
-dropping structures, applying whole configurations, and costing
-statements under hypothetical designs.
+dropping structures, moving between designs through one catalog-step
+executor (:meth:`Database.transition`), and costing statements under
+hypothetical designs.
 """
 
 from __future__ import annotations
@@ -32,16 +33,41 @@ from .views import MaterializedView, ViewDef
 from .whatif import PlanEstimate, WhatIfOptimizer
 
 
+#: The two catalog actions a transition step can take.
+CREATE = "create"
+DROP = "drop"
+
+
 @dataclass
 class TransitionReport:
-    """What happened when a configuration was applied."""
+    """What one run of :meth:`Database.transition` did.
 
-    created: List[IndexDef]
-    dropped: List[IndexDef]
+    ``executed`` and ``skipped`` hold ``(action, definition)`` steps;
+    ``skipped`` lists those whose effect was already in the catalog,
+    non-empty exactly when the run resumed an interrupted transition.
+    ``completed`` is False only on the partial report a
+    :class:`~repro.errors.TransitionError` carries.
+    """
+
+    executed: List[Tuple[str, object]]
+    skipped: List[Tuple[str, object]]
     metered: MeteredCost
+    completed: bool
 
     def units(self, params: CostParams) -> float:
         return self.metered.total(params)
+
+
+def transition_steps(current: Iterable, target: Iterable
+                     ) -> Tuple[Tuple[str, object], ...]:
+    """The catalog order of ``current -> target``: the drops, then the
+    creates, each in :func:`structure_sort_key` order."""
+    current, target = frozenset(current), frozenset(target)
+    return tuple(
+        [(DROP, d) for d in sorted(current - target,
+                                   key=structure_sort_key)] +
+        [(CREATE, d) for d in sorted(target - current,
+                                     key=structure_sort_key)])
 
 
 @dataclass
@@ -299,17 +325,11 @@ class Database:
                 return view
         return None
 
-    def current_configuration(self,
-                              table_name: Optional[str] = None
-                              ) -> frozenset:
+    def current_configuration(self) -> frozenset:
         """The set of materialized structures (indexes and views)."""
-        defs = [ix.definition for ix in self.indexes_by_name.values()
-                if table_name is None or
-                ix.definition.table == table_name]
-        defs.extend(v.definition for v in self.views_by_name.values()
-                    if table_name is None or
-                    v.definition.table == table_name)
-        return frozenset(defs)
+        return frozenset(
+            [ix.definition for ix in self.indexes_by_name.values()] +
+            [v.definition for v in self.views_by_name.values()])
 
     def stats(self, table_name: str) -> TableStats:
         cached = self._stats_cache.get(table_name)
@@ -457,75 +477,81 @@ class Database:
             else statement
         return self.what_if().estimate_statement(stmt, config)
 
-    def apply_configuration(self, config: Iterable[IndexDef],
-                            table_name: Optional[str] = None
-                            ) -> TransitionReport:
-        """Create/drop indexes until the materialized design equals
-        ``config`` (restricted to ``table_name`` if given)."""
-        target = frozenset(config)
-        current = self.current_configuration(table_name)
+    def apply_configuration(self, config: Iterable) -> TransitionReport:
+        """Create/drop structures until the materialized design equals
+        ``config``, in the catalog order of :func:`transition_steps`."""
+        return self.transition(
+            transition_steps(self.current_configuration(), config))
+
+    def transition(self, steps: Iterable[Tuple[str, object]]
+                   ) -> TransitionReport:
+        """Run ``(action, definition)`` catalog steps in order: the one
+        executor every design change goes through.
+
+        A step whose effect is already in the catalog is skipped (so a
+        re-run resumes), and with an injector attached the
+        ``deploy_step`` site fires before every step about to run. The
+        charge is the run's logical reads and physical writes, plus
+        ``drop_index_cost`` per drop, plus any latency. A
+        :class:`TransitionError` (a failed build or an injected fault)
+        leaves every earlier step standing and the failing one without
+        trace, and carries the partial report as ``report``.
+        """
         before = self.buffer_manager.snapshot()
-        dropped: List[IndexDef] = []
-        created: List[IndexDef] = []
+        executed: List[Tuple[str, object]] = []
+        skipped: List[Tuple[str, object]] = []
         drop_units = 0.0
-        for definition in sorted(current - target,
-                                 key=structure_sort_key):
-            if isinstance(definition, ViewDef):
-                view = self.find_view(definition)
-                if view is None:
-                    raise CatalogError(
-                        f"view {definition.label} vanished while "
-                        f"applying a configuration")
-                self.drop_view(view.name)
-            else:
-                index = self.find_index(definition)
-                if index is None:
-                    raise CatalogError(
-                        f"index {definition.label} vanished while "
-                        f"applying a configuration")
-                self.drop_index(index.name)
-            dropped.append(definition)
-            # Flat catalog-update charge in cost units, matching
-            # cost_drop_index (charging it as page writes would scale
-            # it by io_write_cost).
-            drop_units += self.params.drop_index_cost
-        for definition in sorted(target - current,
-                                 key=structure_sort_key):
-            try:
-                if isinstance(definition, ViewDef):
-                    self.create_view(definition)
+
+        def report(completed: bool) -> TransitionReport:
+            delta = self.buffer_manager.snapshot() - before
+            # Retry backoff / slow-I/O latency charges land on
+            # cpu_units: they are already expressed in cost units (zero
+            # when faults are off, so the fault-free metering is
+            # unchanged).
+            return TransitionReport(
+                executed=list(executed), skipped=list(skipped),
+                metered=MeteredCost(
+                    page_reads=float(delta.logical_reads),
+                    page_writes=float(delta.physical_writes),
+                    cpu_units=drop_units + delta.latency_units),
+                completed=completed)
+
+        try:
+            for step in steps:
+                action, definition = step
+                is_view = isinstance(definition, ViewDef)
+                live = (self.find_view(definition) if is_view
+                        else self.find_index(definition))
+                if (live is not None) == (action == CREATE):
+                    # Already in effect: a resumed run passes over it.
+                    skipped.append(step)
+                    continue
+                injector = self.buffer_manager.fault_injector
+                if injector is not None:
+                    label = f"{action} {definition.label}"
+                    try:
+                        injector.on_deploy_step(
+                            label, self.buffer_manager.metrics)
+                    except StorageError as exc:
+                        raise TransitionError(
+                            f"transition halted before step {label!r}: "
+                            f"{exc}", structure=definition.label) from exc
+                if action == CREATE:
+                    if is_view:
+                        self.create_view(definition)
+                    else:
+                        self.create_index(definition)
                 else:
-                    self.create_index(definition)
-            except TransitionError as exc:
-                # Each structure is individually atomic: everything
-                # built before the failing one stands; the failing one
-                # left no trace. Attach the partial report so callers
-                # can account for the work that did happen.
-                exc.report = self._transition_report(
-                    created, dropped, before, drop_units)
-                raise
-            created.append(definition)
-        return self._transition_report(created, dropped, before,
-                                       drop_units)
-
-    def deploy(self, plan) -> "DeploymentReport":
-        """Execute a scheduled :class:`~repro.core.deployment.
-        DeploymentPlan` — the ordered, resumable form of
-        :meth:`apply_configuration` (each step individually atomic
-        via :meth:`_transition`; already-satisfied steps skipped)."""
-        from ..core.deployment import execute_deployment
-        return execute_deployment(self, plan)
-
-    def _transition_report(self, created, dropped, before: IoMetrics,
-                           drop_units: float) -> TransitionReport:
-        delta = self.buffer_manager.snapshot() - before
-        # Retry backoff / slow-I/O latency charges land on cpu_units:
-        # they are already expressed in cost units (zero when faults
-        # are off, so the fault-free metering is unchanged).
-        metered = MeteredCost(
-            page_reads=float(delta.logical_reads),
-            page_writes=float(delta.physical_writes),
-            cpu_units=drop_units + delta.latency_units)
-        return TransitionReport(created=list(created),
-                                dropped=list(dropped),
-                                metered=metered)
+                    if is_view:
+                        self.drop_view(live.name)
+                    else:
+                        self.drop_index(live.name)
+                    # Flat catalog-update charge in cost units, matching
+                    # cost_drop_index (charging it as page writes would
+                    # scale it by io_write_cost).
+                    drop_units += self.params.drop_index_cost
+                executed.append(step)
+        except TransitionError as exc:
+            exc.report = report(completed=False)
+            raise
+        return report(completed=True)

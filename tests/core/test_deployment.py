@@ -17,6 +17,7 @@ from repro.core.deployment import (DeploymentPlan, execute_deployment,
 from repro.core.structures import (Compression, Configuration,
                                    EMPTY_CONFIGURATION)
 from repro.errors import DesignError, InfeasibleProblemError
+from repro.sqlengine.database import transition_steps
 from repro.sqlengine.index import IndexDef
 from repro.sqlengine.views import ViewDef
 from repro.workload import (make_paper_workload, paper_generator,
@@ -154,6 +155,21 @@ class TestScheduler:
         assert plan.exec_units == 0.0
         assert plan.trans_units == pytest.approx(20.0)
 
+    def test_idle_system_gets_the_catalog_order(self):
+        # Every order costs zero when idle; the DP's ties would pick
+        # the reverse of the catalog order, which is what an idle
+        # schedule must return.
+        iab = IndexDef("t", ("a", "b"))
+        service = _stub(lambda s: 0.0,
+                        structures=(IA, IB, IC, iab))
+        source, target = Configuration({IA, IB}), Configuration({IC, iab})
+        plan = schedule_deployment(service, source, target, None)
+        assert plan.method == "default"
+        assert [s.label for s in plan.steps] == [
+            "drop I(a)", "drop I(b)", "create I(a,b)", "create I(c)"]
+        assert [(s.action, s.definition) for s in plan.steps] == list(
+            transition_steps(source.structures, target.structures))
+
     def test_trans_units_are_order_invariant(self):
         rates = {s: 50.0 / (1 + len(s)) for s in (
             frozenset(), frozenset({IA}), frozenset({IB}),
@@ -236,7 +252,7 @@ class TestExecution:
             Compression.HEAVY), VAB})
         plan = schedule_deployment(service, EMPTY_CONFIGURATION,
                                    target, segment)
-        report = fresh_db.deploy(plan)
+        report = execute_deployment(fresh_db, plan)
         assert report.completed
         assert not report.skipped
         assert Configuration(fresh_db.current_configuration()) == \
@@ -264,7 +280,7 @@ class TestExecution:
         else:
             fresh_db.create_index(first)
         report = execute_deployment(fresh_db, plan)
-        assert [s.definition for s in report.skipped] == [first]
+        assert [d for _, d in report.skipped] == [first]
         assert len(report.executed) == len(plan.steps) - 1
         assert Configuration(fresh_db.current_configuration()) == \
             target

@@ -133,10 +133,10 @@ class TestMaterializedExecution:
 
     def test_apply_configuration_mixes_structures(self, db):
         report = db.apply_configuration({V_AB, I_B})
-        assert len(report.created) == 2
+        assert [a for a, _ in report.executed] == ["create"] * 2
         assert db.current_configuration() == frozenset({V_AB, I_B})
         report = db.apply_configuration({I_B})
-        assert report.dropped == [V_AB]
+        assert report.executed == [("drop", V_AB)]
 
     def test_dml_maintains_view_results(self, db):
         db.create_view(V_AB)

@@ -173,7 +173,7 @@ class TestDeployStepSite:
         with pytest.raises(TransitionError) as info:
             execute_deployment(db, plan)
         db.set_fault_injector(None)
-        partial = info.value.deployment_report
+        partial = info.value.report
         assert not partial.completed
         assert len(partial.executed) == 1
         # The first step's structure landed and survived the crash.
@@ -205,8 +205,25 @@ class TestDeployStepSite:
         with pytest.raises(TransitionError) as info:
             execute_deployment(db, plan)
         db.set_fault_injector(None)
-        assert not info.value.deployment_report.executed
+        assert not info.value.report.executed
         assert _state(db) == before
+
+    def test_apply_configuration_crashes_between_steps(self, db):
+        # apply_configuration runs through the same executor, so the
+        # site halts it between its creates and a re-run resumes.
+        target = {IndexDef("t", ("a",)), IndexDef("t", ("b",))}
+        db.set_fault_injector(FaultInjector(
+            FaultPlan.single_shot("deploy_step", 1), seed=0))
+        with pytest.raises(TransitionError) as info:
+            db.apply_configuration(target)
+        db.set_fault_injector(None)
+        first = ("create", IndexDef("t", ("a",)))
+        assert info.value.report.executed == [first]
+        assert not info.value.report.completed
+        assert db.current_configuration() == frozenset({first[1]})
+        report = db.apply_configuration(target)
+        assert report.executed == [("create", IndexDef("t", ("b",)))]
+        assert db.current_configuration() == frozenset(target)
 
 
 def test_bulk_load_drops_faulted_indexes_but_keeps_rows(db):
