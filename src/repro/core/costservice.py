@@ -400,14 +400,38 @@ class CostService:
     def trans_matrix(self, configs: Sequence[Configuration]
                      ) -> np.ndarray:
         """The dense TRANS matrix (zero diagonal), cache-shared with
-        the scalar path."""
+        the scalar path: each pair is one lookup in the cache
+        ``trans_cost`` reads and fills, and an estimate on a miss,
+        counted as ``trans_cost`` counts it."""
+        self._check_epoch()
+        start = time.perf_counter()
+        cache = self._trans_cache
+        transition_units = self.optimizer.transition_units
         n = len(configs)
-        matrix = np.zeros((n, n), dtype=np.float64)
-        for i, old in enumerate(configs):
-            for j, new in enumerate(configs):
-                if i != j:
-                    matrix[i, j] = self.trans_cost(old, new)
-        return matrix
+        rows = []
+        calls = hits = 0
+        try:
+            for i, old in enumerate(configs):
+                row = []
+                for j, new in enumerate(configs):
+                    if i == j:
+                        row.append(0.0)
+                        continue
+                    key = (old, new)
+                    units = cache.get(key)
+                    if units is None:
+                        units = cache[key] = transition_units(
+                            old.structures, new.structures)
+                        calls += 1
+                    else:
+                        hits += 1
+                    row.append(units)
+                rows.append(row)
+        finally:
+            self.stats.trans_calls += calls
+            self.stats.trans_cache_hits += hits
+            self.stats.trans_seconds += time.perf_counter() - start
+        return np.array(rows, dtype=np.float64).reshape(n, n)
 
     # ------------------------------------------------------------------
     # instrumentation

@@ -77,6 +77,12 @@ class IndexDef:
             raise SchemaError(
                 f"duplicate key column in index on {self.columns}")
 
+    def __hash__(self) -> int:
+        # The kind is part of the hash: the fields alone hash I(a,b)
+        # and V(a,b) alike, and every cost-cache key holding one of
+        # them would collide with its twin.
+        return hash(("index", self.table, self.columns, self.compression))
+
     @property
     def label(self) -> str:
         """The paper's notation, e.g. ``I(a,b)`` (``I(a,b)@H`` when

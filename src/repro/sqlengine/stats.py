@@ -4,10 +4,22 @@ The what-if optimizer and the planner share these statistics to
 estimate predicate selectivities. Numeric columns get an equi-depth
 histogram plus an exact distinct count; string columns get distinct
 counts only (equality selectivity is what the workloads need).
+
+Non-finite FLOAT values: a NaN satisfies no comparison in the
+executor, so NaN rows carry no range mass. The minimum, maximum and
+histogram are built from the non-NaN values, and a range selectivity
+is scaled by their share of the column. ``±inf`` values are kept:
+when a column holds one, every boundary is a data value (no
+interpolation, which would turn ``inf - inf`` into NaN), so ``±inf``
+is an outer boundary. A finite, NaN-free column interpolates its
+boundaries linearly (``np.quantile``'s default). Either way the
+boundaries are sorted and NaN-free, which the bucket lookup's
+``bisect`` relies on.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -36,13 +48,18 @@ class EquiDepthHistogram:
     def from_array(cls, values: np.ndarray,
                    n_buckets: int = DEFAULT_BUCKETS
                    ) -> "EquiDepthHistogram":
-        if len(values) == 0:
+        data = values.astype(np.float64)
+        method = "linear"
+        if values.dtype.kind == "f" and not np.isfinite(data).all():
+            data = data[~np.isnan(data)]
+            method = "lower"
+        if len(data) == 0:
             return cls(boundaries=(0.0, 0.0), total=0)
-        buckets = max(1, min(n_buckets, len(values)))
+        buckets = max(1, min(n_buckets, len(data)))
         quantiles = np.linspace(0.0, 1.0, buckets + 1)
-        boundaries = np.quantile(values.astype(np.float64), quantiles)
+        boundaries = np.quantile(data, quantiles, method=method)
         return cls(boundaries=tuple(float(b) for b in boundaries),
-                   total=int(len(values)))
+                   total=int(len(data)))
 
     @property
     def n_buckets(self) -> int:
@@ -70,11 +87,15 @@ class EquiDepthHistogram:
 
     def _fraction_strictly_below(self, value: float) -> float:
         bounds = self.boundaries
-        # side="left" so that zero-width buckets equal to ``value``
+        # bisect_left so that zero-width buckets equal to ``value``
         # (heavy duplicates in the data) do not count as mass below it.
-        idx = int(np.searchsorted(bounds, value, side="left")) - 1
+        idx = bisect_left(bounds, value) - 1
         if idx < 0:
-            return 0.0
+            if value == value:
+                return 0.0
+            # A NaN probe sorts after every boundary (np.searchsorted's
+            # order for NaN).
+            idx = self.n_buckets
         idx = min(idx, self.n_buckets - 1)
         lo, hi = bounds[idx], bounds[idx + 1]
         if hi == lo:
@@ -114,8 +135,13 @@ class ColumnStats:
         if values.dtype.kind in "if":
             distinct = int(len(np.unique(values)))
             histogram = EquiDepthHistogram.from_array(values, n_buckets)
-            return cls(name, n, distinct,
-                       float(values.min()), float(values.max()), histogram)
+            present = values
+            if histogram.total != n:
+                present = values[~np.isnan(values)]
+                if len(present) == 0:
+                    return cls(name, n, distinct, None, None, histogram)
+            return cls(name, n, distinct, float(present.min()),
+                       float(present.max()), histogram)
         distinct = int(len(np.unique(values)))
         return cls(name, n, distinct, None, None, None)
 
@@ -140,8 +166,12 @@ class ColumnStats:
             return 0.05
         lo_f = None if lo is None else float(lo)
         hi_f = None if hi is None else float(hi)
-        return self.histogram.selectivity_range(
+        selectivity = self.histogram.selectivity_range(
             lo_f, hi_f, lo_inclusive, hi_inclusive)
+        if self.histogram.total != self.n_values:
+            # NaN rows satisfy no comparison: no range mass.
+            selectivity *= self.histogram.total / self.n_values
+        return selectivity
 
 
 @dataclass(frozen=True)

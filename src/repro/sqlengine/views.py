@@ -65,6 +65,10 @@ class ViewDef:
         object.__setattr__(self, "columns",
                            tuple(sorted(self.columns)))
 
+    def __hash__(self) -> int:
+        # The kind is part of the hash, as on IndexDef.
+        return hash(("view", self.table, self.columns, self.compression))
+
     @property
     def label(self) -> str:
         return f"V({','.join(self.columns)}){self.compression.suffix}"

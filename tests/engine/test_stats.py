@@ -1,9 +1,13 @@
 """Unit tests for statistics and selectivity estimation."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.errors import EngineError
+from repro.sqlengine import Database
 from repro.sqlengine.buffer import BufferManager
 from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.stats import (ColumnStats, EquiDepthHistogram,
@@ -91,6 +95,53 @@ class TestColumnStats:
         stats = ColumnStats.from_array("a", np.arange(10_000))
         assert stats.selectivity_range(0, 999) == \
             pytest.approx(0.1, abs=0.02)
+
+
+class TestNonFiniteValues:
+    """NaN rows carry no range mass; ``±inf`` is an outer boundary."""
+
+    @pytest.fixture
+    def db(self):
+        db = Database()
+        db.create_table("g", [("x", "FLOAT"), ("y", "INTEGER")])
+        db.bulk_load("g", {"x": [1.0, 2.0, math.nan, 4.0] * 10,
+                           "y": list(range(40))})
+        return db
+
+    def test_nan_rows_are_left_out_of_the_domain(self, db):
+        stats = db.stats("g").column("x")
+        assert (stats.min_value, stats.max_value) == (1.0, 4.0)
+        assert stats.n_values == 40
+        assert stats.histogram.total == 30
+        assert not any(math.isnan(b) for b in stats.histogram.boundaries)
+
+    def test_range_estimate_tracks_the_executor(self, db):
+        stats = db.stats("g").column("x")
+        rows = db.query("SELECT x FROM g WHERE x < 3")
+        assert len(rows) == 20
+        assert stats.selectivity_range(None, 3, True, False) == \
+            pytest.approx(len(rows) / 40, abs=0.05)
+        assert stats.selectivity_range(None, None) == pytest.approx(0.75)
+
+    def test_infinite_insert_keeps_an_outer_boundary(self):
+        db = Database()
+        db.create_table("f", [("x", "FLOAT"), ("y", "INTEGER")])
+        db.execute("INSERT INTO f (x, y) VALUES (1.5, 1)")
+        db.execute("INSERT INTO f (x, y) VALUES (1e999, 1)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = db.stats("f").column("x")
+        bounds = stats.histogram.boundaries
+        assert bounds[0] == 1.5 and bounds[-1] == math.inf
+        assert list(bounds) == sorted(bounds)
+        assert stats.max_value == math.inf
+        assert stats.selectivity_range(None, 3, True, False) == 0.5
+
+    def test_all_nan_column(self):
+        stats = ColumnStats.from_array("x", np.full(5, np.nan))
+        assert stats.min_value is None and stats.max_value is None
+        assert stats.selectivity_range(0.0, 1.0) == 0.0
+        assert stats.selectivity_range(None, None) == 0.0
 
 
 class TestTableStats:
