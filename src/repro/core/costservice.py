@@ -213,8 +213,10 @@ class CostService:
         # files it under each SQL text of the template.
         self._template_units: Dict[Tuple, _TemplateRow] = {}
         self._row_by_sql: Dict[str, _TemplateRow] = {}
-        self._trans_cache: Dict[Tuple[Configuration, Configuration],
-                                float] = {}
+        # Transition estimates, one row per source: {old: {new:
+        # units}}, so a cached pair costs no key object.
+        self._trans_cache: Dict[Configuration,
+                                Dict[Configuration, float]] = {}
         self._size_cache: Dict[Configuration, int] = {}
         # Atomic cost decomposition, same layout: {template key:
         # {relevance signature: units}}; _signature_keys: pairs seen.
@@ -272,17 +274,23 @@ class CostService:
                    new: Configuration) -> float:
         self._check_epoch()
         start = time.perf_counter()
-        key = (old, new)
-        units = self._trans_cache.get(key)
+        known = self._trans_row(old)
+        units = known.get(new)
         if units is None:
-            units = self.optimizer.transition_units(old.structures,
-                                                    new.structures)
-            self._trans_cache[key] = units
+            units = known[new] = self.optimizer.transition_units(
+                old.structures, new.structures)
             self.stats.trans_calls += 1
         else:
             self.stats.trans_cache_hits += 1
         self.stats.trans_seconds += time.perf_counter() - start
         return units
+
+    def _trans_row(self, old: Configuration
+                   ) -> Dict[Configuration, float]:
+        row = self._trans_cache.get(old)
+        if row is None:
+            row = self._trans_cache[old] = {}
+        return row
 
     def upper_bound_cost(self, segment: CostUnit,
                          config: Configuration) -> float:
@@ -405,7 +413,6 @@ class CostService:
         counted as ``trans_cost`` counts it."""
         self._check_epoch()
         start = time.perf_counter()
-        cache = self._trans_cache
         transition_units = self.optimizer.transition_units
         n = len(configs)
         rows = []
@@ -413,14 +420,14 @@ class CostService:
         try:
             for i, old in enumerate(configs):
                 row = []
+                known = self._trans_row(old)
                 for j, new in enumerate(configs):
                     if i == j:
                         row.append(0.0)
                         continue
-                    key = (old, new)
-                    units = cache.get(key)
+                    units = known.get(new)
                     if units is None:
-                        units = cache[key] = transition_units(
+                        units = known[new] = transition_units(
                             old.structures, new.structures)
                         calls += 1
                     else:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import PlanningError, SchemaError, SqlUnsupportedError
+from ..errors import (PlanningError, SchemaError, SqlUnsupportedError,
+                      TypeMismatchError)
 from .costmodel import Cost, CostParams
 from .index import IndexDef, IndexGeometry, structure_sort_key
 from .plan import (Aggregate, FetchHeap, Filter, GroupAggregate, PlanNode,
@@ -126,6 +127,7 @@ def analyze_select(stmt: SelectStmt, schema: TableSchema) -> QueryInfo:
             if not schema.has_column(predicate.column):
                 raise SchemaError(
                     f"unknown column {predicate.column!r} in WHERE")
+            _check_literals(schema, predicate)
             if isinstance(predicate, Between):
                 spec = RangeSpec(lo=predicate.lo, hi=predicate.hi)
                 _merge_range(ranges, predicate.column, spec)
@@ -174,6 +176,20 @@ def analyze_select(stmt: SelectStmt, schema: TableSchema) -> QueryInfo:
                      limit=stmt.limit, unsatisfiable=unsatisfiable,
                      aggregates=stmt.aggregates,
                      order_by=stmt.order_by, group_by=stmt.group_by)
+
+
+def _check_literals(schema: TableSchema, predicate) -> None:
+    """Reject a literal of the wrong kind for its column: a string
+    against a numeric column or a number against a TEXT column (the
+    rule of :func:`~.types.compare_values`)."""
+    ctype = schema.column(predicate.column).ctype
+    values = (predicate.lo, predicate.hi) \
+        if isinstance(predicate, Between) else (predicate.value,)
+    for value in values:
+        if isinstance(value, str) == ctype.is_numeric:
+            raise TypeMismatchError(
+                f"cannot compare {ctype.value} column "
+                f"{predicate.column!r} with {value!r}")
 
 
 def separable(where: Optional[Conjunction]) -> bool:
@@ -314,8 +330,8 @@ def enumerate_access_paths(
         info: QueryInfo, stats: TableStats,
         indexes: Sequence[Tuple[IndexDef, IndexGeometry]],
         params: CostParams,
-        views: Sequence[Tuple[ViewDef, ViewGeometry]] = ()
-        ) -> List[AccessPath]:
+        views: Sequence[Tuple[ViewDef, ViewGeometry]] = (),
+        path_table: Optional[Dict] = None) -> List[AccessPath]:
     """All feasible access paths, sorted cheapest-first.
 
     Each path carries the realized plan tree; its cost is the tree's
@@ -323,23 +339,45 @@ def enumerate_access_paths(
     :class:`~repro.sqlengine.views.ViewDef` with its
     :class:`~repro.sqlengine.views.ViewGeometry`; a view covering every
     referenced column offers a ``view_scan`` over its narrower pages.
+
+    ``path_table`` is a caller's record of ``info``'s paths under
+    these statistics, geometries and parameters: ``None`` maps to
+    ``[heap path]`` (whose ``est_rows`` is the output estimate), each
+    structure to the paths it contributes (``[]`` when it does not
+    serve). A structure is realized only on a miss. Every path uses at
+    most one structure, so its paths do not depend on what else is in
+    the configuration, and the list sorted here is the one a cold
+    table gives: heap, indexes, views, in the order passed.
     """
-    out_rows = stats.nrows * total_selectivity(info, stats)
-    paths: List[AccessPath] = [
-        _realize(info, stats, params, out_rows, kind="full_scan")]
+    if path_table is None:
+        path_table = {}
+    heap = path_table.get(None)
+    if heap is None:
+        heap = path_table[None] = [_realize(
+            info, stats, params,
+            stats.nrows * total_selectivity(info, stats),
+            kind="full_scan")]
+    out_rows = heap[0].est_rows
+    paths = list(heap)
     for definition, geometry in indexes:
         if definition.table != info.table:
             continue
-        paths.extend(_paths_for_index(info, stats, definition, geometry,
-                                      out_rows, params))
+        found = path_table.get(definition)
+        if found is None:
+            found = path_table[definition] = _paths_for_index(
+                info, stats, definition, geometry, out_rows, params)
+        paths.extend(found)
     for view_def, view_geometry in views:
         if view_def.table != info.table:
             continue
-        if view_def.covers(info.referenced_columns):
-            paths.append(_realize(
+        found = path_table.get(view_def)
+        if found is None:
+            found = path_table[view_def] = [_realize(
                 info, stats, params, out_rows, kind="view_scan",
                 covering=True, view=view_def,
-                view_geometry=view_geometry))
+                view_geometry=view_geometry)] \
+                if view_def.covers(info.referenced_columns) else []
+        paths.extend(found)
     paths.sort(key=lambda p: p.cost.total(params))
     return paths
 
@@ -348,10 +386,10 @@ def choose_access_path(
         info: QueryInfo, stats: TableStats,
         indexes: Sequence[Tuple[IndexDef, IndexGeometry]],
         params: CostParams,
-        views: Sequence[Tuple[ViewDef, ViewGeometry]] = ()
-        ) -> AccessPath:
+        views: Sequence[Tuple[ViewDef, ViewGeometry]] = (),
+        path_table: Optional[Dict] = None) -> AccessPath:
     return enumerate_access_paths(info, stats, indexes, params,
-                                  views)[0]
+                                  views, path_table)[0]
 
 
 # ----------------------------------------------------------------------

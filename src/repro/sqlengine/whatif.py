@@ -22,10 +22,12 @@ additionally use the *template* entry points — statements are reduced
 to a canonical :class:`StatementTemplate` whose key folds predicate
 constants into the selectivities they induce; two statements with equal
 template keys receive identical what-if estimates, so each template is
-estimated once per configuration instead of once per statement. Two
+estimated once per configuration instead of once per statement. Three
 facts are kept per structure, not per cell: its build cost (a table
-per statistics epoch) and whether it can serve a template (a row of
-relevance signatures per template, from one derivation). A
+per statistics epoch), whether it can serve a template (a row of
+relevance signatures per template, from one derivation) and the access
+paths it contributes to a query (a table per analysed query, per
+statistics epoch, that every configuration's plan choice reads). A
 statement that carries its text gets its key straight from ``(shape,
 literal texts)`` — no AST — wherever the shape has a *key plan*
 (:meth:`WhatIfOptimizer.statement_template`, DESIGN §6).
@@ -124,8 +126,11 @@ def _compile_key_plan(template: StatementTemplate) -> Optional[_KeyPlan]:
     compute when its WHERE is :func:`~.planner.separable`: the
     analysis is then never ``unsatisfiable`` and every column, in
     sorted order, contributes the one part its own comparison spells;
-    everything else in the key is the first member's. Any other shape
-    has no plan (``None``).
+    everything else in the key is the first member's. A member that
+    compares a string where the first member compares a number, or the
+    other way round, gets no key from the plan: only the analysis knows
+    whether its literal fits the column. Any other shape has no plan
+    (``None``).
     """
     stmt, key = template.representative, template.key
     if isinstance(stmt, InsertStmt):
@@ -137,7 +142,8 @@ def _compile_key_plan(template: StatementTemplate) -> Optional[_KeyPlan]:
     first = len(stmt.assignments) if isinstance(stmt, UpdateStmt) else 0
     predicates = () if stmt.where is None else stmt.where.predicates
     slots = sorted((p.column, _PART_KINDS.get(p.op, "range"), p.op,
-                    first + i) for i, p in enumerate(predicates))
+                    first + i, isinstance(p.value, str))
+                   for i, p in enumerate(predicates))
     n_literals = first + len(predicates)
     limit_slot = None
     if signature[-3] is not None:
@@ -158,7 +164,9 @@ def _compile_key_plan(template: StatementTemplate) -> Optional[_KeyPlan]:
                 return None
         column_stats = stats_for(table).column
         parts = []
-        for column, part, op, slot in slots:
+        for column, part, op, slot, text in slots:
+            if isinstance(values[slot], str) != text:
+                return None
             if part == "range":
                 spec = comparison_range(op, values[slot])
                 selectivity = column_stats(column).selectivity_range(
@@ -196,7 +204,11 @@ class WhatIfOptimizer:
         #: structure -> :meth:`_build_facts`, per statistics epoch
         self._build_table: Dict[object, Tuple] = {}
         self._drop_charge = cost_drop_index(self.params).cpu_units
-        self._analyze_cache: Dict[SelectStmt, QueryInfo] = {}
+        #: analysed SELECT (an UPDATE's or DELETE's probe too) -> its
+        #: ``QueryInfo`` and its access-path table (``path_table`` of
+        #: :func:`~.planner.enumerate_access_paths`). The info outlives
+        #: a statistics epoch; the table is emptied with it.
+        self._planning: Dict[SelectStmt, Tuple[QueryInfo, Dict]] = {}
         #: statement shape -> how to read a template key off the
         #: shape's literal texts (``None``: only the AST can tell);
         #: see :meth:`statement_template`.
@@ -329,13 +341,13 @@ class WhatIfOptimizer:
         stmt = template.representative
         structures = frozenset(config)
         if isinstance(stmt, SelectStmt):
-            info = self._analyze(stmt)
+            info = self._planned(stmt)[0]
             return ("select", relevant_structures(info, structures))
         if isinstance(stmt, InsertStmt):
             return ("insert", stmt.table,
                     _maintenance_levels(structures, stmt.table))
         if isinstance(stmt, (UpdateStmt, DeleteStmt)):
-            info = self._analyze(self._probe(stmt))
+            info = self._planned(self._probe(stmt))[0]
             return ("write", relevant_structures(info, structures),
                     _maintenance_levels(structures, stmt.table))
         raise SqlUnsupportedError(
@@ -379,7 +391,7 @@ class WhatIfOptimizer:
         constraint kinds with their selectivities, in the exact order
         ``predicate_selectivity`` multiplies them.
         """
-        info = self._analyze(stmt)
+        info = self._planned(stmt)[0]
         stats = self._stats_for(stmt.table)
 
         columns = sorted(set(info.eq_predicates)
@@ -413,11 +425,11 @@ class WhatIfOptimizer:
 
     def _estimate_select(self, stmt: SelectStmt,
                          config: FrozenSet[IndexDef]) -> PlanEstimate:
-        info = self._analyze(stmt)
+        info, path_table = self._planned(stmt)
         stats = self._stats_for(stmt.table)
         indexes, views = self._geometries(stmt.table, config)
         path = choose_access_path(info, stats, indexes, self.params,
-                                  views=views)
+                                  views, path_table)
         return PlanEstimate(cost=path.cost, access_path=path,
                             units=path.cost.total(self.params),
                             plan=path.plan)
@@ -436,11 +448,11 @@ class WhatIfOptimizer:
 
     def _estimate_write_with_where(self, stmt, config) -> PlanEstimate:
         """UPDATE/DELETE: locate rows like a SELECT *, then write."""
-        info = self._analyze(self._probe(stmt))
+        info, path_table = self._planned(self._probe(stmt))
         stats = self._stats_for(stmt.table)
         indexes, views = self._geometries(stmt.table, config)
         path = choose_access_path(info, stats, indexes, self.params,
-                                  views=views)
+                                  views, path_table)
         affected = stats.nrows * total_selectivity(info, stats)
         n_indexes = sum(1 for d in config if d.table == stmt.table)
         surcharge = _maintenance_surcharge(config, stmt.table)
@@ -539,13 +551,15 @@ class WhatIfOptimizer:
     # ------------------------------------------------------------------
 
     def refresh_stats(self, stats: Mapping[str, TableStats]) -> None:
-        """Swap in new statistics (invalidates geometry caches and
-        remembered templates, whose keys hold the old selectivities,
-        and bumps the stats epoch so templates cached elsewhere go
-        stale)."""
+        """Swap in new statistics (invalidates geometry caches, access
+        paths and remembered templates, whose keys hold the old
+        selectivities, and bumps the stats epoch so templates cached
+        elsewhere go stale)."""
         self._stats = dict(stats)
         self._geometry_cache.clear()
         self._build_table.clear()
+        for _info, path_table in self._planning.values():
+            path_table.clear()
         self._templates.clear()
         self.stats_epoch += 1
 
@@ -562,12 +576,12 @@ class WhatIfOptimizer:
             raise CatalogError(
                 f"no statistics for table {table!r}") from None
 
-    def _analyze(self, stmt: SelectStmt) -> QueryInfo:
-        info = self._analyze_cache.get(stmt)
-        if info is None:
-            info = analyze_select(stmt, self._schema_for(stmt.table))
-            self._analyze_cache[stmt] = info
-        return info
+    def _planned(self, stmt: SelectStmt) -> Tuple[QueryInfo, Dict]:
+        entry = self._planning.get(stmt)
+        if entry is None:
+            entry = self._planning[stmt] = (
+                analyze_select(stmt, self._schema_for(stmt.table)), {})
+        return entry
 
     def _probe(self, stmt) -> SelectStmt:
         """The SELECT that locates an UPDATE's or DELETE's rows:

@@ -205,6 +205,18 @@ class TestScalarCaching:
         assert service.stats.size_calls == 1
         assert service.stats.size_cache_hits == 1
 
+    def test_trans_cache_is_one_row_per_source(self, service,
+                                               paper_candidates):
+        # A cached pair costs no key object: the fill files each
+        # estimate under its source's row, where trans_cost finds it.
+        configs = single_index_configurations(paper_candidates)
+        matrix = service.trans_matrix(configs)
+        assert list(service._trans_cache) == list(configs)
+        assert all(len(row) == len(configs) - 1
+                   for row in service._trans_cache.values())
+        assert service.trans_cost(configs[1], configs[0]) == matrix[1, 0]
+        assert service.stats.trans_cache_hits == 1
+
     def test_refresh_stats_invalidates(self, small_db, service):
         segment = Segment(
             (Statement("SELECT a FROM t WHERE a = 1"),), 0)
@@ -303,7 +315,7 @@ class TestShapeKeyedFrontEnd:
         assert calls["tokenize"] <= shapes
         assert 0 < calls["parse"] <= shapes + templates
         assert calls["analyze_select"] <= shapes + templates
-        assert len(optimizer._analyze_cache) <= templates
+        assert len(optimizer._planning) <= templates
 
         reference = WhatIfCostProvider(small_db.what_if())
         assert np.array_equal(matrix, np.array(

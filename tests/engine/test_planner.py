@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PlanningError, SchemaError
+from repro.errors import PlanningError, SchemaError, TypeMismatchError
 from repro.sqlengine import CostParams, IndexDef
 from repro.sqlengine.index import IndexGeometry
 from repro.sqlengine.planner import (RangeSpec, analyze_select,
@@ -10,8 +10,10 @@ from repro.sqlengine.planner import (RangeSpec, analyze_select,
                                      enumerate_access_paths,
                                      predicate_selectivity,
                                      total_selectivity)
+from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.sql import parse
 from repro.sqlengine.stats import TableStats
+from repro.sqlengine.types import ColumnType
 
 PARAMS = CostParams()
 
@@ -80,6 +82,33 @@ class TestAnalyzeSelect:
     def test_wrong_table_raises(self, schema):
         with pytest.raises(PlanningError):
             analyze_select(parse("SELECT a FROM other"), schema)
+
+
+class TestLiteralKinds:
+    """A literal compares only with a column of its kind: a string
+    with TEXT, a number with a numeric column (``compare_values``)."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        return TableSchema.build("t", [("a", ColumnType.INTEGER),
+                                       ("f", ColumnType.FLOAT),
+                                       ("s", ColumnType.TEXT)])
+
+    @pytest.mark.parametrize("where", [
+        "a = 'x'", "a != 'x'", "a < 'x'", "a <= 'x'", "a > 'x'",
+        "a >= 'x'", "a BETWEEN 'x' AND 'y'", "a BETWEEN 1 AND 'y'",
+        "f < '2.5'", "s = 5", "s != 5", "s < 5", "s >= 2.5",
+        "s BETWEEN 'a' AND 9", "a = 1 AND s > 2"])
+    def test_other_kind_raises(self, mixed, where):
+        with pytest.raises(TypeMismatchError):
+            analyze_select(parse(f"SELECT a FROM t WHERE {where}"),
+                           mixed)
+
+    @pytest.mark.parametrize("where", [
+        "a = 5", "a < 2.5", "f >= 3", "f BETWEEN 1 AND 2.5",
+        "s = 'x'", "s != 'x'", "s BETWEEN 'a' AND 'k'"])
+    def test_same_kind_passes(self, mixed, where):
+        analyze_select(parse(f"SELECT a FROM t WHERE {where}"), mixed)
 
 
 class TestRangeSpec:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import CatalogError, SqlUnsupportedError
+from repro.errors import (CatalogError, SqlUnsupportedError,
+                          TypeMismatchError)
 from repro.sqlengine import IndexDef
 from repro.sqlengine.sql import parse
 
@@ -222,3 +223,48 @@ class TestRelevanceSignatures:
         backward = what_if.relevance_signature(template, [AB, B, A])
         assert forward == backward
 
+
+
+class TestLiteralOfTheWrongKind:
+    """A string against a numeric column, or a number against a TEXT
+    one, is an error on the executor and what-if paths alike, and the
+    shape-keyed template route never vouches for one."""
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        import numpy as np
+        from repro.sqlengine import Database
+        db = Database()
+        db.create_table("t", [("a", "INTEGER"), ("s", "TEXT")])
+        db.bulk_load("t", {"a": np.arange(100),
+                           "s": np.array([f"v{i}" for i in range(100)])})
+        return db
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t WHERE a < 'x'", "SELECT a FROM t WHERE s < 5",
+        "SELECT a FROM t WHERE a = 'x'", "SELECT a FROM t WHERE s = 5",
+        "UPDATE t SET a = 1 WHERE s = 5", "DELETE FROM t WHERE a > 'x'"])
+    def test_query_and_estimate_raise(self, db, sql):
+        with pytest.raises(TypeMismatchError):
+            db.what_if().estimate_statement(parse(sql), ())
+        if sql.startswith("SELECT"):
+            with pytest.raises(TypeMismatchError):
+                db.query(sql)
+
+    def test_the_key_plan_does_not_vouch_for_another_kind(self, db):
+        from repro.workload.model import Statement
+        optimizer = db.what_if()
+        number = optimizer.statement_template(
+            Statement("SELECT a FROM t WHERE a = 5"))
+        with pytest.raises(TypeMismatchError):
+            optimizer.statement_template(
+                Statement("SELECT a FROM t WHERE a = 'x'"))
+        assert optimizer.statement_template(
+            Statement("SELECT a FROM t WHERE a = 7")) is number
+        text = optimizer.statement_template(
+            Statement("SELECT a FROM t WHERE s = 'v1'"))
+        with pytest.raises(TypeMismatchError):
+            optimizer.statement_template(
+                Statement("SELECT a FROM t WHERE s = 1"))
+        assert optimizer.statement_template(
+            Statement("SELECT a FROM t WHERE s = 'v2'")) is text

@@ -291,6 +291,13 @@ class TestExplainCommand:
         assert main(["explain", "SELECT COUNT(*) FROM t"]) == 2
         assert "cannot infer" in capsys.readouterr().err
 
+    def test_mistyped_literal_is_an_error_not_a_traceback(self, capsys):
+        assert main(["explain", "SELECT a FROM t WHERE a < 'x'",
+                     "--index", "a"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot compare INTEGER column 'a' with " \
+            "'x'\n"
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):

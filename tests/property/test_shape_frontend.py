@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ParseError, SqlError
+from repro.errors import ParseError, SqlError, TypeMismatchError
 from repro.sqlengine import Database, IndexDef
 from repro.sqlengine.sql import parse, tokenize
 from repro.sqlengine.sql import parser as parser_module
@@ -309,14 +309,14 @@ def key_outcome(optimizer, source):
     """The template key ``optimizer`` gives ``source`` — a workload
     statement, or SQL text for the full parser and the AST path — or
     how deriving it failed. (A string compared with a number fails in
-    the analysis or the statistics, the same way on either path.)"""
+    the analysis, the same way on either path.)"""
     try:
         stmt = full_parse(source) if isinstance(source, str) else source
         return "ok", optimizer.statement_template(stmt).key
     except SqlError as exc:
         return (type(exc).__name__, str(exc),
                 getattr(exc, "position", None))
-    except (TypeError, ValueError) as exc:
+    except TypeMismatchError as exc:
         return type(exc).__name__, str(exc), None
 
 
@@ -345,7 +345,7 @@ class TestTemplateByShape:
         for sql in texts:
             try:
                 template = warm.statement_template(Statement(sql))
-            except (SqlError, TypeError, ValueError):
+            except (SqlError, TypeMismatchError):
                 continue
             member = full_parse(sql)
             for config in CONFIGS:
