@@ -65,7 +65,7 @@ import numpy as np
 from ..errors import EstimationUnavailable
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..sqlengine.whatif import StatementTemplate, WhatIfOptimizer
-from ..workload.summary import CostUnit, atoms_of
+from ..workload.summary import CostUnit, atoms_of, columns_of
 from .structures import Configuration
 
 
@@ -353,12 +353,12 @@ class CostService:
         templates: List[StatementTemplate] = []
         template_row: Dict[Tuple, int] = {}
         sql_row: Dict[str, int] = {}
-        unit_atoms: List[Tuple[List[int], List[int]]] = []
+        unit_atoms: List[Tuple[List[int], Sequence[int]]] = []
         n_statements = 0
         for segment in segments:
+            statements, weights = columns_of(segment)
             rows: List[int] = []
-            weights: List[int] = []
-            for statement, weight in atoms_of(segment):
+            for statement in statements:
                 row = sql_row.get(statement.sql)
                 if row is None:
                     template = self._row(statement).template
@@ -369,9 +369,8 @@ class CostService:
                         templates.append(template)
                     sql_row[statement.sql] = row
                 rows.append(row)
-                weights.append(weight)
-                n_statements += weight
             unit_atoms.append((rows, weights))
+            n_statements += sum(weights)
 
         # One estimate per (template, signature) not yet cached.
         calls_before = self.stats.whatif_calls

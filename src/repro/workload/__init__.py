@@ -19,10 +19,9 @@ from .perturb import (drop_and_duplicate, jitter_blocks,
 from .segmentation import (Segment, iter_segments_by_count,
                            iter_segments_by_tag, segment_by_count,
                            segment_by_tag, segment_per_statement)
-from .summary import (PhaseSummary, WorkloadAtom, WorkloadSummary,
-                      atoms_of, iter_phases, summarize_segment,
-                      summarize_segments, summarize_statements,
-                      summarize_workload)
+from .summary import (PhaseSummary, WorkloadSummary, atoms_of,
+                      iter_phases, summarize_segment, summarize_segments,
+                      summarize_statements, summarize_workload)
 from .trace import iter_trace, load_trace, save_trace, trace_name
 
 __all__ = [
@@ -40,7 +39,7 @@ __all__ = [
     "resize_blocks", "standard_variations",
     "Segment", "iter_segments_by_count", "iter_segments_by_tag",
     "segment_by_count", "segment_by_tag", "segment_per_statement",
-    "PhaseSummary", "WorkloadAtom", "WorkloadSummary", "atoms_of",
+    "PhaseSummary", "WorkloadSummary", "atoms_of",
     "iter_phases", "summarize_segment", "summarize_segments",
     "summarize_statements", "summarize_workload",
     "iter_trace", "load_trace", "save_trace", "trace_name",

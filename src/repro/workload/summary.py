@@ -7,11 +7,11 @@ statements and their multiplicities: EXEC(phase, config) =
 Σ weight(atom) × cost(atom, config). This module provides that
 representation:
 
-* :class:`WorkloadAtom` — one distinct statement (keyed by SQL text)
-  with its occurrence count inside a phase.
-* :class:`PhaseSummary` — one design phase: atoms in first-appearance
-  order plus the raw position/length/tag bookkeeping a
-  :class:`~repro.workload.segmentation.Segment` would carry.
+* :class:`PhaseSummary` — one design phase: its atoms (distinct
+  statements, keyed by SQL text, with their occurrence counts) as two
+  columns in first-appearance order, plus the raw position/length/tag
+  bookkeeping a :class:`~repro.workload.segmentation.Segment` would
+  carry.
 * :class:`WorkloadSummary` — the phase sequence for a whole trace.
 
 Summaries are built by **streaming**: :func:`iter_phases` (and
@@ -34,34 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import (Dict, Iterable, Iterator, List, Optional, Tuple,
-                    Union)
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from ..errors import WorkloadError
 from .model import Statement, Workload
 from .segmentation import Segment, check_block_size
 
 
-@dataclass(frozen=True)
-class WorkloadAtom:
-    """One distinct statement within a phase, with its multiplicity.
-
-    Attributes:
-        statement: the first occurrence (representative) — later
-            occurrences of the same SQL may carry different tags; the
-            representative's tag is kept.
-        weight: how many times the SQL text occurred in the phase.
-    """
-
-    statement: Statement
-    weight: int
-
-    @property
-    def sql(self) -> str:
-        return self.statement.sql
-
-    def __repr__(self) -> str:
-        return f"WorkloadAtom({self.statement.sql!r}, x{self.weight})"
+_sql = attrgetter("sql")
 
 
 @dataclass(frozen=True)
@@ -70,25 +51,44 @@ class PhaseSummary:
 
     Quacks like a :class:`~repro.workload.segmentation.Segment` for
     position bookkeeping (``start``/``end``/``len``/``tag``) but holds
-    ``(statement, weight)`` atoms instead of the statement list.
+    its atoms as two columns instead of the statement list.
     Deliberately *not* iterable over statements — costing code must go
     through :func:`atoms_of` so the weighted accumulation stays
     explicit.
 
     Attributes:
-        atoms: distinct statements in first-appearance order.
+        statements: one representative per distinct SQL text, in
+            first-appearance order — the text's first occurrence,
+            whose tag is kept.
+        weights: how many times each text occurred in the phase.
         start: index of the phase's first statement in the raw trace.
-        length: raw statement count summarized (= Σ atom weights).
+        length: raw statement count summarized (= Σ weights).
         tag: dominant tag of the phase (None if untagged).
+
+    Raises:
+        WorkloadError: the columns differ in length, a weight is not a
+            positive ``int``, an SQL text repeats, or the weights do
+            not sum to ``length``.
     """
 
-    atoms: Tuple[WorkloadAtom, ...]
+    statements: Tuple[Statement, ...]
+    weights: Tuple[int, ...]
     start: int
     length: int
     tag: Optional[str] = None
 
     def __post_init__(self) -> None:
-        total = sum(atom.weight for atom in self.atoms)
+        # Whole-column checks (C loops): every fold pays them.
+        n = len(self.statements)
+        if len(self.weights) != n:
+            raise WorkloadError(
+                f"{n} statements but {len(self.weights)} weights")
+        if n and (set(map(type, self.weights)) != {int}
+                  or min(self.weights) < 1):
+            raise WorkloadError("atom weights must be positive ints")
+        if len(set(map(_sql, self.statements))) != n:
+            raise WorkloadError("an SQL text repeats among the atoms")
+        total = sum(self.weights)
         if total != self.length:
             raise WorkloadError(
                 f"phase length {self.length} != sum of atom weights "
@@ -101,7 +101,7 @@ class PhaseSummary:
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.statements)
 
     def __len__(self) -> int:
         """Raw statements represented (not the atom count)."""
@@ -110,7 +110,7 @@ class PhaseSummary:
     def __repr__(self) -> str:
         tag = f", tag={self.tag!r}" if self.tag else ""
         return (f"PhaseSummary([{self.start}:{self.end}], "
-                f"{len(self.atoms)} atoms{tag})")
+                f"{self.n_atoms} atoms{tag})")
 
 
 class WorkloadSummary:
@@ -137,7 +137,7 @@ class WorkloadSummary:
 
     @property
     def n_atoms(self) -> int:
-        return sum(len(phase.atoms) for phase in self.phases)
+        return sum(phase.n_atoms for phase in self.phases)
 
     @property
     def compression_ratio(self) -> float:
@@ -148,14 +148,20 @@ class WorkloadSummary:
         return self.n_statements / atoms
 
     def tag_counts(self) -> Dict[Optional[str], int]:
-        """Raw statement count per tag (matches
-        :meth:`~repro.workload.model.Workload.tag_counts` on the
-        source trace)."""
+        """Raw statement count per tag, each atom counted under its
+        representative's tag.
+
+        This matches :meth:`~repro.workload.model.Workload.tag_counts`
+        on the source trace only when every SQL text carries one tag:
+        an atom keeps the tag of its first occurrence, so a text seen
+        as ``A`` and then as ``B`` counts twice under ``A``.
+        """
         counts: Dict[Optional[str], int] = {}
         for phase in self.phases:
-            for atom in phase.atoms:
-                tag = atom.statement.tag
-                counts[tag] = counts.get(tag, 0) + atom.weight
+            for statement, weight in zip(phase.statements,
+                                         phase.weights):
+                counts[statement.tag] = \
+                    counts.get(statement.tag, 0) + weight
         return counts
 
     def __len__(self) -> int:
@@ -174,32 +180,27 @@ class WorkloadSummary:
 CostUnit = Union[Segment, PhaseSummary]
 
 
-def atoms_of(unit: CostUnit) -> Iterator[Tuple[Statement, int]]:
-    """Yield ``(representative, weight)`` pairs for a costing unit.
+def columns_of(unit: CostUnit
+               ) -> Tuple[Tuple[Statement, ...], Tuple[int, ...]]:
+    """A costing unit's atoms as ``(statements, weights)`` columns.
 
     This defines the canonical EXEC accumulation order shared by every
-    costing path: for a :class:`PhaseSummary`, the stored atoms; for a
-    :class:`Segment` (or any statement iterable), statements grouped
-    by SQL text in first-appearance order. Grouping keys on the SQL
-    text — not the statement template — because the serial provider's
-    cache is SQL-keyed, and two texts sharing a template must stay
-    separate terms for the weighted fold to be bit-identical across
-    paths.
+    costing path: for a :class:`PhaseSummary`, its stored columns; for
+    a :class:`Segment` (or any statement iterable), the columns
+    :func:`_fold` gives it — statements grouped by SQL text in
+    first-appearance order. Grouping keys on the SQL text — not the
+    statement template — because the serial provider's cache is
+    SQL-keyed, and two texts sharing a template must stay separate
+    terms for the weighted fold to be bit-identical across paths.
     """
-    atoms = getattr(unit, "atoms", None)
-    if atoms is not None:
-        for atom in atoms:
-            yield atom.statement, atom.weight
-        return
-    grouped: Dict[str, List] = {}
-    for statement in unit:
-        entry = grouped.get(statement.sql)
-        if entry is None:
-            grouped[statement.sql] = [statement, 1]
-        else:
-            entry[1] += 1
-    for statement, weight in grouped.values():
-        yield statement, weight
+    phase = unit if isinstance(unit, PhaseSummary) else _fold(unit, 0)
+    return phase.statements, phase.weights
+
+
+def atoms_of(unit: CostUnit) -> Iterator[Tuple[Statement, int]]:
+    """The ``(representative, weight)`` pairs of a costing unit, in
+    :func:`columns_of` order."""
+    return zip(*columns_of(unit))
 
 
 def _fold(statements: Iterable[Statement], start: int,
@@ -223,9 +224,9 @@ def _fold(statements: Iterable[Statement], start: int,
                 tag_counts.get(statement.tag, 0) + 1
     if tag is None and tag_counts:
         tag = max(tag_counts, key=tag_counts.__getitem__)
-    atoms = tuple(map(WorkloadAtom, first.values(), counts.values()))
-    return PhaseSummary(atoms=atoms, start=start,
-                        length=sum(counts.values()), tag=tag)
+    weights = tuple(counts.values())
+    return PhaseSummary(tuple(first.values()), weights, start,
+                        sum(weights), tag)
 
 
 def iter_phases(statements: Iterable[Statement],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator, Optional, TextIO, Tuple, Union
+from typing import Dict, Iterator, Optional, TextIO, Tuple, Union
 
 from ..errors import WorkloadError
 from .model import Statement, Workload
@@ -85,26 +85,36 @@ def iter_trace(path: Union[str, Path]) -> Iterator[Statement]:
     header with an integer ``n`` must match the record count: a trace
     cut short (or grown) is a ``WorkloadError`` at end of file, not a
     different workload.
+
+    A line equal to one read before yields the same ``Statement``
+    object: the reader keeps a ``line → Statement`` table until end of
+    file, so a repeated line is decoded once. A bad line raises at its
+    first occurrence and so never enters the table.
     """
     path = Path(path)
+    seen: Dict[str, Statement] = {}
     with path.open("r", encoding="utf-8") as handle:
         header, header_line = _read_header(path, handle)
         records = 0
-        for line_no, line in enumerate(handle, start=header_line + 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record, end = _decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line) or not isinstance(record, dict):
-                record = _record(path, line_no, line)
-            try:
-                statement = Statement(record.get("sql"),
-                                      tag=record.get("tag"))
-            except WorkloadError as exc:
-                raise WorkloadError(f"{path}:{line_no}: {exc}") from None
+        for line_no, raw in enumerate(handle, start=header_line + 1):
+            statement = seen.get(raw)
+            if statement is None:
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    record, end = _decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line) or not isinstance(record, dict):
+                    record = _record(path, line_no, line)
+                try:
+                    statement = Statement(record.get("sql"),
+                                          tag=record.get("tag"))
+                except WorkloadError as exc:
+                    raise WorkloadError(
+                        f"{path}:{line_no}: {exc}") from None
+                seen[raw] = statement
             records += 1
             yield statement
     expected = header.get("n")

@@ -19,10 +19,10 @@ from repro.core import (Configuration, ConstrainedGraphAdvisor,
                         supports_batching, sweep_k, validated_k)
 from repro.core.bandit import BanditTuner, ReactiveRule, default_arms
 from repro.sqlengine import IndexDef
-from repro.workload import (PhaseSummary, Segment, Statement,
-                            WorkloadAtom, atoms_of, jitter_blocks,
-                            make_paper_workload, paper_generator,
-                            segment_by_count, summarize_segments)
+from repro.workload import (PhaseSummary, Segment, Statement, atoms_of,
+                            jitter_blocks, make_paper_workload,
+                            paper_generator, segment_by_count,
+                            summarize_segments)
 
 BLOCK = 50
 
@@ -341,14 +341,12 @@ class TestExecFold:
             f"{columns[int(c)]} = {int(v)}"
             for c, v in zip(rng.integers(0, 4, 2 * n_atoms),
                             rng.integers(0, 700_000, 2 * n_atoms)))
-        atoms = tuple(
-            WorkloadAtom(Statement(sql), int(weight))
-            for sql, weight in zip(list(sqls)[:n_atoms],
-                                   rng.integers(1, 1_000, n_atoms)))
-        assert len(atoms) == n_atoms
-        length = sum(atom.weight for atom in atoms)
-        phase = PhaseSummary(atoms, start=0, length=length)
-        empty = PhaseSummary((), start=length, length=0)
+        statements = tuple(map(Statement, list(sqls)[:n_atoms]))
+        weights = tuple(map(int, rng.integers(1, 1_000, n_atoms)))
+        assert len(statements) == n_atoms
+        length = sum(weights)
+        phase = PhaseSummary(statements, weights, start=0, length=length)
+        empty = PhaseSummary((), (), start=length, length=0)
         configs = single_index_configurations(paper_candidates)[:3]
 
         service = CostService(small_db.what_if())
@@ -363,9 +361,10 @@ class TestExecFold:
         reference = WhatIfCostProvider(small_db.what_if())
         for j, config in enumerate(configs):
             total = 0.0
-            for atom in atoms:
+            for statement, weight in zip(statements, weights):
                 total += service.exec_cost(
-                    PhaseSummary((atom,), 0, atom.weight), config)
+                    PhaseSummary((statement,), (weight,), 0, weight),
+                    config)
             assert matrix[0, j] == total
             assert matrix[0, j] == reference.exec_cost(phase, config)
 

@@ -1,20 +1,22 @@
 """Property tests for the summary fold.
 
 ``summarize_statements`` and ``summarize_segment`` fold statements into
-phases with flat per-phase dicts. The reference below is the
-per-phase accumulator they replaced, kept here: every phase field —
-atom order, weights, representatives by identity, start, length and
-the dominant tag with its first-seen tie rule — must be equal.
+phases with flat per-phase dicts and keep each phase's atoms as two
+columns. The reference below is the per-phase accumulator they
+replaced, kept here: every phase field — atom order, weights,
+representatives by identity, start, length and the dominant tag with
+its first-seen tie rule — must be equal.
 """
 
+import json
 from typing import Dict, List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.workload import (Segment, Statement, summarize_segment,
-                            summarize_statements)
-from repro.workload.summary import PhaseSummary, WorkloadAtom
+from repro.workload import (Segment, Statement, iter_trace,
+                            summarize_segment, summarize_statements)
+from repro.workload.summary import PhaseSummary
 
 
 class _ReferenceAccumulator:
@@ -40,9 +42,9 @@ class _ReferenceAccumulator:
     def finish(self, tag: Optional[str] = None) -> PhaseSummary:
         if tag is None and self.tag_counts:
             tag = max(self.tag_counts, key=lambda t: self.tag_counts[t])
-        atoms = tuple(WorkloadAtom(statement, weight)
-                      for statement, weight in self.grouped.values())
-        return PhaseSummary(atoms=atoms, start=self.start,
+        statements = tuple(entry[0] for entry in self.grouped.values())
+        weights = tuple(entry[1] for entry in self.grouped.values())
+        return PhaseSummary(statements, weights, start=self.start,
                             length=self.length, tag=tag)
 
 
@@ -69,11 +71,10 @@ def reference_segment(segment: Segment) -> PhaseSummary:
 def assert_same_phase(phase: PhaseSummary, expected: PhaseSummary):
     assert (phase.start, phase.length, phase.tag) == \
         (expected.start, expected.length, expected.tag)
-    assert [atom.weight for atom in phase.atoms] == \
-        [atom.weight for atom in expected.atoms]
-    assert len(phase.atoms) == len(expected.atoms)
-    assert all(atom.statement is ref.statement
-               for atom, ref in zip(phase.atoms, expected.atoms))
+    assert phase.weights == expected.weights
+    assert len(phase.statements) == len(expected.statements)
+    assert all(statement is ref for statement, ref in
+               zip(phase.statements, expected.statements))
     assert phase == expected
 
 
@@ -124,3 +125,26 @@ def test_dominant_tag_is_the_first_maximum(tags, dominant):
     assert phase.tag == dominant
     assert_same_phase(phase, reference_summarize(statements,
                                                  len(tags))[0])
+
+
+
+@given(values=st.lists(st.integers(0, 5), max_size=40),
+       block_size=st.integers(1, 9))
+@settings(max_examples=60, deadline=None)
+def test_streamed_phases_share_one_statement_per_line(
+        tmp_path_factory, values, block_size):
+    """Read from a trace, a line that recurs in several phases is one
+    ``Statement`` object in all of them: across all phases there are
+    exactly as many distinct objects as distinct lines. (The tag
+    follows the text, so each distinct line is some phase's
+    representative.)"""
+    records = [json.dumps({"sql": f"SELECT a FROM t WHERE a = {v}",
+                           "tag": (None, "A", "B")[v % 3]})
+               for v in values]
+    path = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    path.write_text("\n".join(
+        ['{"format": "repro-trace", "version": 1}'] + records) + "\n")
+    summary = summarize_statements(iter_trace(path), block_size)
+    ids = {id(statement) for phase in summary.phases
+           for statement in phase.statements}
+    assert len(ids) == len(set(records))

@@ -101,8 +101,7 @@ def test_summary_bookkeeping_matches_raw(statements, block_size):
     assert [(p.start, p.length) for p in summary.phases] == \
         [(s.start, len(s)) for s in segments]
     for phase in summary.phases:
-        assert sum(atom.weight for atom in phase.atoms) == \
-            phase.length
-        sqls = [atom.sql for atom in phase.atoms]
+        assert sum(phase.weights) == phase.length
+        sqls = [statement.sql for statement in phase.statements]
         assert len(sqls) == len(set(sqls))
     assert summary.tag_counts() == Workload(statements).tag_counts()

@@ -1,11 +1,13 @@
 """Property tests for the trace reader.
 
-``iter_trace`` decodes each stripped line with one
-``JSONDecoder.raw_decode`` call and falls back to ``json.loads`` only
-for the error message. The contract is that this is unobservable: for
-any file, it yields the statements — or raises the ``WorkloadError``,
-message and line number included — that one ``json.loads`` per
-stripped line gives. The reference reader below is that reader.
+``iter_trace`` decodes each distinct stripped line with one
+``JSONDecoder.raw_decode`` call, falls back to ``json.loads`` only
+for the error message, and yields a repeated line's ``Statement``
+again without decoding it. The contract is that this is unobservable
+but for identity: for any file, it yields the statements — or raises
+the ``WorkloadError``, message and line number included — that one
+``json.loads`` per stripped line gives. The reference reader below is
+that reader.
 """
 
 import json
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
 from repro.workload import iter_trace
+from repro.workload import trace as trace_module
 
 HEADER = '{"format": "repro-trace", "version": 1}'
 
@@ -91,10 +94,15 @@ broken_st = st.one_of(
 line_st = st.one_of(*[record_st] * 6, harmless_st, harmless_st,
                     broken_st)
 newline_st = st.sampled_from(["\n", "\n", "\r\n"])
+#: A file body drawn from a few lines, so lines recur: a bad line can
+#: come back after its first occurrence, and the last line, when it
+#: lacks its newline, can equal an earlier line all but the newline.
+body_st = st.lists(st.tuples(line_st, newline_st), min_size=1,
+                   max_size=6).flatmap(
+    lambda drawn: st.lists(st.sampled_from(drawn), max_size=12))
 
 
-@given(body=st.lists(st.tuples(line_st, newline_st), max_size=12),
-       last_newline=st.booleans())
+@given(body=body_st, last_newline=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_reader_matches_per_line_json_loads(tmp_path_factory, body,
                                             last_newline):
@@ -122,3 +130,64 @@ def test_lines_that_only_decode_together_fail_at_their_line(tmp_path):
         list(iter_trace(path))
     assert str(exc.value).startswith(f"{path}:2: invalid JSON")
     assert _outcome(reference_read, path) == ("error", str(exc.value))
+
+
+def _write(tmp_path, lines, header=HEADER):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(header + "\n" + "".join(line + "\n" for line in lines))
+    return path
+
+
+@given(values=st.lists(st.integers(0, 6), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_each_distinct_line_is_decoded_once(tmp_path_factory, values):
+    """Clock-free: N records over D distinct lines cost D decodes and
+    yield N statements."""
+    decoded = []
+    decode = trace_module._decode
+
+    def counting_decode(line):
+        decoded.append(line)
+        return decode(line)
+
+    lines = [json.dumps({"sql": f"SELECT a FROM t WHERE a = {v}"})
+             for v in values]
+    path = _write(tmp_path_factory.mktemp("trace"), lines)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trace_module, "_decode", counting_decode)
+        statements = list(iter_trace(path))
+    assert len(statements) == len(lines)
+    assert len(decoded) == len(set(lines))
+    assert [s.sql for s in statements] == \
+        [json.loads(line)["sql"] for line in lines]
+
+
+def test_equal_lines_yield_the_same_object(tmp_path):
+    a = '{"sql": "SELECT a FROM t WHERE a = 1", "tag": "A"}'
+    b = '{"sql": "SELECT a FROM t WHERE a = 1", "tag": "B"}'
+    first, second, third, fourth = iter_trace(_write(tmp_path,
+                                                     [a, b, a, b]))
+    assert first is third and second is fourth
+    assert first is not second and first.sql == second.sql
+
+
+def test_repeated_malformed_line_raises_at_its_first_line(tmp_path):
+    good = '{"sql": "SELECT a FROM t"}'
+    bad = '{"sql": 5}'
+    path = _write(tmp_path, [good, bad, good, bad])
+    with pytest.raises(WorkloadError) as exc:
+        list(iter_trace(path))
+    assert str(exc.value) == f"{path}:3: 'sql' is not a string"
+    assert _outcome(reference_read, path) == ("error", str(exc.value))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_header_count_mismatch_still_raises(tmp_path, n):
+    line = '{"sql": "SELECT a FROM t"}'
+    path = _write(tmp_path, [line, line],
+                  header=HEADER[:-1] + f', "n": {n}}}')
+    with pytest.raises(WorkloadError,
+                       match=f"header records n={n}, file has 2"):
+        list(iter_trace(path))
+    assert len(list(iter_trace(_write(
+        tmp_path, [line, line], header=HEADER[:-1] + ', "n": 2}')))) == 2

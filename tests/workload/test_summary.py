@@ -9,7 +9,7 @@ from repro.workload import (Segment, Statement, Workload, atoms_of,
                             segment_by_count,
                             summarize_segment, summarize_segments,
                             summarize_statements, summarize_workload)
-from repro.workload.summary import PhaseSummary, WorkloadAtom
+from repro.workload.summary import PhaseSummary
 
 
 def _point(value, column="a", tag=None):
@@ -67,8 +67,7 @@ class TestSummarizeStatements:
         assert summary.n_statements == 12
         assert summary.n_atoms == 4
         assert summary.compression_ratio == 3.0
-        assert all(atom.weight == 3
-                   for atom in summary.phases[0].atoms)
+        assert summary.phases[0].weights == (3, 3, 3, 3)
 
     def test_phase_boundaries_reset_atom_tables(self, repeated_trace):
         summary = summarize_statements(iter(repeated_trace), 4)
@@ -86,6 +85,16 @@ class TestSummarizeStatements:
         workload = Workload(repeated_trace)
         summary = summarize_statements(iter(repeated_trace), 5)
         assert summary.tag_counts() == workload.tag_counts()
+
+    def test_tag_counts_use_each_atoms_first_tag(self):
+        """One SQL text tagged ``A`` then ``B``: the atom keeps its
+        first occurrence's tag, so the summary counts both under
+        ``A`` while the source splits them — the method matches the
+        source only when every text carries one tag."""
+        trace = [_point(1, tag="A"), _point(1, tag="B")]
+        summary = summarize_statements(iter(trace), 2)
+        assert summary.tag_counts() == {"A": 2}
+        assert Workload(trace).tag_counts() == {"A": 1, "B": 1}
 
     def test_mirrors_streaming_segmentation(self, repeated_trace):
         segments = list(iter_segments_by_count(
@@ -172,26 +181,48 @@ class TestAtomsOf:
         assert weight == 2
 
     def test_phase_summary_yields_stored_atoms(self):
-        atom = WorkloadAtom(_point(7), 3)
-        phase = PhaseSummary(atoms=(atom,), start=0, length=3)
-        assert list(atoms_of(phase)) == [(atom.statement, 3)]
+        statement = _point(7)
+        phase = PhaseSummary((statement,), (3,), start=0, length=3)
+        assert list(atoms_of(phase)) == [(statement, 3)]
 
 
 class TestPhaseSummaryValidation:
     def test_weight_length_mismatch_raises(self):
-        with pytest.raises(WorkloadError):
-            PhaseSummary(atoms=(WorkloadAtom(_point(1), 2),),
-                         start=0, length=3)
+        with pytest.raises(WorkloadError, match="sum of atom weights"):
+            PhaseSummary((_point(1),), (2,), start=0, length=3)
+
+    def test_column_lengths_must_match(self):
+        with pytest.raises(WorkloadError, match="1 statements but 2"):
+            PhaseSummary((_point(1),), (1, 1), start=0, length=2)
+
+    @pytest.mark.parametrize("weights", [
+        (2, -1), (1, 0), (1.5, 0.5), (True, 1), (np.int64(1), 1)])
+    def test_weights_must_be_positive_ints(self, weights):
+        """A negative weight used to cost ``2u - u``; a zero, a float
+        or a bool is no count a fold can produce either. Each length
+        matches the weights' sum, so only the weight rule refuses."""
+        with pytest.raises(WorkloadError, match="positive ints"):
+            PhaseSummary((_point(1), _point(2)), weights, start=0,
+                         length=int(sum(weights)))
+
+    def test_sql_texts_must_be_distinct(self):
+        """The same text twice — even under different tags — is two
+        atoms where a fold makes one."""
+        with pytest.raises(WorkloadError, match="repeats"):
+            PhaseSummary((_point(1, tag="A"), _point(1, tag="B")),
+                         (1, 1), start=0, length=2)
+
+    def test_empty_phase_is_valid(self):
+        assert PhaseSummary((), (), start=5, length=0).n_atoms == 0
 
     def test_len_is_raw_statement_count(self):
-        phase = PhaseSummary(atoms=(WorkloadAtom(_point(1), 4),),
-                             start=2, length=4)
+        phase = PhaseSummary((_point(1),), (4,), start=2, length=4)
         assert len(phase) == 4
         assert phase.n_atoms == 1
         assert phase.end == 6
 
     def test_repr_shows_span_and_atoms(self):
-        phase = PhaseSummary(atoms=(WorkloadAtom(_point(1), 2),),
-                             start=0, length=2, tag="A")
+        phase = PhaseSummary((_point(1),), (2,), start=0, length=2,
+                             tag="A")
         assert "[0:2]" in repr(phase)
         assert "1 atoms" in repr(phase)
