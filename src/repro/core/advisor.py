@@ -107,28 +107,30 @@ class Advisor:
         if matrices is None:
             matrices = build_cost_matrices(problem, provider)
         start = time.perf_counter()
-        assignment, cost, stats = self._solve(problem, matrices)
+        assignment, stats = self._solve(problem, matrices)
         elapsed = time.perf_counter() - start
         meter.attach(stats)
-        return self._package(problem, matrices, assignment, cost,
-                             elapsed, stats)
+        return self._package(problem, matrices, assignment, elapsed,
+                             stats)
 
     def _package(self, problem: ProblemInstance,
-                 matrices: CostMatrices, assignment, cost: float,
-                 elapsed: float, stats: Dict[str, object]
-                 ) -> Recommendation:
-        """Counts changes under this advisor's counting mode."""
+                 matrices: CostMatrices, assignment, elapsed: float,
+                 stats: Dict[str, object]) -> Recommendation:
+        """Prices the assignment with the one pricing fold
+        (:meth:`CostMatrices.sequence_cost`), so the cost is the
+        design's own, and counts changes under this advisor's counting
+        mode."""
         return Recommendation(
             advisor=self.name,
             design=design_from_indices(matrices, assignment,
                                        problem.initial),
-            cost=cost,
+            cost=matrices.sequence_cost(assignment),
             change_count=matrices.change_count(
                 assignment, self.count_initial_change),
             wall_time_seconds=elapsed, stats=stats)
 
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
-        """Return ``(assignment, cost, stats)``."""
+        """Return ``(assignment, stats)``."""
         raise NotImplementedError
 
 
@@ -160,7 +162,7 @@ class UnconstrainedAdvisor(Advisor):
 
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
         result = solve_unconstrained(matrices)
-        return (result.assignment, result.cost,
+        return (result.assignment,
                 {"n_configurations": matrices.n_configurations})
 
 
@@ -177,8 +179,7 @@ class StaticAdvisor(Advisor):
             totals = totals + matrices.trans_matrix[
                 :, matrices.final_index]
         best = int(np.argmin(totals))
-        assignment = tuple([best] * matrices.n_segments)
-        return (assignment, float(totals[best]),
+        return (tuple([best] * matrices.n_segments),
                 {"chosen": matrices.configurations[best].label})
 
 
@@ -194,7 +195,7 @@ class ConstrainedGraphAdvisor(Advisor):
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
         result = solve_constrained(matrices, self.k,
                                    self.count_initial_change)
-        return (result.assignment, result.cost,
+        return (result.assignment,
                 {"k": self.k, "layers_used": result.layers_used})
 
 
@@ -219,7 +220,7 @@ class LPAdvisor(Advisor):
             result = solve_constrained(matrices, self.k,
                                        self.count_initial_change)
             method = "kaware"
-        return (result.assignment, result.cost,
+        return (result.assignment,
                 {"k": self.k, "lower_bound": result.cost, "gap": 0.0,
                  "method": method})
 
@@ -237,7 +238,7 @@ class MergingAdvisor(Advisor):
         unconstrained = solve_unconstrained(matrices)
         merged = merge_to_k(matrices, list(unconstrained.assignment),
                             self.k, self.count_initial_change)
-        return (merged.assignment, merged.cost,
+        return (merged.assignment,
                 {"k": self.k, "merge_steps": len(merged.steps),
                  "initial_changes": matrices.change_count(
                      unconstrained.assignment,
@@ -259,7 +260,7 @@ class RankingAdvisor(Advisor):
         result = solve_by_ranking(matrices, self.k,
                                   self.count_initial_change,
                                   max_paths=self.max_paths)
-        return (result.assignment, result.cost,
+        return (result.assignment,
                 {"k": self.k,
                  "paths_examined": result.paths_examined})
 
@@ -279,7 +280,7 @@ class HybridAdvisor(Advisor):
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
         result = solve_hybrid(matrices, self.k,
                               self.count_initial_change, self.bias)
-        return (result.assignment, result.cost,
+        return (result.assignment,
                 {"k": self.k, "method": result.method,
                  "estimated_graph_ops": result.estimated_graph_ops,
                  "estimated_merge_ops": result.estimated_merge_ops})
@@ -323,8 +324,7 @@ class GreedySeqAdvisor(Advisor):
                  "probes": greedy.n_explored}
         meter.attach(stats)
         return self._package(problem, reduced_matrices,
-                             result.assignment, result.cost, elapsed,
-                             stats)
+                             result.assignment, elapsed, stats)
 
     def _solve(self, problem, matrices):  # pragma: no cover
         raise DesignError("GreedySeqAdvisor overrides recommend()")

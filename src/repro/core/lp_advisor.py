@@ -43,6 +43,11 @@ from .costmatrix import CostMatrices
 from .merging import merge_to_k
 from .sequence_graph import _stage_dp
 
+#: Cap on penalized DP solves across the multiplier search.
+MAX_ITERATIONS = 48
+#: Relative bracket width at which the bisection stops.
+TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class LPResult:
@@ -74,9 +79,7 @@ class LPResult:
 
 
 def solve_lp_rounding(matrices: CostMatrices, k: int,
-                      count_initial_change: bool = True,
-                      max_iterations: int = 48,
-                      tolerance: float = 1e-9) -> LPResult:
+                      count_initial_change: bool = True) -> LPResult:
     """Solve the k-constrained problem by LP-relaxation + rounding.
 
     No advisor calls it. It is exported from :mod:`repro.core` only
@@ -88,10 +91,6 @@ def solve_lp_rounding(matrices: CostMatrices, k: int,
         k: maximum number of design changes.
         count_initial_change: whether C0 -> C1 consumes change budget
             (see :mod:`repro.core.kaware`).
-        max_iterations: cap on penalized DP solves across the
-            multiplier search.
-        tolerance: relative bracket width at which the bisection
-            stops.
 
     Runtime is O(iterations x n x |C|^2) — independent of k, unlike
     the exact DP's O(min(k, n) x n x |C|^2) table.
@@ -123,7 +122,7 @@ def solve_lp_rounding(matrices: CostMatrices, k: int,
     # Grow an upper bracket: for a large enough multiplier the DP
     # stops changing altogether (0 changes <= k).
     lo, hi = 0.0, 1.0
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         assignment, cost, changes, dual = solve(hi)
         iterations += 1
         best_dual = max(best_dual, dual)
@@ -137,8 +136,8 @@ def solve_lp_rounding(matrices: CostMatrices, k: int,
     else:
         hi = None  # bracket never closed within budget
 
-    while (hi is not None and iterations < max_iterations and
-           hi - lo > tolerance * max(1.0, hi)):
+    while (hi is not None and iterations < MAX_ITERATIONS and
+           hi - lo > TOLERANCE * max(1.0, hi)):
         mid = 0.5 * (lo + hi)
         assignment, cost, changes, dual = solve(mid)
         iterations += 1

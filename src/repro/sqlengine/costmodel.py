@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from .index import IndexGeometry
+from .index import IndexGeometry, structure_sort_key
 from .stats import TableStats
 
 
@@ -233,6 +233,19 @@ def cost_insert(stats: TableStats, n_indexes: int,
                 page_writes=1.0 + n_indexes,
                 cpu_units=(1 + n_indexes) * params.cpu_tuple_cost +
                 extra_maintenance_cpu * params.cpu_tuple_cost)
+
+
+def maintenance_surcharge(structures) -> float:
+    """``sum(cpu_factor(s) - 1)`` over ``structures`` (all on one
+    table): the compression surcharge of :func:`cost_insert` and of an
+    UPDATE's or DELETE's write term. Summed in
+    :func:`~.index.structure_sort_key` order so the float fold is the
+    same in every process; exactly ``0.0`` when every structure is at
+    level NONE."""
+    surcharge = 0.0
+    for definition in sorted(structures, key=structure_sort_key):
+        surcharge += definition.compression.cpu_factor - 1.0
+    return surcharge
 
 
 @dataclass

@@ -206,20 +206,17 @@ class Database:
         return loaded
 
     def _transition(self, label: str, build):
-        """Run a structure build atomically under fault injection.
+        """Run a structure build atomically, with or without a fault
+        injector attached.
 
-        With no injector attached this is a plain call — zero
-        overhead. With one attached, the buffer pool (cache contents,
-        object-id cursor, data-plane metrics) is checkpointed first;
-        a mid-build :class:`StorageError` rolls everything back to
-        exactly the checkpoint, transient failures are retried under
-        the retry policy (backoff charged as latency units), and
-        exhausted or permanent failures surface as
-        :class:`TransitionError` — always from the pre-build state.
+        The buffer pool (cache contents, object-id cursor, data-plane
+        metrics) is checkpointed first; a mid-build
+        :class:`StorageError` rolls everything back to exactly the
+        checkpoint, transient failures are retried under the retry
+        policy (backoff charged as latency units), and exhausted or
+        permanent failures surface as :class:`TransitionError` —
+        always from the pre-build state.
         """
-        injector = self.buffer_manager.fault_injector
-        if injector is None:
-            return build()
         checkpoint = self.buffer_manager.save_state()
         attempt = 1
         while True:

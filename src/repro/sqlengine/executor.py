@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import PlanningError
 from .buffer import BufferManager
-from .costmodel import CostParams, MeteredCost
+from .costmodel import CostParams, MeteredCost, maintenance_surcharge
 from .index import Index, IndexDef, structure_sort_key
 from .plan import PlanRuntime, aggregate_rows, scalar_value
 from .planner import (AccessPath, QueryInfo, analyze_select,
@@ -155,15 +155,8 @@ class Executor:
     def execute_insert(self, stmt: InsertStmt) -> QueryResult:
         metered = MeteredCost()
         schema = self.table.schema
-        # Compressed structures decode/re-encode on maintenance; the
-        # surcharge term is exactly 0.0 for an all-NONE design, so the
-        # uncompressed metering is bitwise the pre-compression one.
-        # Summed in structure_sort_key order to match the what-if
-        # estimate's deterministic fold.
-        surcharge = 0.0
-        for definition in sorted(list(self.indexes) + list(self.views),
-                                 key=structure_sort_key):
-            surcharge += definition.compression.cpu_factor - 1.0
+        surcharge = maintenance_surcharge(list(self.indexes) +
+                                          list(self.views))
         for row in stmt.rows:
             if len(row) != len(stmt.columns):
                 raise PlanningError("INSERT arity mismatch")

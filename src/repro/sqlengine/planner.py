@@ -14,12 +14,13 @@ advisor and the reports key on).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import (PlanningError, SchemaError, SqlUnsupportedError,
                       TypeMismatchError)
 from .costmodel import Cost, CostParams
-from .index import IndexDef, IndexGeometry, structure_sort_key
+from .index import IndexDef, IndexGeometry
 from .plan import (Aggregate, FetchHeap, Filter, GroupAggregate, PlanNode,
                    Project, ScanHeap, ScanIndexLeaf, ScanView, SeekIndex,
                    Sort)
@@ -341,43 +342,19 @@ def enumerate_access_paths(
     referenced column offers a ``view_scan`` over its narrower pages.
 
     ``path_table`` is a caller's record of ``info``'s paths under
-    these statistics, geometries and parameters: ``None`` maps to
-    ``[heap path]`` (whose ``est_rows`` is the output estimate), each
-    structure to the paths it contributes (``[]`` when it does not
-    serve). A structure is realized only on a miss. Every path uses at
-    most one structure, so its paths do not depend on what else is in
-    the configuration, and the list sorted here is the one a cold
-    table gives: heap, indexes, views, in the order passed.
+    these statistics, geometries and parameters (see
+    :func:`structure_paths`). Every path uses at most one structure,
+    so its paths do not depend on what else is in the configuration,
+    and the list sorted here is the one a cold table gives: heap,
+    indexes, views, in the order passed.
     """
     if path_table is None:
         path_table = {}
-    heap = path_table.get(None)
-    if heap is None:
-        heap = path_table[None] = [_realize(
-            info, stats, params,
-            stats.nrows * total_selectivity(info, stats),
-            kind="full_scan")]
-    out_rows = heap[0].est_rows
-    paths = list(heap)
-    for definition, geometry in indexes:
-        if definition.table != info.table:
-            continue
-        found = path_table.get(definition)
-        if found is None:
-            found = path_table[definition] = _paths_for_index(
-                info, stats, definition, geometry, out_rows, params)
-        paths.extend(found)
-    for view_def, view_geometry in views:
-        if view_def.table != info.table:
-            continue
-        found = path_table.get(view_def)
-        if found is None:
-            found = path_table[view_def] = [_realize(
-                info, stats, params, out_rows, kind="view_scan",
-                covering=True, view=view_def,
-                view_geometry=view_geometry)] \
-                if view_def.covers(info.referenced_columns) else []
-        paths.extend(found)
+    paths = list(_heap_paths(info, stats, params, path_table))
+    for definition, geometry in chain(indexes, views):
+        if definition.table == info.table:
+            paths.extend(structure_paths(info, stats, definition,
+                                         geometry, params, path_table))
     paths.sort(key=lambda p: p.cost.total(params))
     return paths
 
@@ -392,59 +369,41 @@ def choose_access_path(
                                   views, path_table)[0]
 
 
-# ----------------------------------------------------------------------
-# relevance extraction
-# ----------------------------------------------------------------------
-
-def structure_can_serve(info: QueryInfo, definition) -> bool:
-    """Whether a design structure can contribute *any* access path to
-    a query — the gate under which :func:`enumerate_access_paths`
-    would realize a plan for it.
-
-    This must stay the exact mirror of the enumeration rules above: an
-    index serves when it offers a seek (an equality prefix, or a range
-    on the column right after the prefix) or an index-only scan
-    (covering); a view serves when it covers every referenced column;
-    structures on other tables never serve. A structure that does not
-    serve adds no path, so its presence or absence cannot change the
-    chosen plan or its cost — that equivalence is what the what-if
-    layer's relevance signatures are built on.
-
-    Compression never changes *whether* a structure serves (coverage
-    and seekability are column properties) — only the page/CPU
-    trade-off of its realized paths. Variants at different levels are
-    nevertheless distinct candidates end to end: the level is part of
-    the definition's identity, so each variant enters the enumeration
-    with its own geometry and lands in relevance signatures as its own
-    member.
-    """
-    if definition.table != info.table:
-        return False
-    if isinstance(definition, ViewDef):
-        return definition.covers(info.referenced_columns)
-    covering = definition.covers(info.referenced_columns)
-    prefix_len = 0
-    for column in definition.columns:
-        if column in info.eq_predicates:
-            prefix_len += 1
+def structure_paths(info: QueryInfo, stats: TableStats, definition,
+                    geometry, params: CostParams,
+                    path_table: Dict) -> List[AccessPath]:
+    """The access paths one structure on ``info``'s table contributes
+    — ``[]`` exactly when it cannot serve — realized into
+    ``path_table`` on a miss. ``path_table`` maps ``None`` to ``[heap
+    path]`` (whose ``est_rows`` is the output estimate) and each
+    structure to its paths. Compression never changes *whether* a
+    structure serves, but the level is part of its identity, so each
+    variant has its own entry."""
+    found = path_table.get(definition)
+    if found is None:
+        out_rows = _heap_paths(info, stats, params,
+                               path_table)[0].est_rows
+        if isinstance(definition, ViewDef):
+            found = [_realize(
+                info, stats, params, out_rows, kind="view_scan",
+                covering=True, view=definition, view_geometry=geometry)] \
+                if definition.covers(info.referenced_columns) else []
         else:
-            break
-    uses_range = (prefix_len < len(definition.columns) and
-                  definition.columns[prefix_len] in
-                  info.range_predicates)
-    return prefix_len > 0 or uses_range or covering
+            found = _paths_for_index(info, stats, definition, geometry,
+                                     out_rows, params)
+        path_table[definition] = found
+    return found
 
 
-def relevant_structures(info: QueryInfo,
-                        structures) -> Tuple:
-    """The subset of ``structures`` that can affect ``info``'s plan,
-    as a canonical (sorted) tuple.
-
-    Two configurations with equal relevant subsets present the planner
-    with identical ``(definition, geometry)`` path candidates in
-    identical order, so they receive bit-identical plan estimates."""
-    return tuple(d for d in sorted(structures, key=structure_sort_key)
-                 if structure_can_serve(info, d))
+def _heap_paths(info: QueryInfo, stats: TableStats, params: CostParams,
+                path_table: Dict) -> List[AccessPath]:
+    heap = path_table.get(None)
+    if heap is None:
+        heap = path_table[None] = [_realize(
+            info, stats, params,
+            stats.nrows * total_selectivity(info, stats),
+            kind="full_scan")]
+    return heap
 
 
 def _paths_for_index(info: QueryInfo, stats: TableStats,

@@ -42,13 +42,14 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
 from ..errors import CatalogError, SqlSyntaxError, SqlUnsupportedError
 from .costmodel import (Cost, CostParams, cost_build_index,
                         cost_build_view, cost_drop_index,
-                        cost_full_scan, cost_insert, cost_sort)
+                        cost_full_scan, cost_insert, cost_sort,
+                        maintenance_surcharge)
 from .index import IndexDef, IndexGeometry, structure_sort_key
 from .plan import PlanNode
 from .views import ViewDef, ViewGeometry
 from .planner import (AccessPath, QueryInfo, analyze_select,
-                      choose_access_path, comparison_range,
-                      relevant_structures, separable, total_selectivity)
+                      choose_access_path, comparison_range, separable,
+                      structure_paths)
 from .schema import TableSchema
 from .sql.ast import (DeleteStmt, InsertStmt, SelectStmt, Statement,
                       UpdateStmt)
@@ -320,8 +321,9 @@ class WhatIfOptimizer:
         the estimate reads only what the signature captures:
 
         * SELECT — the sorted subset of structures that can serve the
-          statement (:func:`~repro.sqlengine.planner.
-          structure_can_serve`); non-serving structures contribute no
+          statement: those whose entry in the access-path table is
+          non-empty (:func:`~repro.sqlengine.planner.structure_paths`,
+          filled on a miss). A non-serving structure contributes no
           access path, so the planner's cheapest-path choice is a pure
           function of this subset (plus statistics). Compression is
           part of each structure's identity, so variants are distinct
@@ -341,14 +343,12 @@ class WhatIfOptimizer:
         stmt = template.representative
         structures = frozenset(config)
         if isinstance(stmt, SelectStmt):
-            info = self._planned(stmt)[0]
-            return ("select", relevant_structures(info, structures))
+            return ("select", self._serving(stmt, structures))
         if isinstance(stmt, InsertStmt):
             return ("insert", stmt.table,
                     _maintenance_levels(structures, stmt.table))
         if isinstance(stmt, (UpdateStmt, DeleteStmt)):
-            info = self._planned(self._probe(stmt))[0]
-            return ("write", relevant_structures(info, structures),
+            return ("write", self._serving(self._probe(stmt), structures),
                     _maintenance_levels(structures, stmt.table))
         raise SqlUnsupportedError(
             f"what-if costing does not support {type(stmt).__name__}")
@@ -425,48 +425,57 @@ class WhatIfOptimizer:
 
     def _estimate_select(self, stmt: SelectStmt,
                          config: FrozenSet[IndexDef]) -> PlanEstimate:
-        info, path_table = self._planned(stmt)
-        stats = self._stats_for(stmt.table)
-        indexes, views = self._geometries(stmt.table, config)
-        path = choose_access_path(info, stats, indexes, self.params,
-                                  views, path_table)
+        path = self._choose(stmt, config)
         return PlanEstimate(cost=path.cost, access_path=path,
                             units=path.cost.total(self.params),
                             plan=path.plan)
 
     def _estimate_insert(self, stmt: InsertStmt,
                          config: FrozenSet[IndexDef]) -> PlanEstimate:
-        stats = self._stats_for(stmt.table)
-        n_indexes = sum(1 for d in config if d.table == stmt.table)
-        surcharge = _maintenance_surcharge(config, stmt.table)
-        one = cost_insert(stats, n_indexes, self.params, surcharge)
-        cost = Cost(one.page_reads * len(stmt.rows),
-                    one.page_writes * len(stmt.rows),
-                    one.cpu_units * len(stmt.rows))
+        cost = self._insert_cost(stmt, config)
         return PlanEstimate(cost=cost, access_path=None,
                             units=cost.total(self.params))
 
     def _estimate_write_with_where(self, stmt, config) -> PlanEstimate:
-        """UPDATE/DELETE: locate rows like a SELECT *, then write."""
-        info, path_table = self._planned(self._probe(stmt))
-        stats = self._stats_for(stmt.table)
-        indexes, views = self._geometries(stmt.table, config)
-        path = choose_access_path(info, stats, indexes, self.params,
-                                  views, path_table)
-        affected = stats.nrows * total_selectivity(info, stats)
-        n_indexes = sum(1 for d in config if d.table == stmt.table)
-        surcharge = _maintenance_surcharge(config, stmt.table)
-        # The surcharge rides as an additive term (exactly 0.0 for an
-        # all-NONE design) so the uncompressed write estimate is
-        # bitwise the pre-compression one.
-        write = Cost(page_writes=affected * (1.0 + n_indexes),
-                     cpu_units=affected * self.params.cpu_tuple_cost *
-                     (1 + n_indexes) +
-                     affected * self.params.cpu_tuple_cost * surcharge)
-        cost = path.cost + write
+        """UPDATE/DELETE: locate rows like a SELECT *, then write the
+        ones it finds (every path's ``est_rows`` is that estimate)."""
+        path = self._choose(self._probe(stmt), config)
+        cost = path.cost + self._write_cost(stmt.table, config,
+                                            path.est_rows)
         return PlanEstimate(cost=cost, access_path=path,
                             units=cost.total(self.params),
                             plan=path.plan)
+
+    def _choose(self, stmt: SelectStmt,
+                config: FrozenSet[IndexDef]) -> AccessPath:
+        """The cheapest access path for ``stmt`` under ``config``."""
+        info, path_table = self._planned(stmt)
+        indexes, views = self._geometries(stmt.table, config)
+        return choose_access_path(info, self._stats_for(stmt.table),
+                                  indexes, self.params, views,
+                                  path_table)
+
+    def _insert_cost(self, stmt: InsertStmt, structures) -> Cost:
+        """:func:`~.costmodel.cost_insert` once per inserted row."""
+        on_table = [d for d in structures if d.table == stmt.table]
+        one = cost_insert(self._stats_for(stmt.table), len(on_table),
+                          self.params, maintenance_surcharge(on_table))
+        rows = len(stmt.rows)
+        return Cost(one.page_reads * rows, one.page_writes * rows,
+                    one.cpu_units * rows)
+
+    def _write_cost(self, table: str, structures,
+                    affected: float) -> Cost:
+        """UPDATE/DELETE write term: ``affected`` rows written and every
+        structure on ``table`` maintained. The compression surcharge
+        rides as an additive term (exactly 0.0 for an all-NONE design)
+        so the uncompressed term is bitwise the pre-compression one."""
+        on_table = [d for d in structures if d.table == table]
+        n_indexes = len(on_table)
+        cpu = self.params.cpu_tuple_cost
+        return Cost(page_writes=affected * (1.0 + n_indexes),
+                    cpu_units=affected * cpu * (1 + n_indexes) +
+                    affected * cpu * maintenance_surcharge(on_table))
 
     # ------------------------------------------------------------------
     # degraded estimation
@@ -491,24 +500,12 @@ class WhatIfOptimizer:
                 cost = cost + cost_sort(stats.nrows, self.params)
             return cost.total(self.params)
         structures = frozenset(config)
-        n_indexes = sum(1 for d in structures
-                        if d.table == stmt.table)
-        surcharge = _maintenance_surcharge(structures, stmt.table)
         if isinstance(stmt, InsertStmt):
-            one = cost_insert(stats, n_indexes, self.params,
-                              surcharge)
-            cost = Cost(one.page_reads * len(stmt.rows),
-                        one.page_writes * len(stmt.rows),
-                        one.cpu_units * len(stmt.rows))
-            return cost.total(self.params)
+            return self._insert_cost(stmt, structures).total(self.params)
         if isinstance(stmt, (UpdateStmt, DeleteStmt)):
-            # Worst case: every row qualifies and every structure is
-            # maintained (compressed ones at their decode surcharge).
-            cost = cost_full_scan(stats, self.params) + Cost(
-                page_writes=stats.nrows * (1.0 + n_indexes),
-                cpu_units=stats.nrows * self.params.cpu_tuple_cost *
-                (1 + n_indexes) +
-                stats.nrows * self.params.cpu_tuple_cost * surcharge)
+            # Worst case: every row qualifies.
+            cost = cost_full_scan(stats, self.params) + self._write_cost(
+                stmt.table, structures, stats.nrows)
             return cost.total(self.params)
         raise SqlUnsupportedError(
             f"no upper bound for {type(stmt).__name__}")
@@ -583,6 +580,17 @@ class WhatIfOptimizer:
                 analyze_select(stmt, self._schema_for(stmt.table)), {})
         return entry
 
+    def _serving(self, stmt: SelectStmt, structures) -> Tuple:
+        """The structures that serve ``stmt``, in
+        :func:`structure_sort_key` order: those whose access-path table
+        entry is non-empty."""
+        info, path_table = self._planned(stmt)
+        stats = self._stats_for(stmt.table)
+        indexes, views = self._geometries(stmt.table, structures)
+        return tuple(d for d, geometry in indexes + views
+                     if structure_paths(info, stats, d, geometry,
+                                        self.params, path_table))
+
     def _probe(self, stmt) -> SelectStmt:
         """The SELECT that locates an UPDATE's or DELETE's rows:
         every column of the table under the statement's WHERE."""
@@ -626,14 +634,6 @@ class WhatIfOptimizer:
                 cost.page_writes, cost.cpu_units)
         return facts
 
-    @staticmethod
-    def maintenance_surcharge(config: Iterable[IndexDef],
-                              table: str) -> float:
-        """Summed compression CPU surcharge of ``table``'s structures
-        (``0.0`` for an all-NONE design). Public mirror of the term
-        the insert/write estimates add."""
-        return _maintenance_surcharge(frozenset(config), table)
-
     def _geometries(self, table: str, config: FrozenSet[IndexDef]):
         """Split a configuration into (index pairs, view pairs)."""
         indexes: List[Tuple[IndexDef, IndexGeometry]] = []
@@ -647,20 +647,6 @@ class WhatIfOptimizer:
                 indexes.append((definition,
                                 self._geometry(definition)))
         return indexes, views
-
-
-def _maintenance_surcharge(structures: FrozenSet, table: str) -> float:
-    """``sum(cpu_factor(s) - 1)`` over ``table``'s structures.
-
-    Summed in :func:`structure_sort_key` order so the float fold is
-    deterministic across processes (set iteration order is not);
-    exactly ``0.0`` when every structure is at level NONE.
-    """
-    surcharge = 0.0
-    for definition in sorted(structures, key=structure_sort_key):
-        if definition.table == table:
-            surcharge += definition.compression.cpu_factor - 1.0
-    return surcharge
 
 
 def _maintenance_levels(structures: FrozenSet, table: str) -> Tuple:

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.core import (ConstrainedGraphAdvisor, GreedySeqAdvisor,
-                        HybridAdvisor, MergingAdvisor, RankingAdvisor,
-                        StaticAdvisor, UnconstrainedAdvisor)
+                        HybridAdvisor, LPAdvisor, MergingAdvisor,
+                        ProblemInstance, RankingAdvisor, StaticAdvisor,
+                        UnconstrainedAdvisor)
+from repro.errors import RankingExhaustedError
+from repro.verify.generators import random_matrix_instance
+from repro.workload import Segment, Statement
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +139,38 @@ class TestCountingMode:
             .recommend(small_problem, small_provider, small_matrices)
         assert merging.stats["initial_changes"] == \
             unconstrained.change_count
+
+
+class TestCostIsTheDesignsPrice:
+    """Every advisor reports the price of its own design: the cost is
+    :meth:`CostMatrices.sequence_cost` of the assignment, not a
+    solver's own fold (a static total or a ranked path length can
+    differ from it in the last bit)."""
+
+    def test_on_random_matrix_instances(self):
+        advisors = (UnconstrainedAdvisor(), StaticAdvisor(),
+                    ConstrainedGraphAdvisor(2), LPAdvisor(2),
+                    MergingAdvisor(2), HybridAdvisor(2),
+                    RankingAdvisor(2, max_paths=2000))
+        checked = 0
+        for seed in range(300):
+            matrices = random_matrix_instance(seed).matrices
+            configurations = matrices.configurations
+            final = None if matrices.final_index is None else \
+                configurations[matrices.final_index]
+            problem = ProblemInstance(
+                segments=tuple(
+                    Segment((Statement("SELECT a FROM t"),), start=i)
+                    for i in range(matrices.n_segments)),
+                configurations=configurations,
+                initial=configurations[matrices.initial_index],
+                final=final)
+            for advisor in advisors:
+                try:
+                    rec = advisor.recommend(problem, None, matrices)
+                except RankingExhaustedError:
+                    continue
+                assert rec.cost == rec.design.cost(matrices), \
+                    (seed, advisor.name)
+                checked += 1
+        assert checked > 2000

@@ -4,7 +4,7 @@ buffer pool, and data-plane metrics exactly as before the build."""
 import numpy as np
 import pytest
 
-from repro.errors import TransitionError
+from repro.errors import StorageError, TransitionError
 from repro.faults import (PERMANENT, TRANSIENT, FaultInjector,
                           FaultPlan, FaultSpec, RetryPolicy)
 from repro.sqlengine.database import Database
@@ -80,6 +80,30 @@ def test_view_build_rolls_back(db):
             db.create_view(definition)
         db.set_fault_injector(None)
         assert _state(db) == before
+
+
+def test_build_rolls_back_with_no_injector_attached(db, monkeypatch):
+    """Every build runs checkpointed, not only one under injected
+    faults: a storage error the engine raises on its own rolls back
+    the same way."""
+    manager = db.buffer_manager
+    assert manager.fault_injector is None
+    write_page, writes = manager.write_page, []
+
+    def failing_write(page_id):
+        writes.append(page_id)
+        if len(writes) == 3:
+            raise StorageError("device full")
+        write_page(page_id)
+
+    monkeypatch.setattr(manager, "write_page", failing_write)
+    before, metrics = _state(db), manager.metrics.copy()
+    with pytest.raises(TransitionError) as info:
+        db.create_index(IndexDef("t", ("a",)))
+    assert len(writes) == 3 and info.value.attempts == 1
+    assert _state(db) == before
+    metrics.rollbacks += 1
+    assert manager.metrics == metrics
 
 
 def test_transient_fault_is_retried_to_completion(db):

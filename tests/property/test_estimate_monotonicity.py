@@ -21,9 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine import Database, IndexDef
 from repro.sqlengine.compression import Compression
-from repro.sqlengine.planner import structure_can_serve
 from repro.sqlengine.sql import parse
 from repro.sqlengine.views import ViewDef
+
+from .test_relevance_oracle import structure_can_serve
 
 COLUMNS = ("a", "b", "c", "d")
 DOMAIN = 80
