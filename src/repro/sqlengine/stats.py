@@ -127,23 +127,30 @@ class ColumnStats:
     histogram: Optional[EquiDepthHistogram]
 
     @classmethod
-    def from_array(cls, name: str, values: np.ndarray,
-                   n_buckets: int = DEFAULT_BUCKETS) -> "ColumnStats":
+    def from_array(cls, name: str, values: np.ndarray) -> "ColumnStats":
+        """Statistics read off one sorted copy of the column.
+
+        NaNs sort last, so the non-NaN values are the histogram's
+        ``total``-long prefix: their distinct count is one more than
+        their adjacent differences, and all NaNs count as one value.
+        ``np.quantile`` is order-invariant, so the histogram gets the
+        sorted copy.
+        """
         n = int(len(values))
         if n == 0:
             return cls(name, 0, 0, None, None, None)
+        ordered = np.sort(values)
+        present = ordered
+        histogram = None
         if values.dtype.kind in "if":
-            distinct = int(len(np.unique(values)))
-            histogram = EquiDepthHistogram.from_array(values, n_buckets)
-            present = values
-            if histogram.total != n:
-                present = values[~np.isnan(values)]
-                if len(present) == 0:
-                    return cls(name, n, distinct, None, None, histogram)
-            return cls(name, n, distinct, float(present.min()),
-                       float(present.max()), histogram)
-        distinct = int(len(np.unique(values)))
-        return cls(name, n, distinct, None, None, None)
+            histogram = EquiDepthHistogram.from_array(ordered)
+            present = ordered[:histogram.total]
+        distinct = (int(np.count_nonzero(present[1:] != present[:-1]))
+                    + (len(present) > 0) + (len(present) < n))
+        if histogram is None or len(present) == 0:
+            return cls(name, n, distinct, None, None, histogram)
+        return cls(name, n, distinct, float(present[0]),
+                   float(present[-1]), histogram)
 
     def selectivity_eq(self, value) -> float:
         """Selectivity of ``col = value``: uniform over distinct values,
@@ -185,14 +192,13 @@ class TableStats:
     columns: Dict[str, ColumnStats]
 
     @classmethod
-    def from_table(cls, table: HeapTable,
-                   n_buckets: int = DEFAULT_BUCKETS) -> "TableStats":
+    def from_table(cls, table: HeapTable) -> "TableStats":
         rids = table.live_rids()
         columns = {}
         for column in table.schema.columns:
             values = table.column_array(column.name)[rids]
             columns[column.name] = ColumnStats.from_array(
-                column.name, values, n_buckets)
+                column.name, values)
         return cls(table=table.schema.name, nrows=int(len(rids)),
                    n_pages=table.n_pages,
                    row_width=table.schema.row_width, columns=columns)
@@ -213,34 +219,3 @@ def combined_selectivity(selectivities: Sequence[float]) -> float:
         out *= max(0.0, min(1.0, s))
     return out
 
-
-def estimate_distinct_in_sample(sample_distinct: int, sample_size: int,
-                                population: int) -> int:
-    """Scale a sample's distinct count up to the population.
-
-    Method-of-moments under a uniform value distribution: a domain of
-    ``D`` values yields ``E[d] = D * (1 - (1 - 1/D)^n)`` distinct values
-    in a sample of ``n`` with replacement; we invert that by bisection.
-    A fully distinct sample therefore extrapolates toward the
-    population size, a highly repetitive one stays near ``d``.
-    """
-    if sample_size <= 0 or sample_distinct <= 0:
-        return 0
-    if population <= sample_size:
-        return min(sample_distinct, population)
-    if sample_distinct >= sample_size:
-        return population
-
-    def expected_distinct(domain: float) -> float:
-        return domain * (1.0 - (1.0 - 1.0 / domain) ** sample_size)
-
-    lo, hi = float(sample_distinct), float(population)
-    if expected_distinct(hi) <= sample_distinct:
-        return population
-    for _ in range(64):
-        mid = (lo + hi) / 2.0
-        if expected_distinct(mid) < sample_distinct:
-            lo = mid
-        else:
-            hi = mid
-    return int(min(population, max(sample_distinct, round(hi))))

@@ -23,13 +23,19 @@ _FORMAT_VERSION = 1
 #: error.
 _decode = json.JSONDecoder().raw_decode
 
+#: The string encoder ``json.dumps`` applies to a ``str`` (the C one
+#: where available): a record written around it has the bytes
+#: ``json.dumps`` of the record dict would.
+_encode = json.encoder.encode_basestring_ascii
+
 
 def save_trace(workload: Workload, path: Union[str, Path]) -> int:
     """Write a workload as JSONL; returns the statement count.
 
     The first line is a header record carrying the format version, the
     workload name and the statement count ``n``, which
-    :func:`iter_trace` checks at end of file.
+    :func:`iter_trace` checks at end of file. Each statement is one
+    ``{"sql": …}`` object, with ``"tag"`` when the tag is not ``None``.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
@@ -37,10 +43,9 @@ def save_trace(workload: Workload, path: Union[str, Path]) -> int:
                   "name": workload.name, "n": len(workload)}
         handle.write(json.dumps(header) + "\n")
         for statement in workload:
-            record = {"sql": statement.sql}
-            if statement.tag is not None:
-                record["tag"] = statement.tag
-            handle.write(json.dumps(record) + "\n")
+            tag = ("" if statement.tag is None
+                   else ', "tag": ' + _encode(statement.tag))
+            handle.write('{"sql": ' + _encode(statement.sql) + tag + "}\n")
     return len(workload)
 
 

@@ -11,8 +11,7 @@ from repro.sqlengine import Database
 from repro.sqlengine.buffer import BufferManager
 from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.stats import (ColumnStats, EquiDepthHistogram,
-                                   TableStats, combined_selectivity,
-                                   estimate_distinct_in_sample)
+                                   TableStats, combined_selectivity)
 from repro.sqlengine.storage import HeapTable
 from repro.sqlengine.types import ColumnType
 
@@ -179,23 +178,3 @@ class TestHelpers:
 
     def test_combined_selectivity_empty(self):
         assert combined_selectivity([]) == 1.0
-
-    def test_distinct_estimator_small_population(self):
-        assert estimate_distinct_in_sample(5, 10, 8) == 5
-
-    def test_distinct_estimator_scales_up(self):
-        est = estimate_distinct_in_sample(90, 100, 10_000)
-        assert 90 < est <= 10_000
-        # A nearly-unique sample scales up strongly.
-        est_unique = estimate_distinct_in_sample(99, 100, 10_000)
-        assert est_unique > est
-
-    def test_distinct_estimator_repetitive_sample_stays_low(self):
-        est = estimate_distinct_in_sample(5, 1_000, 1_000_000)
-        assert est <= 10
-
-    def test_distinct_estimator_all_unique(self):
-        assert estimate_distinct_in_sample(100, 100, 10_000) == 10_000
-
-    def test_distinct_estimator_degenerate(self):
-        assert estimate_distinct_in_sample(0, 0, 100) == 0
