@@ -10,8 +10,8 @@ site           where the hook fires
                moves (a faulted read charges nothing)
 ``page_write`` :meth:`BufferManager.write_page`, same contract
 ``heap_load``  :meth:`HeapTable.bulk_load` entry
-``index_build`` :meth:`Index._build` entry and once per leaf chunk
-               of the B+-tree bulk load
+``index_build`` :meth:`Index._build` entry and once per
+               ``BUILD_FAULT_CHUNK`` (54) sorted entries
 ``view_build`` :meth:`MaterializedView._build` entry
 ``estimate``   :meth:`WhatIfOptimizer.estimate_statement` entry
 ``deploy_step`` :meth:`Database.transition`, before every catalog

@@ -1,13 +1,13 @@
 """The embedded SQL engine substrate.
 
 Everything the paper's experiments needed from SQL Server, rebuilt:
-page-organized heap storage, B+-tree indexes, a SQL subset front end,
-statistics, a cost model, a single physical-plan IR shared by the
-planner / executor / what-if optimizer, and a metered executor.
+page-organized heap storage, sorted indexes priced by B+-tree page
+geometry, a SQL subset front end, statistics, a cost model, a single
+physical-plan IR shared by the planner / executor / what-if
+optimizer, and a metered executor.
 """
 
 from .buffer import BufferManager, IoMetrics
-from .btree import BPlusTree
 from .costmodel import Cost, CostParams, MeteredCost
 from .database import (Database, GroundTruthExecution,
                        TransitionReport)
@@ -28,7 +28,7 @@ from .whatif import (PlanEstimate, StatementTemplate,
                      WhatIfOptimizer)
 
 __all__ = [
-    "BufferManager", "IoMetrics", "BPlusTree", "Cost", "CostParams",
+    "BufferManager", "IoMetrics", "Cost", "CostParams",
     "MeteredCost", "Database", "GroundTruthExecution",
     "TransitionReport", "Executor",
     "QueryResult", "Index", "IndexDef", "IndexGeometry", "PlanNode",

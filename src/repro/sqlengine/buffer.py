@@ -123,8 +123,8 @@ class BufferManager:
     """LRU page cache.
 
     The cache stores only page identities (the engine keeps actual data
-    in column arrays and B+-tree nodes); its job is purely to decide
-    which page touches are physical I/O and to meter them.
+    in column arrays and sorted index arrays); its job is purely to
+    decide which page touches are physical I/O and to meter them.
     """
 
     capacity_pages: int = DEFAULT_CAPACITY_PAGES

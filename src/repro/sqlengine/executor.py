@@ -130,23 +130,29 @@ class Executor:
         if aggregate.func not in ("MIN", "MAX") or \
                 aggregate.column is None:
             return None
-        for definition, index in self.indexes.items():
-            if definition.columns[0] != aggregate.column:
-                continue
-            cols, rids = index.leaf_arrays()
-            if not len(rids):
-                break
-            metered = MeteredCost()
-            index.charge_descent()
-            index.charge_leaf_pages(1)
-            metered.add_reads(index.geometry().height + 1)
-            metered.add_cpu(self.params.cpu_index_tuple_cost)
-            data = cols[aggregate.column]
-            value = data[0] if aggregate.func == "MIN" else data[-1]
-            metered.rows_returned = 1
-            return QueryResult(rows=[(scalar_value(value),)],
-                               metrics=metered)
-        return None
+        # Sorted candidates, then the shallowest: the answer's cost
+        # must not depend on index-creation order.
+        candidates = [self.indexes[d]
+                      for d in sorted(self.indexes, key=structure_sort_key)
+                      if d.columns[0] == aggregate.column]
+        if not candidates:
+            return None
+        index = min(candidates, key=lambda ix: ix.geometry().height)
+        cols, rids = index.leaf_arrays()
+        if not len(rids):
+            return None
+        geometry = index.geometry()
+        metered = MeteredCost()
+        index.charge_descent()
+        index.charge_leaf_pages(1)
+        metered.add_reads(geometry.height + 1)
+        metered.add_cpu(self.params.cpu_index_tuple_cost *
+                        geometry.cpu_factor)
+        data = cols[aggregate.column]
+        value = data[0] if aggregate.func == "MIN" else data[-1]
+        metered.rows_returned = 1
+        return QueryResult(rows=[(scalar_value(value),)],
+                           metrics=metered)
 
     # ------------------------------------------------------------------
     # DML
@@ -183,14 +189,22 @@ class Executor:
     def execute_update(self, stmt: UpdateStmt,
                        stats: TableStats) -> QueryResult:
         rids, metered = self._locate(stmt.where, stats)
-        old_keys = {d: [ix.key_for_rid(int(r)) for r in rids]
-                    for d, ix in self.indexes.items()}
+        keyed = {c for d in self.indexes for c in d.columns}
+        before = {c: self.table.column_array(c)[rids]
+                  for c, _ in stmt.assignments if c in keyed}
         self.table.update_rows(rids, dict(stmt.assignments))
+        changed = {c: old != self.table.column_array(c)[rids]
+                   for c, old in before.items()}
         metered.add_writes(float(len(np.unique(
             rids // self.table.rows_per_page))) if len(rids) else 0.0)
         for definition, index in self.indexes.items():
-            for i, rid in enumerate(rids):
-                index.on_update(int(rid), old_keys[definition][i])
+            # Only rows whose key moved touch the index.
+            moved = np.zeros(len(rids), dtype=bool)
+            for column in definition.columns:
+                if column in changed:
+                    moved |= changed[column]
+            for rid in rids[moved]:
+                index.on_update(int(rid))
             if len(rids):
                 metered.add_writes(float(len(rids)))
         if len(rids):

@@ -111,7 +111,7 @@ class HeapStream:
 
 @dataclass
 class LeafStream:
-    """Positions into an index's sorted leaf mirror (seeks, covering
+    """Positions into an index's sorted leaf arrays (seeks, covering
     scans); carries the key columns, so covering plans never touch the
     heap."""
 

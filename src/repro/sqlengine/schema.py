@@ -84,12 +84,6 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return name in self._by_name
 
-    def column_index(self, name: str) -> int:
-        for i, column in enumerate(self.columns):
-            if column.name == name:
-                return i
-        raise SchemaError(f"table {self.name!r} has no column {name!r}")
-
     @property
     def row_width(self) -> int:
         """On-page width of one row, including per-row overhead."""

@@ -14,7 +14,7 @@ model while keeping scans vectorized.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -192,29 +192,6 @@ class HeapTable:
     def valid_mask(self) -> np.ndarray:
         return self._valid[:self._size]
 
-    def fetch_rows(self, rids: Sequence[int],
-                   column_names: Optional[Sequence[str]] = None,
-                   charge_io: bool = True) -> List[Tuple[Value, ...]]:
-        """Materialize rows by rid, charging one page read per distinct
-        heap page touched (the classic RID-fetch cost)."""
-        rids = np.asarray(rids, dtype=np.int64)
-        self._check_rids(rids)
-        names = list(column_names) if column_names is not None \
-            else self.schema.column_names
-        for name in names:
-            self.schema.column(name)
-        if charge_io and len(rids):
-            pages = np.unique(rids // self.rows_per_page)
-            self.buffer_manager.read_pages(
-                self.object_id, (int(p) for p in pages))
-        rows: List[Tuple[Value, ...]] = []
-        cols = [self._columns[name] for name in names]
-        for rid in rids:
-            if not self._valid[rid]:
-                continue
-            rows.append(tuple(_to_python(col[rid]) for col in cols))
-        return rows
-
     def scan_pages(self) -> int:
         """Charge a full sequential scan of the heap; returns page count."""
         n = self.n_pages
@@ -254,14 +231,3 @@ class HeapTable:
     def __repr__(self) -> str:
         return (f"HeapTable({self.schema.name!r}, rows={self.nrows}, "
                 f"pages={self.n_pages})")
-
-
-def _to_python(value) -> Value:
-    """Convert a NumPy scalar to the matching Python value."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.str_):
-        return str(value)
-    return value

@@ -12,7 +12,7 @@ geometry, which is what ultimately drives the physical-design decisions.
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 import numpy as np
 
@@ -137,15 +137,3 @@ def compare_values(left: Value, right: Value) -> int:
     if left > right:  # type: ignore[operator]
         return 1
     return 0
-
-
-def coerce_for_column(value: Any, ctype: ColumnType) -> Optional[Value]:
-    """Validate ``value`` against ``ctype``; ``None`` passes through.
-
-    The engine does not index NULLs and the supported predicates never
-    match them, mirroring the usual SQL three-valued comparison rules at
-    the level of detail the paper's workloads need.
-    """
-    if value is None:
-        return None
-    return ctype.validate(value)

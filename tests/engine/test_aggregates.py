@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SchemaError, SqlSyntaxError, SqlUnsupportedError
 from repro.sqlengine import Database, IndexDef
+from repro.sqlengine.compression import Compression
 from repro.sqlengine.sql import parse
 from repro.sqlengine.sql.ast import Aggregate
 
@@ -150,6 +151,49 @@ class TestIndexInteraction:
         for sql in ("SELECT COUNT(*), MIN(a), MAX(b) FROM t",
                     "SELECT SUM(b) FROM t WHERE a BETWEEN 5 AND 9"):
             assert idb.query(sql) == unindexed.query(sql)
+
+
+class TestMinMaxShortcut:
+    """The unpredicated MIN/MAX shortcut picks its index by geometry,
+    never by creation order, and prices decoding as a seek does."""
+
+    @staticmethod
+    def _db(definitions):
+        db = Database()
+        db.create_table("t", [("a", "INTEGER"), ("b", "TEXT"),
+                              ("c", "TEXT")])
+        rng = np.random.default_rng(5)
+        n = 10_000
+        db.bulk_load("t", {
+            "a": rng.integers(0, 1000, n),
+            "b": np.array([f"b{i % 13}" for i in range(n)]),
+            "c": np.array([f"c{i % 7}" for i in range(n)]),
+        })
+        for definition in definitions:
+            db.create_index(definition)
+        return db
+
+    def test_creation_order_does_not_change_the_cost(self):
+        narrow = IndexDef("t", ("a",))
+        wide = IndexDef("t", ("a", "b", "c"))
+        db = self._db([narrow, wide])
+        # The wide key needs one more level: the choice is observable.
+        height = db.find_index(narrow).geometry().height
+        assert db.find_index(wide).geometry().height > height
+        first = db.execute("SELECT MIN(a) FROM t")
+        second = self._db([wide, narrow]).execute("SELECT MIN(a) FROM t")
+        assert first.rows == second.rows
+        assert first.metrics == second.metrics
+        assert first.metrics.page_reads == height + 1
+
+    def test_compressed_index_charges_its_cpu_factor(self):
+        db = self._db([IndexDef("t", ("a",), Compression.HEAVY)])
+        result = db.execute("SELECT MAX(a) FROM t")
+        assert result.rows == [
+            (int(db.table("t").column_array("a").max()),)]
+        assert result.metrics.cpu_units == pytest.approx(
+            db.params.cpu_index_tuple_cost *
+            Compression.HEAVY.cpu_factor)
 
 
 class TestWhatIfAggregates:

@@ -152,7 +152,9 @@ class TestApplyConfiguration:
         rows = db.query("SELECT a FROM t WHERE a = 123456")
         assert rows == [(123456,)]
         index = db.find_index(IndexDef("t", ("a",)))
-        assert len(index.tree) == db.table("t").nrows
+        cols, rids = index.leaf_arrays()
+        assert len(rids) == db.table("t").nrows
+        assert 123456 in cols["a"]
 
 
 class TestExecuteDispatch:

@@ -87,7 +87,9 @@ class TestIndexGeometry:
 class TestMaterializedIndex:
     def test_build_indexes_all_rows(self, table):
         index = Index(IndexDef("t", ("a",)), table, table.buffer_manager)
-        assert len(index.tree) == table.nrows
+        cols, rids = index.leaf_arrays()
+        assert len(rids) == len(cols["a"]) == table.nrows
+        assert index.geometry().nrows == table.nrows
 
     def test_wrong_table_raises(self, table):
         with pytest.raises(SchemaError):
@@ -101,8 +103,10 @@ class TestMaterializedIndex:
     def test_seek_equal_matches_scan(self, table):
         index = Index(IndexDef("t", ("a",)), table, table.buffer_manager)
         expected = set(np.nonzero(table.column_array("a") == 42)[0])
-        hits = {rid for _, rid in index.seek_equal((42,))}
-        assert hits == expected
+        cols, rids = index.leaf_arrays()
+        lo, hi = np.searchsorted(cols["a"], 42, side="left"), \
+            np.searchsorted(cols["a"], 42, side="right")
+        assert set(rids[lo:hi]) == expected
 
     def test_build_charges_scan_and_writes(self, table):
         table.buffer_manager.reset_metrics()
@@ -123,20 +127,30 @@ class TestMaterializedIndex:
         index = Index(IndexDef("t", ("a",)), table, table.buffer_manager)
         rid = table.insert_row({"a": 424242 % 100, "b": 0})
         index.on_insert(rid)
-        assert rid in index.tree.search((table.column_array("a")[rid],))
-        cols, rids = index.leaf_arrays()   # rebuilt mirror
+        cols, rids = index.leaf_arrays()   # re-sorted from the heap
+        assert rid in rids[cols["a"] == 42]
         assert len(rids) == table.nrows
 
     def test_maintenance_on_delete(self, table):
         index = Index(IndexDef("t", ("a",)), table, table.buffer_manager)
-        key = (int(table.column_array("a")[0]),)
         index.on_delete(0)
-        assert 0 not in index.tree.search(key)
+        table.delete_rows([0])
+        cols, rids = index.leaf_arrays()
+        assert 0 not in rids
+        assert len(rids) == table.nrows
 
     def test_maintenance_on_update(self, table):
         index = Index(IndexDef("t", ("a",)), table, table.buffer_manager)
-        old_key = index.key_for_rid(5)
+        old = int(table.column_array("a")[5])
         table.update_rows([5], {"a": 77})
-        index.on_update(5, old_key)
-        assert 5 in index.tree.search((77,))
-        assert 5 not in index.tree.search(old_key)
+        index.on_update(5)
+        cols, rids = index.leaf_arrays()
+        assert 5 in rids[cols["a"] == 77]
+        assert 5 not in rids[cols["a"] == old]
+
+    def test_maintenance_writes_the_root_page(self, table):
+        index = Index(IndexDef("t", ("a",)), table, table.buffer_manager)
+        table.buffer_manager.reset_metrics()
+        for hook in (index.on_insert, index.on_delete, index.on_update):
+            hook(0)
+        assert table.buffer_manager.metrics.physical_writes == 3

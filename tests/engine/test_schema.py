@@ -46,13 +46,6 @@ class TestTableSchema:
         assert schema.has_column("a")
         assert not schema.has_column("z")
 
-    def test_column_index(self, schema):
-        assert schema.column_index("name") == 2
-
-    def test_column_index_unknown_raises(self, schema):
-        with pytest.raises(SchemaError):
-            schema.column_index("zz")
-
     def test_row_width_includes_overhead(self, schema):
         expected = ROW_OVERHEAD_BYTES + 4 + 8 + 32
         assert schema.row_width == expected

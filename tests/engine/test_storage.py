@@ -122,25 +122,6 @@ class TestRowOps:
 
 
 class TestFetch:
-    def test_fetch_rows_values(self, table):
-        table.insert_row({"a": 10, "b": 20})
-        table.insert_row({"a": 30, "b": 40})
-        rows = table.fetch_rows([1], ["b", "a"])
-        assert rows == [(40, 30)]
-
-    def test_fetch_skips_deleted(self, table):
-        load(table, 4)
-        table.delete_rows([2])
-        rows = table.fetch_rows([1, 2, 3])
-        assert len(rows) == 2
-
-    def test_fetch_charges_distinct_pages(self, table):
-        load(table, 3 * table.rows_per_page)
-        table.buffer_manager.reset_metrics()
-        table.buffer_manager.clear()
-        table.fetch_rows([0, 1, table.rows_per_page])
-        assert table.buffer_manager.metrics.logical_reads == 2
-
     def test_scan_pages_charges_all(self, table):
         load(table, 2 * table.rows_per_page)
         table.buffer_manager.reset_metrics()

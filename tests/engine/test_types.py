@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import TypeMismatchError
 from repro.sqlengine.types import (ColumnType, TEXT_MAX_CHARS,
-                                   coerce_for_column, compare_values,
-                                   parse_column_type)
+                                   compare_values, parse_column_type)
 
 
 class TestColumnType:
@@ -101,15 +100,3 @@ class TestCompareValues:
     def test_string_vs_number_raises(self):
         with pytest.raises(TypeMismatchError):
             compare_values("a", 1)
-
-
-class TestCoerce:
-    def test_none_passes_through(self):
-        assert coerce_for_column(None, ColumnType.INTEGER) is None
-
-    def test_valid_value(self):
-        assert coerce_for_column(7, ColumnType.INTEGER) == 7
-
-    def test_invalid_value(self):
-        with pytest.raises(TypeMismatchError):
-            coerce_for_column("x", ColumnType.INTEGER)

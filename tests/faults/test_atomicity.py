@@ -167,8 +167,11 @@ def test_failed_build_then_clean_build_is_bit_identical(db):
     assert db.execute(q).rows == twin.execute(q).rows
     ours = db.find_index(definition)
     theirs = twin.find_index(definition)
-    assert len(ours.tree) == len(theirs.tree)
-    assert ours.tree.height == theirs.tree.height
+    ours_cols, ours_rids = ours.leaf_arrays()
+    theirs_cols, theirs_rids = theirs.leaf_arrays()
+    assert np.array_equal(ours_rids, theirs_rids)
+    assert np.array_equal(ours_cols["a"], theirs_cols["a"])
+    assert ours.geometry() == theirs.geometry()
 
 
 class TestDeployStepSite:
