@@ -65,7 +65,8 @@ class WhatIfCostProvider:
     sweeps over the same workload cost nothing extra. The cache key's
     configuration component hashes over the *full* structure set —
     views included — so two configurations differing only in views
-    never share an entry.
+    never share an entry. TRANS is not cached here: the optimizer
+    prices a transition with one lookup in its build table.
 
     EXEC accumulates over the unit's atoms (``weight x unit_cost`` per
     distinct SQL, first-appearance order — see
@@ -82,8 +83,6 @@ class WhatIfCostProvider:
     def __init__(self, optimizer: WhatIfOptimizer):
         self.optimizer = optimizer
         self._exec_cache: Dict[Tuple[str, Configuration], float] = {}
-        self._trans_cache: Dict[Tuple[Configuration, Configuration],
-                                float] = {}
         self._size_cache: Dict[Configuration, int] = {}
 
     def exec_cost(self, segment: CostUnit,
@@ -101,13 +100,8 @@ class WhatIfCostProvider:
 
     def trans_cost(self, old: Configuration,
                    new: Configuration) -> float:
-        key = (old, new)
-        units = self._trans_cache.get(key)
-        if units is None:
-            units = self.optimizer.transition_units(old.structures,
-                                                    new.structures)
-            self._trans_cache[key] = units
-        return units
+        return self.optimizer.transition_units(old.structures,
+                                               new.structures)
 
     def size_bytes(self, config: Configuration) -> int:
         size = self._size_cache.get(config)

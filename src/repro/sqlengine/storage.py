@@ -134,46 +134,49 @@ class HeapTable:
         return length
 
     def insert_row(self, values: Dict[str, Value]) -> int:
-        """Insert one row; returns its row id."""
+        """Insert one row; returns its row id. The page write comes
+        first, so a faulted write leaves no row behind."""
         for column in self.schema.columns:
             if column.name not in values:
                 raise StorageError(
                     f"insert missing column {column.name!r}")
             column.ctype.validate(values[column.name])
-        self._ensure_capacity(self._size + 1)
         rid = self._size
+        self.buffer_manager.write_page(
+            (self.object_id, self.page_of_row(rid)))
+        self._ensure_capacity(self._size + 1)
         for column in self.schema.columns:
             self._columns[column.name][rid] = values[column.name]
         self._valid[rid] = True
         self._size += 1
         self._live += 1
-        self.buffer_manager.write_page(
-            (self.object_id, self.page_of_row(rid)))
         return rid
 
     def delete_rows(self, rids: Sequence[int]) -> int:
-        """Tombstone the given rows; returns how many were live."""
+        """Tombstone the given rows; returns how many were live. The
+        page writes come first, so a faulted write deletes no row."""
         rids = np.asarray(rids, dtype=np.int64)
         self._check_rids(rids)
+        for page in np.unique(rids // self.rows_per_page):
+            self.buffer_manager.write_page((self.object_id, int(page)))
         was_live = self._valid[rids]
         self._valid[rids] = False
         deleted = int(was_live.sum())
         self._live -= deleted
-        for page in np.unique(rids // self.rows_per_page):
-            self.buffer_manager.write_page((self.object_id, int(page)))
         return deleted
 
     def update_rows(self, rids: Sequence[int],
                     assignments: Dict[str, Value]) -> int:
-        """Overwrite columns of the given rows in place."""
+        """Overwrite columns of the given rows in place. The page
+        writes come first, so a faulted write changes no row."""
         rids = np.asarray(rids, dtype=np.int64)
         self._check_rids(rids)
         for name, value in assignments.items():
-            column = self.schema.column(name)
-            column.ctype.validate(value)
-            self._columns[name][rids] = value
+            self.schema.column(name).ctype.validate(value)
         for page in np.unique(rids // self.rows_per_page):
             self.buffer_manager.write_page((self.object_id, int(page)))
+        for name, value in assignments.items():
+            self._columns[name][rids] = value
         return len(rids)
 
     # ------------------------------------------------------------------

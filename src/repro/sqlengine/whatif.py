@@ -24,13 +24,15 @@ constants into the selectivities they induce; two statements with equal
 template keys receive identical what-if estimates, so each template is
 estimated once per configuration instead of once per statement. Three
 facts are kept per structure, not per cell: its build cost (a table
-per statistics epoch), whether it can serve a template (a row of
-relevance signatures per template, from one derivation) and the access
-paths it contributes to a query (a table per analysed query, per
-statistics epoch, that every configuration's plan choice reads). A
-statement that carries its text gets its key straight from ``(shape,
-literal texts)`` — no AST — wherever the shape has a *key plan*
-(:meth:`WhatIfOptimizer.statement_template`, DESIGN §6).
+per statistics epoch, keyed by the set a transition adds, so a TRANS
+cell is one lookup plus its drop charges), whether it can serve a
+template (a row of relevance signatures per template, from one
+derivation) and the access paths it contributes to a query (a table
+per analysed query, per statistics epoch, that every configuration's
+plan choice reads). A statement that carries its text gets its key
+straight from ``(shape, literal texts)`` — no AST — wherever the shape
+has a *key plan* (:meth:`WhatIfOptimizer.statement_template`, DESIGN
+§6).
 """
 
 from __future__ import annotations
@@ -202,8 +204,9 @@ class WhatIfOptimizer:
         #: site (raising :class:`EstimationUnavailable`).
         self.fault_injector = fault_injector
         self._geometry_cache: Dict[Tuple[IndexDef, int], IndexGeometry] = {}
-        #: structure -> :meth:`_build_facts`, per statistics epoch
-        self._build_table: Dict[object, Tuple] = {}
+        #: set of structures a transition adds -> its summed build
+        #: cost (:meth:`_fill_build_row`), per statistics epoch
+        self._build_table: Dict[FrozenSet, Tuple] = {}
         self._drop_charge = cost_drop_index(self.params).cpu_units
         #: analysed SELECT (an UPDATE's or DELETE's probe too) -> its
         #: ``QueryInfo`` and its access-path table (``path_table`` of
@@ -517,24 +520,25 @@ class WhatIfOptimizer:
     def transition_cost(self, old_config: Iterable[IndexDef],
                         new_config: Iterable[IndexDef]) -> Cost:
         """Cost of changing the physical design: build what's new,
-        drop what's gone — per-structure build facts added in
-        :func:`structure_sort_key` order, then one drop charge per
-        dropped structure, each ``Cost`` component from ``0.0``."""
-        old, new = frozenset(old_config), frozenset(new_config)
-        reads = writes = cpu = 0.0
-        for _key, build_reads, build_writes, build_cpu in sorted(
-                [self._build_facts(d) for d in new - old]):
-            reads += build_reads
-            writes += build_writes
-            cpu += build_cpu
-        for _definition in old - new:
-            cpu += self._drop_charge
-        return Cost(reads, writes, cpu)
+        drop what's gone (see :meth:`_transition`)."""
+        return Cost(*self._transition(old_config, new_config))
 
     def transition_units(self, old_config: Iterable[IndexDef],
                          new_config: Iterable[IndexDef]) -> float:
-        return self.transition_cost(old_config, new_config).total(
-            self.params)
+        return self.params.units(*self._transition(old_config,
+                                                   new_config))
+
+    def _transition(self, old_config, new_config) -> Tuple:
+        """``(page reads, page writes, cpu units)`` of a transition:
+        the build row of the set it adds, then one drop charge per
+        structure it drops."""
+        old, new = frozenset(old_config), frozenset(new_config)
+        added = new - old
+        reads, writes, cpu = self._build_table.get(added) or \
+            self._fill_build_row(added)
+        for _ in range(len(old) - len(new) + len(added)):
+            cpu += self._drop_charge
+        return reads, writes, cpu
 
     def index_size_bytes(self, definition: IndexDef) -> int:
         return self._geometry(definition).size_bytes
@@ -616,11 +620,14 @@ class WhatIfOptimizer:
             self._geometry_cache[key] = geometry
         return geometry
 
-    def _build_facts(self, definition) -> Tuple:
-        """``(sort key, page reads, page writes, cpu units)`` of
-        building ``definition`` under the current statistics."""
-        facts = self._build_table.get(definition)
-        if facts is None:
+    def _fill_build_row(self, added: FrozenSet) -> Tuple:
+        """Store and return the summed ``(page reads, page writes, cpu
+        units)`` of building ``added``: a structure's own row is ``0.0
+        +`` each component of its build cost; a larger set adds its
+        members' rows in :func:`structure_sort_key` order, each
+        component from ``0.0``."""
+        if len(added) == 1:
+            (definition,) = added
             stats = self._stats_for(definition.table)
             geometry = self._geometry(definition)
             if isinstance(definition, ViewDef):
@@ -629,10 +636,21 @@ class WhatIfOptimizer:
                                        geometry.build_cpu_factor)
             else:
                 cost = cost_build_index(stats, geometry, self.params)
-            facts = self._build_table[definition] = (
-                structure_sort_key(definition), cost.page_reads,
-                cost.page_writes, cost.cpu_units)
-        return facts
+            row = (0.0 + cost.page_reads, 0.0 + cost.page_writes,
+                   0.0 + cost.cpu_units)
+        else:
+            reads = writes = cpu = 0.0
+            for definition in sorted(added, key=structure_sort_key):
+                single = frozenset((definition,))
+                build_reads, build_writes, build_cpu = \
+                    self._build_table.get(single) or \
+                    self._fill_build_row(single)
+                reads += build_reads
+                writes += build_writes
+                cpu += build_cpu
+            row = (reads, writes, cpu)
+        self._build_table[added] = row
+        return row
 
     def _geometries(self, table: str, config: FrozenSet[IndexDef]):
         """Split a configuration into (index pairs, view pairs)."""

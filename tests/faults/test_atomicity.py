@@ -4,7 +4,8 @@ buffer pool, and data-plane metrics exactly as before the build."""
 import numpy as np
 import pytest
 
-from repro.errors import StorageError, TransitionError
+from repro.errors import (PermanentStorageError, StorageError,
+                          TransitionError)
 from repro.faults import (PERMANENT, TRANSIENT, FaultInjector,
                           FaultPlan, FaultSpec, RetryPolicy)
 from repro.sqlengine.database import Database
@@ -269,3 +270,55 @@ def test_bulk_load_drops_faulted_indexes_but_keeps_rows(db):
     assert len(db.execute("SELECT a FROM t").rows) == \
         len(rows_before) + 10
     assert db.find_index(definition) is None
+
+
+class TestFailedHeapWrite:
+    """A DML statement whose heap page write fails permanently leaves
+    the heap, its row count, the index leaf arrays and an index read
+    as they were before the statement."""
+
+    @pytest.fixture
+    def small(self):
+        database = Database()
+        database.create_table("t", [("a", "INTEGER"), ("b", "INTEGER")])
+        database.bulk_load("t", {"a": np.arange(10),
+                                 "b": np.arange(10)})
+        database.create_index(IndexDef("t", ("a",)))
+        return database
+
+    QUERIES = ("SELECT a FROM t WHERE a = 99",
+               "SELECT a, b FROM t WHERE a = 3",
+               "SELECT COUNT(*) FROM t")
+
+    def _snapshot(self, db):
+        table = db.table("t")
+        cols, rids = db.find_index(IndexDef("t", ("a",))).leaf_arrays()
+        return {"nrows": table.nrows,
+                "valid": table.valid_mask().tolist(),
+                "a": table.column_array("a").tolist(),
+                "b": table.column_array("b").tolist(),
+                "leaf": (cols["a"].tolist(), rids.tolist()),
+                "reads": [db.execute(q).rows for q in self.QUERIES]}
+
+    # The heap's page write is the statement's first, except for a
+    # DELETE, which writes the index page before the heap's.
+    @pytest.mark.parametrize("sql, heap_write, query, landed", [
+        ("INSERT INTO t (a, b) VALUES (99, 1)", 0,
+         "SELECT a FROM t WHERE a = 99", [(99,)]),
+        ("UPDATE t SET a = 99 WHERE b = 3", 0,
+         "SELECT a FROM t WHERE a = 99", [(99,)]),
+        ("DELETE FROM t WHERE b = 3", 1, "SELECT COUNT(*) FROM t",
+         [(9,)]),
+    ], ids=["insert", "update", "delete"])
+    def test_statement_leaves_no_trace(self, small, sql, heap_write,
+                                       query, landed):
+        before = self._snapshot(small)
+        small.set_fault_injector(FaultInjector(
+            FaultPlan.single_shot("page_write", heap_write), seed=0))
+        with pytest.raises(PermanentStorageError):
+            small.execute(sql)
+        small.set_fault_injector(None)
+        assert self._snapshot(small) == before
+        # The same statement without the fault lands.
+        small.execute(sql)
+        assert small.execute(query).rows == landed

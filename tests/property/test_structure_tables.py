@@ -3,9 +3,11 @@
 Two facts the costing layer computes once instead of once per cell:
 
 * a *build cost* belongs to a structure — ``transition_cost(old, new)``
-  folds rows of the optimizer's per-epoch build table, and must equal
-  the ``Cost() + build + ... + drop`` chain it replaced, bit for
-  bit, before and after a statistics refresh;
+  reads one row of the optimizer's per-epoch build table, keyed by the
+  set ``new - old`` and summed from single-structure rows in sort-key
+  order, and must equal the ``Cost() + build + ... + drop`` chain, bit
+  for bit, before and after a statistics refresh
+  (``test_trans_rule.py`` holds it to the sorted fold it replaced);
 * *serve-ability* belongs to a (template, structure) pair —
   ``relevance_signatures(template, configs)`` derives one signature on
   the union of the configurations and must equal the per-configuration
