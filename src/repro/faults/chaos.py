@@ -4,10 +4,10 @@ Replays engine and solver fixtures under injected fault plans and
 asserts the recovery contracts that :mod:`repro.faults` promises:
 
 * **catalog atomicity** — a fault injected at *every possible step*
-  of an index/view build leaves the catalog, the buffer pool (cached
-  pages and object-id cursor), and the data-plane
-  :class:`~repro.sqlengine.buffer.IoMetrics` exactly in the pre-build
-  state, with exactly one rollback booked on the fault plane.
+  of an index/view build leaves the catalog, the object-id cursor and
+  the data-plane :class:`~repro.sqlengine.buffer.IoMetrics` exactly in
+  the pre-build state, with exactly one rollback booked on the fault
+  plane.
 * **transient convergence (engine)** — a workload replayed under a
   transient-only fault plan produces the same rows and the same
   data-plane I/O counters as the fault-free twin run (retries and
@@ -126,7 +126,6 @@ def _assert_rollback_exact(result: CheckResult, db: Database,
                            seed: int) -> None:
     instance = f"{definition.label} {site}@{call}"
     catalog_before = _catalog_state(db)
-    pages_before = tuple(db.buffer_manager._lru)
     metrics_before = db.buffer_manager.metrics.copy()
     next_id_before = db.buffer_manager._next_object_id
     injector = FaultInjector(FaultPlan.single_shot(site, call), seed)
@@ -149,10 +148,6 @@ def _assert_rollback_exact(result: CheckResult, db: Database,
         return
     result.check(_catalog_state(db) == catalog_before, instance,
                  "catalog changed across a rolled-back build")
-    result.check(tuple(db.buffer_manager._lru) == pages_before,
-                 instance,
-                 "buffer-pool contents changed across a rolled-back "
-                 "build")
     result.check(db.buffer_manager._next_object_id == next_id_before,
                  instance,
                  "object-id cursor moved across a rolled-back build")
@@ -259,9 +254,6 @@ def check_engine_convergence(result: CheckResult, seed: int,
         faulty_delta.io_equal(clean_delta), instance,
         f"data-plane I/O diverged from the fault-free twin: "
         f"{clean_delta} vs {faulty_delta}")
-    result.check(
-        faulty_delta.physical_reads <= faulty_delta.logical_reads,
-        instance, "physical reads exceeded logical reads")
     result.check(faulty_delta.latency_units >= 0.0, instance,
                  "negative latency charged")
     injector_fired = faulty.buffer_manager.metrics.retries > 0 or \

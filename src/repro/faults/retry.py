@@ -4,8 +4,8 @@ Real systems retry transient I/O failures with wall-clock exponential
 backoff. Here time is simulated — the whole repro's "execution time"
 is deterministic cost units — so backoff is charged in the same
 currency: each retry adds ``backoff_for(attempt)`` latency units to
-the buffer pool's :class:`~repro.sqlengine.buffer.IoMetrics`. Two runs
-with the same seed therefore retry, back off, and converge
+the buffer manager's :class:`~repro.sqlengine.buffer.IoMetrics`. Two
+runs with the same seed therefore retry, back off, and converge
 identically, bit for bit.
 """
 

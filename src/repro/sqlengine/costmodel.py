@@ -8,8 +8,7 @@ Costs are expressed in deterministic *cost units*:
 The same weights are used by the what-if optimizer (estimates) and by
 the executor (metered actuals), so estimated EXEC/TRANS values and
 measured replay times live on one scale. Page counts are *logical*
-touches — deterministic and independent of buffer-pool history — while
-the buffer manager separately tracks physical I/O for reporting.
+touches — deterministic, with no buffer pool to depend on.
 
 Access paths:
 
@@ -255,7 +254,6 @@ class MeteredCost:
     page_reads: float = 0.0
     page_writes: float = 0.0
     cpu_units: float = 0.0
-    rows_examined: int = 0
     rows_returned: int = 0
 
     def add_reads(self, pages: float) -> None:

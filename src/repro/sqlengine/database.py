@@ -1,11 +1,12 @@
 """The embedded database facade.
 
 :class:`Database` owns the catalog (tables, indexes, materialized
-views), the shared buffer pool, statistics, and the what-if optimizer.
-It executes SQL text or pre-parsed ASTs, and exposes the
-physical-design operations the advisor layer needs: materializing and
-dropping structures, moving between designs through one catalog-step
-executor (:meth:`Database.transition`), and costing statements under
+views), the shared page-touch meter (:class:`BufferManager`),
+statistics, and the what-if optimizer. It executes SQL text or
+pre-parsed ASTs, and exposes the physical-design operations the
+advisor layer needs: materializing and dropping structures, moving
+between designs through one catalog-step executor
+(:meth:`Database.transition`), and costing statements under
 hypothetical designs.
 """
 
@@ -81,8 +82,8 @@ class GroundTruthExecution:
     Attributes:
         result: rows plus metered cost (``result.access_path`` names
             the access path the executor actually took).
-        io: buffer-pool counter movement (logical/physical reads,
-            writes) attributable to this statement.
+        io: buffer-manager counter movement (logical reads,
+            physical writes) attributable to this statement.
     """
 
     result: QueryResult
@@ -103,23 +104,20 @@ class Database:
     Args:
         params: cost-model weights shared by planner, executor and
             what-if optimizer.
-        buffer_capacity_pages: buffer pool size.
         fault_injector: optional
             :class:`~repro.faults.injector.FaultInjector`; None
             (default) keeps the fault machinery entirely out of the
             hot paths.
         retry_policy: how transient faults are retried (shared by the
-            buffer pool and the transition machinery).
+            buffer manager and the transition machinery).
     """
 
     def __init__(self, params: Optional[CostParams] = None,
-                 buffer_capacity_pages: int = 8192,
                  fault_injector=None,
                  retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY):
         self.params = params or CostParams()
         self.retry_policy = retry_policy
         self.buffer_manager = BufferManager(
-            capacity_pages=buffer_capacity_pages,
             fault_injector=fault_injector,
             retry_policy=retry_policy)
         self.tables: Dict[str, HeapTable] = {}
@@ -157,19 +155,17 @@ class Database:
     def drop_table(self, name: str) -> None:
         """Drop a table and every dependent structure.
 
-        Dependent indexes and views are dropped first (each
-        invalidating its buffer pages), then the heap itself — so no
-        structure can outlive its base table and
+        Dependent indexes and views are dropped first, then the heap
+        itself — so no structure can outlive its base table and
         :meth:`current_configuration` never reports a dangling
         definition. Compressed variants are ordinary catalog entries
         and need no special casing here.
         """
-        table = self.table(name)
+        self.table(name)  # raises CatalogError for an unknown table
         for index in list(self.indexes_for(name)):
             self.drop_index(index.name)
         for view in list(self.views_for(name)):
             self.drop_view(view.name)
-        self.buffer_manager.invalidate_object(table.object_id)
         del self.tables[name]
         self._stats_cache.pop(name, None)
 
@@ -209,8 +205,8 @@ class Database:
         """Run a structure build atomically, with or without a fault
         injector attached.
 
-        The buffer pool (cache contents, object-id cursor, data-plane
-        metrics) is checkpointed first; a mid-build
+        The buffer manager (object-id cursor, data-plane metrics) is
+        checkpointed first; a mid-build
         :class:`StorageError` rolls everything back to exactly the
         checkpoint, transient failures are retried under the retry
         policy (backoff charged as latency units), and exhausted or
@@ -260,10 +256,8 @@ class Database:
         return index
 
     def drop_index(self, name: str) -> None:
-        index = self.indexes_by_name.pop(name, None)
-        if index is None:
+        if self.indexes_by_name.pop(name, None) is None:
             raise CatalogError(f"unknown index {name!r}")
-        self.buffer_manager.invalidate_object(index.object_id)
 
     def create_view(self, definition: ViewDef,
                     name: Optional[str] = None) -> MaterializedView:
@@ -286,10 +280,8 @@ class Database:
         return view
 
     def drop_view(self, name: str) -> None:
-        view = self.views_by_name.pop(name, None)
-        if view is None:
+        if self.views_by_name.pop(name, None) is None:
             raise CatalogError(f"unknown view {name!r}")
-        self.buffer_manager.invalidate_object(view.object_id)
 
     # ------------------------------------------------------------------
     # catalog accessors
@@ -393,7 +385,7 @@ class Database:
 
         Ground-truth replay hook for the verification harness
         (:mod:`repro.verify`): runs the statement through the normal
-        executor while snapshotting the buffer pool around it, so the
+        executor while snapshotting the buffer manager around it, so the
         caller gets both the deterministic metered cost and the raw
         buffer-level :class:`IoMetrics` delta to hold the cost model's
         estimates against.

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import PlanningError
+from ..errors import EngineError, PlanningError, StorageError
 from .buffer import BufferManager
 from .costmodel import CostParams, MeteredCost, maintenance_surcharge
 from .index import Index, IndexDef, structure_sort_key
@@ -163,26 +163,34 @@ class Executor:
         schema = self.table.schema
         surcharge = maintenance_surcharge(list(self.indexes) +
                                           list(self.views))
-        for row in stmt.rows:
-            if len(row) != len(stmt.columns):
-                raise PlanningError("INSERT arity mismatch")
-            values = dict(zip(stmt.columns, row))
-            for column in schema.columns:
-                if column.name not in values:
-                    raise PlanningError(
-                        f"INSERT missing column {column.name!r}")
-            rid = self.table.insert_row(values)
-            metered.add_writes(1.0)
-            for index in self.indexes.values():
-                index.on_insert(rid)
-                metered.add_reads(index.geometry().height)
+        nslots = self.table.nslots
+        try:
+            for row in stmt.rows:
+                if len(row) != len(stmt.columns):
+                    raise PlanningError("INSERT arity mismatch")
+                values = dict(zip(stmt.columns, row))
+                for column in schema.columns:
+                    if column.name not in values:
+                        raise PlanningError(
+                            f"INSERT missing column {column.name!r}")
+                rid = self.table.insert_row(values)
                 metered.add_writes(1.0)
-            metered.add_cpu((1 + len(self.indexes)) *
-                            self.params.cpu_tuple_cost +
-                            surcharge * self.params.cpu_tuple_cost)
-            for view in self.views.values():
-                view.on_change()
-                metered.add_writes(1.0)
+                for index in self.indexes.values():
+                    index.on_insert(rid)
+                    metered.add_reads(index.geometry().height)
+                    metered.add_writes(1.0)
+                metered.add_cpu((1 + len(self.indexes)) *
+                                self.params.cpu_tuple_cost +
+                                surcharge * self.params.cpu_tuple_cost)
+                for view in self.views.values():
+                    view.on_change()
+                    metered.add_writes(1.0)
+        except EngineError:
+            # A statement that fails part-way (a faulted page write, a
+            # bad later row) un-appends every row it inserted; the
+            # indexes it marked stale re-sort from the restored heap.
+            self.table.truncate(nslots)
+            raise
         metered.rows_returned = len(stmt.rows)
         return QueryResult(rows=[], metrics=metered)
 
@@ -190,27 +198,33 @@ class Executor:
                        stats: TableStats) -> QueryResult:
         rids, metered = self._locate(stmt.where, stats)
         keyed = {c for d in self.indexes for c in d.columns}
-        before = {c: self.table.column_array(c)[rids]
-                  for c, _ in stmt.assignments if c in keyed}
+        saved = {c: self.table.column_array(c)[rids]
+                 for c, _ in stmt.assignments}
         self.table.update_rows(rids, dict(stmt.assignments))
         changed = {c: old != self.table.column_array(c)[rids]
-                   for c, old in before.items()}
+                   for c, old in saved.items() if c in keyed}
         metered.add_writes(float(len(np.unique(
             rids // self.table.rows_per_page))) if len(rids) else 0.0)
-        for definition, index in self.indexes.items():
-            # Only rows whose key moved touch the index.
-            moved = np.zeros(len(rids), dtype=bool)
-            for column in definition.columns:
-                if column in changed:
-                    moved |= changed[column]
-            for rid in rids[moved]:
-                index.on_update(int(rid))
+        try:
+            for definition, index in self.indexes.items():
+                # Only rows whose key moved touch the index.
+                moved = np.zeros(len(rids), dtype=bool)
+                for column in definition.columns:
+                    if column in changed:
+                        moved |= changed[column]
+                for rid in rids[moved]:
+                    index.on_update(int(rid))
+                if len(rids):
+                    metered.add_writes(float(len(rids)))
             if len(rids):
-                metered.add_writes(float(len(rids)))
-        if len(rids):
-            for view in self.views.values():
-                view.on_change()
-                metered.add_writes(1.0)
+                for view in self.views.values():
+                    view.on_change()
+                    metered.add_writes(1.0)
+        except StorageError:
+            # A faulted maintenance write undoes the heap change; the
+            # indexes it marked stale re-sort from the restored heap.
+            self.table.restore_rows(rids, saved)
+            raise
         metered.rows_returned = len(rids)
         return QueryResult(rows=[], metrics=metered)
 

@@ -221,7 +221,6 @@ class ScanHeap(PlanNode):
         runtime.metered.add_reads(pages)
         runtime.metered.add_cpu(table.nslots *
                                 runtime.params.cpu_tuple_cost)
-        runtime.metered.rows_examined += table.nslots
         mask = table.valid_mask().copy()
         for column, value in self.info.eq_predicates.items():
             mask &= table.column_array(column) == value
@@ -260,7 +259,6 @@ class ScanView(PlanNode):
         runtime.metered.add_cpu(runtime.table.nslots *
                                 runtime.params.cpu_tuple_cost *
                                 self.view.compression.cpu_factor)
-        runtime.metered.rows_examined += runtime.table.nslots
         mask = runtime.table.valid_mask().copy()
         for column, value in self.info.eq_predicates.items():
             mask &= view.column_array(column) == value
@@ -333,7 +331,6 @@ class SeekIndex(PlanNode):
         runtime.metered.add_cpu(n_entries *
                                 runtime.params.cpu_index_tuple_cost *
                                 self.index.compression.cpu_factor)
-        runtime.metered.rows_examined += n_entries
         return LeafStream(cols, rids,
                           np.arange(lo, hi, dtype=np.int64))
 
@@ -366,7 +363,6 @@ class ScanIndexLeaf(PlanNode):
         runtime.metered.add_cpu(len(rids) *
                                 runtime.params.cpu_index_tuple_cost *
                                 self.index.compression.cpu_factor)
-        runtime.metered.rows_examined += len(rids)
         return LeafStream(cols, rids,
                           np.arange(len(rids), dtype=np.int64))
 

@@ -127,9 +127,7 @@ class HeapTable:
         except StorageError:
             # Crash-safe load: a faulted page write un-appends the
             # whole batch, so no half-loaded rows become visible.
-            self._valid[start:end] = False
-            self._size = start
-            self._live -= length
+            self.truncate(start)
             raise
         return length
 
@@ -178,6 +176,20 @@ class HeapTable:
         for name, value in assignments.items():
             self._columns[name][rids] = value
         return len(rids)
+
+    def truncate(self, nslots: int) -> None:
+        """Drop every slot from ``nslots`` on, with no page write: the
+        undo of rows appended by a statement that then failed."""
+        self._live -= int(self._valid[nslots:self._size].sum())
+        self._valid[nslots:self._size] = False
+        self._size = nslots
+
+    def restore_rows(self, rids: np.ndarray,
+                     saved: Dict[str, np.ndarray]) -> None:
+        """Write back column values saved before :meth:`update_rows`,
+        with no page write: the undo of a statement that then failed."""
+        for name, values in saved.items():
+            self._columns[name][rids] = values
 
     # ------------------------------------------------------------------
     # reads

@@ -413,10 +413,6 @@ def check_ground_truth(
                 f"{kind} budget {budget}")
             io = ground.io
             result.check(
-                0 <= io.physical_reads <= io.logical_reads, where,
-                f"inconsistent IoMetrics: physical={io.physical_reads}"
-                f" logical={io.logical_reads}")
-            result.check(
                 io.physical_writes >= 0, where,
                 f"negative physical_writes {io.physical_writes}")
     db.apply_configuration(set())

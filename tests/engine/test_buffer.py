@@ -1,44 +1,26 @@
-"""Unit tests for the buffer manager (LRU + metering)."""
+"""Unit tests for the buffer manager (page-touch metering)."""
 
 from repro.sqlengine.buffer import BufferManager, IoMetrics
 
 
 class TestMetrics:
-    def test_first_read_is_a_miss(self):
-        buffer = BufferManager(capacity_pages=4)
-        hit = buffer.read_page((1, 0))
-        assert not hit
-        assert buffer.metrics.logical_reads == 1
-        assert buffer.metrics.physical_reads == 1
-
-    def test_second_read_hits(self):
-        buffer = BufferManager(capacity_pages=4)
-        buffer.read_page((1, 0))
-        assert buffer.read_page((1, 0))
-        assert buffer.metrics.logical_reads == 2
-        assert buffer.metrics.physical_reads == 1
-
-    def test_hit_ratio(self):
-        buffer = BufferManager(capacity_pages=4)
-        buffer.read_page((1, 0))
-        buffer.read_page((1, 0))
-        assert buffer.metrics.hit_ratio == 0.5
-
-    def test_hit_ratio_no_reads(self):
-        assert BufferManager().metrics.hit_ratio == 1.0
-
-    def test_metrics_arithmetic(self):
-        a = IoMetrics(10, 4, 2)
-        b = IoMetrics(3, 1, 1)
-        assert (a - b).logical_reads == 7
-        assert (a + b).physical_writes == 3
-
-    def test_reset_returns_old_values(self):
+    def test_read_counts_a_logical_read(self):
         buffer = BufferManager()
         buffer.read_page((1, 0))
-        old = buffer.reset_metrics()
-        assert old.logical_reads == 1
-        assert buffer.metrics.logical_reads == 0
+        assert buffer.metrics.logical_reads == 1
+        assert buffer.metrics.physical_writes == 0
+
+    def test_repeated_read_counts_every_time(self):
+        buffer = BufferManager()
+        buffer.read_page((1, 0))
+        buffer.read_page((1, 0))
+        assert buffer.metrics.logical_reads == 2
+
+    def test_metrics_arithmetic(self):
+        a = IoMetrics(10, 2)
+        b = IoMetrics(3, 1)
+        assert (a - b).logical_reads == 7
+        assert (a - b).physical_writes == 1
 
     def test_snapshot_is_a_copy(self):
         buffer = BufferManager()
@@ -47,94 +29,19 @@ class TestMetrics:
         assert snap.logical_reads == 0
 
 
-class TestLru:
-    def test_eviction_at_capacity(self):
-        buffer = BufferManager(capacity_pages=2)
-        buffer.read_page((1, 0))
-        buffer.read_page((1, 1))
-        buffer.read_page((1, 2))   # evicts (1, 0)
-        assert not buffer.read_page((1, 0))
-
-    def test_recency_protects_pages(self):
-        buffer = BufferManager(capacity_pages=2)
-        buffer.read_page((1, 0))
-        buffer.read_page((1, 1))
-        buffer.read_page((1, 0))   # touch 0 again
-        buffer.read_page((1, 2))   # evicts (1, 1), not (1, 0)
-        assert buffer.read_page((1, 0))
-
-    def test_cached_pages_counter(self):
-        buffer = BufferManager(capacity_pages=8)
-        buffer.read_range(1, 5)
-        assert buffer.cached_pages == 5
-
-    def test_clear_empties_cache(self):
-        buffer = BufferManager()
-        buffer.read_range(1, 3)
-        buffer.clear()
-        assert buffer.cached_pages == 0
-
-    def test_invalidate_object_drops_only_that_object(self):
-        buffer = BufferManager()
-        buffer.read_range(1, 3)
-        buffer.read_range(2, 2)
-        buffer.invalidate_object(1)
-        assert buffer.cached_pages == 2
-        assert buffer.read_page((2, 0))      # still cached
-        assert not buffer.read_page((1, 0))  # gone
-
-    def test_invalidate_object_preserves_metrics(self):
-        """Regression: invalidation is bookkeeping, not I/O — it used
-        to rebuild the LRU by replaying reads, inflating the counters
-        that Figure 3's execution-time metric is derived from."""
-        buffer = BufferManager()
-        buffer.read_range(1, 3)
-        buffer.read_range(2, 2)
-        before = buffer.snapshot()
-        buffer.invalidate_object(1)
-        after = buffer.metrics
-        assert after.logical_reads == before.logical_reads
-        assert after.physical_reads == before.physical_reads
-        assert after.physical_writes == before.physical_writes
-
-    def test_invalidate_missing_object_is_a_noop(self):
-        buffer = BufferManager()
-        buffer.read_range(1, 2)
-        buffer.invalidate_object(99)
-        assert buffer.cached_pages == 2
-
-    def test_per_object_index_stays_consistent_across_eviction(self):
-        """Eviction must unhook pages from the per-object index so a
-        later invalidate doesn't try to delete already-evicted pages."""
-        buffer = BufferManager(capacity_pages=2)
-        buffer.read_range(1, 2)
-        buffer.read_page((2, 0))   # evicts (1, 0)
-        buffer.invalidate_object(1)
-        assert buffer.cached_pages == 1
-        assert buffer.read_page((2, 0))
-        # Fully-evicted objects leave no empty set behind.
-        assert 1 not in buffer._by_object
-
-    def test_invalidated_pages_can_be_recached(self):
-        buffer = BufferManager()
-        buffer.write_page((1, 0))
-        buffer.invalidate_object(1)
-        assert not buffer.read_page((1, 0))  # miss again
-        assert buffer.read_page((1, 0))      # and re-admitted
-
-
 class TestWritesAndIds:
-    def test_write_counts_and_caches(self):
+    def test_write_counts(self):
         buffer = BufferManager()
         buffer.write_page((1, 0))
         assert buffer.metrics.physical_writes == 1
-        assert buffer.read_page((1, 0))  # cached by the write
+        assert buffer.metrics.logical_reads == 0
 
-    def test_read_pages_returns_miss_count(self):
+    def test_read_pages_counts_each_page(self):
         buffer = BufferManager()
         buffer.read_page((1, 0))
-        misses = buffer.read_pages(1, [0, 1, 2])
-        assert misses == 2
+        buffer.read_pages(1, [0, 1, 2])
+        buffer.read_range(2, 4)
+        assert buffer.metrics.logical_reads == 8
 
     def test_object_ids_are_unique(self):
         buffer = BufferManager()

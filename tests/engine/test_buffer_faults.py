@@ -1,4 +1,4 @@
-"""Fault-plane behaviour of the buffer manager: monotone snapshots,
+"""Fault-plane behaviour of the buffer manager: snapshot deltas,
 floored metric deltas, state save/restore, and in-place retry of
 transient page faults."""
 
@@ -17,15 +17,17 @@ def _page(n):
 
 class TestMetricsArithmetic:
     def test_sub_floors_every_field_at_zero(self):
-        smaller = IoMetrics(10, 4, 2)
-        bigger = IoMetrics(20, 9, 5)
+        smaller = IoMetrics(10, 2, latency_units=1.0, retries=1,
+                            rollbacks=1)
+        bigger = IoMetrics(20, 5, latency_units=2.0, retries=2,
+                           rollbacks=2)
         delta = smaller - bigger
         assert delta == IoMetrics()
 
     def test_sub_covers_fault_plane_fields(self):
-        a = IoMetrics(5, 1, 0, latency_units=8.0, retries=3,
+        a = IoMetrics(5, 0, latency_units=8.0, retries=3,
                       rollbacks=1)
-        b = IoMetrics(2, 1, 0, latency_units=3.0, retries=1,
+        b = IoMetrics(2, 0, latency_units=3.0, retries=1,
                       rollbacks=0)
         delta = a - b
         assert delta.latency_units == pytest.approx(5.0)
@@ -33,44 +35,43 @@ class TestMetricsArithmetic:
         assert delta.rollbacks == 1
 
     def test_io_equal_ignores_fault_plane(self):
-        a = IoMetrics(5, 2, 1, latency_units=9.0, retries=4)
-        b = IoMetrics(5, 2, 1)
+        a = IoMetrics(5, 1, latency_units=9.0, retries=4)
+        b = IoMetrics(5, 1)
         assert a.io_equal(b)
-        assert not a.io_equal(IoMetrics(5, 2, 2))
+        assert not a.io_equal(IoMetrics(5, 2))
+        assert not a.io_equal(IoMetrics(4, 1))
 
 
 class TestMonotoneSnapshots:
-    def test_snapshot_monotone_across_reset(self):
-        buffer = BufferManager(capacity_pages=4)
+    def test_snapshot_delta_counts_touches(self):
+        buffer = BufferManager()
         for n in range(6):
             buffer.read_page(_page(n))
         first = buffer.snapshot()
-        buffer.reset_metrics()
-        # A snapshot right after reset still sees lifetime totals.
         assert buffer.snapshot() == first
         for n in range(3):
             buffer.read_page(_page(n))
-        second = buffer.snapshot()
-        delta = second - first
-        assert delta.logical_reads == 3
-        assert second.logical_reads >= first.logical_reads
+        buffer.write_page(_page(0))
+        delta = buffer.snapshot() - first
+        assert (delta.logical_reads, delta.physical_writes) == (3, 1)
 
     def test_mid_operation_delta_never_negative(self):
-        buffer = BufferManager(capacity_pages=4)
+        buffer = BufferManager()
+        state = buffer.save_state()
         buffer.read_page(_page(0))
+        buffer.write_page(_page(0))
         before = buffer.snapshot()
-        buffer.reset_metrics()  # interleaved reset mid-measurement
+        buffer.restore_state(state)  # a rollback mid-measurement
         buffer.read_page(_page(1))
         after = buffer.snapshot()
         delta = after - before
-        assert delta.logical_reads >= 0
-        assert delta.physical_reads >= 0
-        assert delta.physical_writes >= 0
+        assert delta.logical_reads == 0
+        assert delta.physical_writes == 0
 
 
 class TestSaveRestore:
-    def test_restore_rewinds_pages_metrics_and_object_ids(self):
-        buffer = BufferManager(capacity_pages=8)
+    def test_restore_rewinds_metrics_and_object_ids(self):
+        buffer = BufferManager()
         buffer.read_page(_page(0))
         state = buffer.save_state()
         id_before = buffer._next_object_id
@@ -78,12 +79,11 @@ class TestSaveRestore:
         for n in range(1, 5):
             buffer.write_page(_page(n))
         buffer.restore_state(state)
-        assert tuple(buffer._lru) == state.lru_pages
         assert buffer._next_object_id == id_before
         assert buffer.metrics.io_equal(state.metrics)
 
     def test_restore_keeps_fault_plane_counters(self):
-        buffer = BufferManager(capacity_pages=8)
+        buffer = BufferManager()
         state = buffer.save_state()
         buffer.metrics.retries += 3
         buffer.metrics.latency_units += 12.0
@@ -96,7 +96,7 @@ class TestSaveRestore:
 
 class TestFaultedTouch:
     def _buffer(self, plan, policy=None, seed=0):
-        buffer = BufferManager(capacity_pages=8)
+        buffer = BufferManager()
         buffer.fault_injector = FaultInjector(plan, seed)
         if policy is not None:
             buffer.retry_policy = policy
@@ -155,7 +155,7 @@ class TestFaultedTouch:
         assert buffer.metrics.logical_reads == 2
 
     def test_no_injector_means_no_overhead_fields(self):
-        buffer = BufferManager(capacity_pages=4)
+        buffer = BufferManager()
         buffer.read_page(_page(0))
         assert buffer.metrics.latency_units == 0.0
         assert buffer.metrics.retries == 0

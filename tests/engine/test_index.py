@@ -109,9 +109,9 @@ class TestMaterializedIndex:
         assert set(rids[lo:hi]) == expected
 
     def test_build_charges_scan_and_writes(self, table):
-        table.buffer_manager.reset_metrics()
+        before = table.buffer_manager.snapshot()
         index = Index(IndexDef("t", ("a",)), table, table.buffer_manager)
-        metrics = table.buffer_manager.metrics
+        metrics = table.buffer_manager.snapshot() - before
         assert metrics.logical_reads >= table.n_pages
         assert metrics.physical_writes >= index.geometry().total_pages
 
@@ -150,7 +150,8 @@ class TestMaterializedIndex:
 
     def test_maintenance_writes_the_root_page(self, table):
         index = Index(IndexDef("t", ("a",)), table, table.buffer_manager)
-        table.buffer_manager.reset_metrics()
+        before = table.buffer_manager.snapshot()
         for hook in (index.on_insert, index.on_delete, index.on_update):
             hook(0)
-        assert table.buffer_manager.metrics.physical_writes == 3
+        delta = table.buffer_manager.snapshot() - before
+        assert delta.physical_writes == 3

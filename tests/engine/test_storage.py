@@ -124,10 +124,11 @@ class TestRowOps:
 class TestFetch:
     def test_scan_pages_charges_all(self, table):
         load(table, 2 * table.rows_per_page)
-        table.buffer_manager.reset_metrics()
+        before = table.buffer_manager.snapshot()
         pages = table.scan_pages()
         assert pages == 2
-        assert table.buffer_manager.metrics.logical_reads == 2
+        delta = table.buffer_manager.snapshot() - before
+        assert delta.logical_reads == 2
 
 
 class TestGrowth:

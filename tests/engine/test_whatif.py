@@ -1,10 +1,13 @@
 """Unit tests for the what-if optimizer."""
 
+import numpy as np
 import pytest
 
 from repro.errors import (CatalogError, SqlUnsupportedError,
                           TypeMismatchError)
-from repro.sqlengine import IndexDef
+from repro.sqlengine import Database, IndexDef
+from repro.sqlengine.compression import Compression
+from repro.sqlengine.views import ViewDef
 from repro.sqlengine.sql import parse
 
 A = IndexDef("t", ("a",))
@@ -140,6 +143,57 @@ class TestConsistencyWithExecution:
         finally:
             if created:
                 db.drop_index(db.find_index(A).name)
+
+
+class TestMeteredTransitions:
+    """A transition the database really runs charges the page reads
+    and writes the TRANS estimate prices, for every structure kind and
+    compression level. CPU is left out: the meter charges a build none,
+    where the estimate charges its sort and per-structure terms."""
+
+    STRUCTURES = [kind("t", columns, level)
+                  for kind, columns in ((IndexDef, ("a",)),
+                                        (IndexDef, ("a", "b")),
+                                        (ViewDef, ("b", "c")),
+                                        (ViewDef, ("a", "d")))
+                  for level in Compression]
+
+    @pytest.fixture(scope="class")
+    def db(self):
+        rng = np.random.default_rng(0)
+        database = Database()
+        database.create_table("t", [(c, "INTEGER") for c in "abcd"])
+        database.bulk_load("t", {c: rng.integers(0, 1000, 20_000)
+                                 for c in "abcd"})
+        return database
+
+    @staticmethod
+    def _pages(cost):
+        return cost.page_reads, cost.page_writes
+
+    @pytest.mark.parametrize("structure", STRUCTURES,
+                             ids=lambda d: d.label)
+    def test_build_and_drop_pages_equal_the_estimate(self, db,
+                                                     structure):
+        what_if = db.what_if()
+        build = db.apply_configuration({structure})
+        assert self._pages(build.metered) == self._pages(
+            what_if.transition_cost(set(), {structure}))
+        drop = db.apply_configuration(set())
+        assert drop.units(db.params) == \
+            what_if.transition_units({structure}, set()) == 20.0
+
+    def test_multi_structure_transition_pages_equal_the_estimate(
+            self, db):
+        what_if = db.what_if()
+        first = {IndexDef("t", ("a",)),
+                 ViewDef("t", ("b", "c"), Compression.HEAVY)}
+        second = {IndexDef("t", ("a",)), IndexDef("t", ("d",))}
+        for old, new in ((set(), first), (first, second)):
+            report = db.apply_configuration(new)
+            estimate = what_if.transition_cost(old, new)
+            assert self._pages(report.metered) == self._pages(estimate)
+        db.apply_configuration(set())
 
 
 class TestRelevanceSignatures:

@@ -1,11 +1,11 @@
 """Atomic design transitions: a mid-build fault must leave catalog,
-buffer pool, and data-plane metrics exactly as before the build."""
+object-id cursor, and data-plane metrics exactly as before the build."""
 
 import numpy as np
 import pytest
 
 from repro.errors import (PermanentStorageError, StorageError,
-                          TransitionError)
+                          TransitionError, TypeMismatchError)
 from repro.faults import (PERMANENT, TRANSIENT, FaultInjector,
                           FaultPlan, FaultSpec, RetryPolicy)
 from repro.sqlengine.database import Database
@@ -26,10 +26,8 @@ def db():
 def _state(db):
     return (frozenset(db.indexes_by_name),
             frozenset(db.views_by_name),
-            tuple(db.buffer_manager._lru),
             db.buffer_manager._next_object_id,
             (db.buffer_manager.metrics.logical_reads,
-             db.buffer_manager.metrics.physical_reads,
              db.buffer_manager.metrics.physical_writes))
 
 
@@ -322,3 +320,77 @@ class TestFailedHeapWrite:
         # The same statement without the fault lands.
         small.execute(sql)
         assert small.execute(query).rows == landed
+
+
+class TestFailedMaintenanceWrite:
+    """A DML statement whose page write fails permanently at any call —
+    heap, index or view — or an INSERT whose later row is rejected
+    leaves the heap, its row count, every index's leaf arrays and three
+    reads as they were before the statement."""
+
+    STATEMENTS = {
+        "insert": "INSERT INTO t (a, b) VALUES (99, 1)",
+        "insert_two_rows": "INSERT INTO t (a, b) VALUES (99, 1), (98, 2)",
+        "key_update": "UPDATE t SET a = 99 WHERE b = 3",
+        "nonkey_update": "UPDATE t SET b = 99 WHERE b = 3",
+        "delete": "DELETE FROM t WHERE b = 3",
+    }
+    QUERIES = ("SELECT a FROM t WHERE a = 99",
+               "SELECT a, b FROM t WHERE b = 3",
+               "SELECT COUNT(*) FROM t")
+
+    @staticmethod
+    def _db():
+        database = Database()
+        database.create_table("t", [("a", "INTEGER"), ("b", "INTEGER")])
+        database.bulk_load("t", {"a": np.arange(10),
+                                 "b": np.arange(10)})
+        database.create_index(IndexDef("t", ("a",)))
+        database.create_view(ViewDef("t", ("a", "b")))
+        return database
+
+    def _snapshot(self, db):
+        table = db.table("t")
+        leaves = []
+        for index in db.indexes_for("t"):
+            cols, rids = index.leaf_arrays()
+            leaves.append(({c: v.tolist() for c, v in cols.items()},
+                           rids.tolist()))
+        return {"nrows": table.nrows,
+                "valid": table.valid_mask().tolist(),
+                "a": table.column_array("a").tolist(),
+                "b": table.column_array("b").tolist(),
+                "leaves": leaves,
+                "reads": [db.execute(q).rows for q in self.QUERIES]}
+
+    @pytest.mark.parametrize("kind", sorted(STATEMENTS))
+    def test_every_page_write_fault_leaves_no_trace(self, kind):
+        sql = self.STATEMENTS[kind]
+        counter = FaultInjector(FaultPlan.none(), seed=0)
+        clean = self._db()
+        clean.set_fault_injector(counter)
+        clean.execute(sql)
+        n_writes = counter.calls["page_write"]
+        # Heap, index and view each write at least one page.
+        assert n_writes >= 2 if kind == "nonkey_update" else n_writes >= 3
+        for call in range(n_writes):
+            db = self._db()
+            before = self._snapshot(db)
+            db.set_fault_injector(FaultInjector(
+                FaultPlan.single_shot("page_write", call), seed=0))
+            with pytest.raises(PermanentStorageError):
+                db.execute(sql)
+            db.set_fault_injector(None)
+            assert self._snapshot(db) == before, (kind, call)
+            # The same statement without the fault lands as on a
+            # database that never saw one.
+            db.execute(sql)
+            assert self._snapshot(db) == self._snapshot(clean), \
+                (kind, call)
+
+    def test_bad_later_row_leaves_no_trace(self):
+        db = self._db()
+        before = self._snapshot(db)
+        with pytest.raises(TypeMismatchError):
+            db.execute("INSERT INTO t (a, b) VALUES (99, 1), ('x', 2)")
+        assert self._snapshot(db) == before
