@@ -32,8 +32,7 @@ from .sqlengine import (CostParams, Database, IndexDef, QueryResult,
                         TableStats, ViewDef, WhatIfOptimizer)
 from .workload import (PointQueryGenerator, QueryMix, Segment, Statement,
                        Workload, load_trace, make_paper_workload,
-                       paper_generator, save_trace, segment_by_count,
-                       segment_by_tag, segment_per_statement)
+                       paper_generator, save_trace, segment_by_count)
 
 __version__ = "1.0.0"
 
@@ -54,7 +53,6 @@ __all__ = [
     "ViewDef", "WhatIfOptimizer",
     "PointQueryGenerator", "QueryMix", "Segment", "Statement",
     "Workload", "load_trace", "make_paper_workload", "paper_generator",
-    "save_trace", "segment_by_count", "segment_by_tag",
-    "segment_per_statement",
+    "save_trace", "segment_by_count",
     "__version__",
 ]

@@ -56,12 +56,6 @@ class ReplayReport:
     def total_units(self) -> float:
         return self.exec_units + self.trans_units
 
-    def relative_to(self, baseline: "ReplayReport") -> float:
-        """This replay's total as a fraction of the baseline's."""
-        if baseline.total_units == 0:
-            raise DesignError("baseline replay has zero cost")
-        return self.total_units / baseline.total_units
-
 
 def replay_design(db: Database, segments: Sequence[Segment],
                   design: DesignSequence,

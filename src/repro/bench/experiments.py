@@ -264,10 +264,6 @@ class Figure3Result:
                  + ("" if self.metered else " (cost-model estimate)"))
         return format_bars(labels, values, title=title)
 
-    def slowdown_constrained_w1(self) -> float:
-        """The paper's headline: W1 is ~14% slower constrained."""
-        return self.relative[("W1", "constrained")] - 1.0
-
 
 def run_figure3(setup: PaperSetup,
                 table2: Optional[Table2Result] = None,

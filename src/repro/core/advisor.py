@@ -271,15 +271,13 @@ class HybridAdvisor(Advisor):
 
     name = "hybrid"
 
-    def __init__(self, k: int, count_initial_change: bool = True,
-                 bias: float = 1.0):
+    def __init__(self, k: int, count_initial_change: bool = True):
         super().__init__(count_initial_change)
         self.k = k
-        self.bias = bias
 
     def _solve(self, problem: ProblemInstance, matrices: CostMatrices):
         result = solve_hybrid(matrices, self.k,
-                              self.count_initial_change, self.bias)
+                              self.count_initial_change)
         return (result.assignment,
                 {"k": self.k, "method": result.method,
                  "estimated_graph_ops": result.estimated_graph_ops,
@@ -292,11 +290,9 @@ class GreedySeqAdvisor(Advisor):
     name = "greedy-seq"
 
     def __init__(self, k: Optional[int],
-                 count_initial_change: bool = True,
-                 union_window: int = 1):
+                 count_initial_change: bool = True):
         super().__init__(count_initial_change)
         self.k = k
-        self.union_window = union_window
 
     def recommend(self, problem: ProblemInstance,
                   provider: CostProvider,
@@ -309,8 +305,7 @@ class GreedySeqAdvisor(Advisor):
         # probes (and any earlier advisor) already filled.
         meter = _CostingMeter(provider)
         start = time.perf_counter()
-        reduced, greedy = reduce_problem(problem, provider,
-                                         union_window=self.union_window)
+        reduced, greedy = reduce_problem(problem, provider)
         reduced_matrices = build_cost_matrices(reduced, provider)
         if self.k is None:
             result = solve_unconstrained(reduced_matrices)

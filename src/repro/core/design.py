@@ -1,9 +1,10 @@
 """Design sequences — the output of the dynamic design optimizers.
 
 A :class:`DesignSequence` assigns one configuration to every workload
-segment, mirroring the paper's ``[C1, ..., Cn]``. It knows its change
-count (counting the step from C0, per the paper), its run-length
-structure, and how to price itself against cost matrices or a provider.
+segment, mirroring the paper's ``[C1, ..., Cn]``. It knows its
+run-length structure and how to price itself against cost matrices;
+its change count is :meth:`CostMatrices.change_count`'s, the one
+Definition 1 counter.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class DesignSequence:
     # structure
     # ------------------------------------------------------------------
 
-    @property
-    def change_count(self) -> int:
-        """Design changes, counting C0 -> C1 (the paper's rule)."""
-        return len(self.change_points())
-
     def runs(self) -> List[DesignRun]:
         """Run-length encoding of the assignment."""
         runs: List[DesignRun] = []
@@ -76,24 +72,6 @@ class DesignSequence:
                 runs.append(DesignRun(self.assignments[start], start, i))
                 start = i
         return runs
-
-    def change_points(self) -> List[int]:
-        """Segment indices where the design differs from its
-        predecessor (index 0 compares against C0)."""
-        points: List[int] = []
-        previous = self.initial
-        for i, config in enumerate(self.assignments):
-            if config != previous:
-                points.append(i)
-            previous = config
-        return points
-
-    def distinct_configurations(self) -> List[Configuration]:
-        seen: List[Configuration] = []
-        for config in self.assignments:
-            if config not in seen:
-                seen.append(config)
-        return seen
 
     # ------------------------------------------------------------------
     # costing / display
@@ -123,7 +101,6 @@ class DesignSequence:
 
     def __repr__(self) -> str:
         return (f"<DesignSequence: {len(self)} segments, "
-                f"{self.change_count} changes, "
                 f"{len(self.runs())} runs>")
 
 

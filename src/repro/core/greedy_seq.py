@@ -55,8 +55,7 @@ def greedy_seq_candidates(
         provider: CostProvider,
         initial: Configuration = EMPTY_CONFIGURATION,
         final: Optional[Configuration] = None,
-        space_bound_bytes: Optional[int] = None,
-        union_window: int = 1) -> GreedyCandidates:
+        space_bound_bytes: Optional[int] = None) -> GreedyCandidates:
     """Generate the reduced configuration set.
 
     Args:
@@ -69,9 +68,6 @@ def greedy_seq_candidates(
         final: required final configuration, if any (kept too).
         space_bound_bytes: *generated* configurations above the bound
             are dropped; the initial configuration is exempt.
-        union_window: how far apart two local bests may be and still
-            get a union candidate (1 = consecutive only, the classic
-            rule; larger values add stability candidates).
 
     Raises:
         DesignError: if the required final configuration violates the
@@ -122,15 +118,10 @@ def greedy_seq_candidates(
         _add(final, required=True)
     for config in per_segment_best:
         _add(config)
-    # Union candidates across shifts within the window.
-    distinct_run: List[Configuration] = []
-    for config in per_segment_best:
-        if not distinct_run or distinct_run[-1] != config:
-            distinct_run.append(config)
-    for i, config in enumerate(distinct_run):
-        for j in range(i + 1, min(i + 1 + union_window,
-                                  len(distinct_run))):
-            _add(config.union(distinct_run[j]))
+    # Union candidates across each shift (consecutive distinct bests).
+    for before, after in zip(per_segment_best, per_segment_best[1:]):
+        if before != after:
+            _add(before.union(after))
 
     return GreedyCandidates(configurations=tuple(candidates),
                             per_segment_best=tuple(per_segment_best),
@@ -138,8 +129,7 @@ def greedy_seq_candidates(
 
 
 def reduce_problem(problem: ProblemInstance, provider: CostProvider,
-                   candidate_indexes: Optional[Sequence[IndexDef]] = None,
-                   union_window: int = 1
+                   candidate_indexes: Optional[Sequence[IndexDef]] = None
                    ) -> Tuple[ProblemInstance, GreedyCandidates]:
     """Apply GREEDY-SEQ reduction to a problem instance.
 
@@ -154,8 +144,7 @@ def reduce_problem(problem: ProblemInstance, provider: CostProvider,
     greedy = greedy_seq_candidates(
         problem.segments, candidate_indexes, provider,
         initial=problem.initial, final=problem.final,
-        space_bound_bytes=problem.space_bound_bytes,
-        union_window=union_window)
+        space_bound_bytes=problem.space_bound_bytes)
     return problem.restrict_configurations(greedy.configurations), greedy
 
 

@@ -54,19 +54,15 @@ class HybridResult:
 
 
 def solve_hybrid(matrices: CostMatrices, k: int,
-                 count_initial_change: bool = True,
-                 bias: float = 1.0) -> HybridResult:
-    """Solve the constrained problem via whichever technique the work
-    estimates favor.
+                 count_initial_change: bool = True) -> HybridResult:
+    """Solve the constrained problem via whichever technique the raw
+    work estimates favor (a tie goes to the optimal k-aware graph).
 
     Args:
         matrices: EXEC/TRANS matrices.
         k: change budget.
         count_initial_change: change-counting convention (see
             :mod:`.kaware`).
-        bias: multiplier on the merging estimate; > 1 biases toward
-            the (optimal) k-aware graph, < 1 toward (faster, heuristic)
-            merging. 1.0 compares raw work estimates.
     """
     if k < 0:
         raise InfeasibleProblemError(f"change budget k={k} is negative")
@@ -87,7 +83,7 @@ def solve_hybrid(matrices: CostMatrices, k: int,
     # Merging: (l - k) steps, each scanning ~l runs x |C| replacements.
     merge_ops = float((l_changes - k) * max(l_changes, 1) * n_cfg)
 
-    if graph_ops <= merge_ops * bias:
+    if graph_ops <= merge_ops:
         result = solve_constrained(matrices, k, count_initial_change)
         return HybridResult(
             assignment=result.assignment, cost=result.cost,

@@ -55,11 +55,6 @@ class KSweepResult:
     unconstrained_cost: float
     unconstrained_changes: int
 
-    def marginal_gains(self) -> List[float]:
-        """Cost reduction bought by each budget increment."""
-        return [self.costs[i] - self.costs[i + 1]
-                for i in range(len(self.costs) - 1)]
-
 
 def _budgets(ks: Optional[Sequence[int]]) -> Optional[List[int]]:
     """``ks`` as sorted distinct budgets (``None`` stays ``None``: the

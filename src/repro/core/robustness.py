@@ -62,12 +62,6 @@ class RobustnessReport:
     def worst_regret(self) -> float:
         return float(max(o.regret for o in self.outcomes))
 
-    def summary(self) -> str:
-        return (f"{self.design_label}: mean regret "
-                f"{self.mean_regret:.1%}, worst "
-                f"{self.worst_regret:.1%} over "
-                f"{len(self.outcomes)} variants")
-
 
 def evaluate_robustness(design: DesignSequence,
                         problem: ProblemInstance,

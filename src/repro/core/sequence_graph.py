@@ -127,15 +127,6 @@ class SequenceGraph:
 
     # -- graph shape -----------------------------------------------------
 
-    @property
-    def n_nodes(self) -> int:
-        return self.n_segments * self.n_configurations + 2
-
-    @property
-    def n_edges(self) -> int:
-        c = self.n_configurations
-        return c + (self.n_segments - 1) * c * c + c
-
     def nodes(self) -> List[Node]:
         out: List[Node] = [SOURCE]
         for stage in range(self.n_segments):

@@ -128,17 +128,6 @@ class FaultPlan:
                                     at_call=at_call, max_faults=1),),
                    label=f"{kind}@{site}[{at_call}]")
 
-    @classmethod
-    def transient_pages(cls, probability: float,
-                        duration: int = 1) -> "FaultPlan":
-        """Transient faults on both page I/O sites."""
-        return cls(specs=(
-            FaultSpec("page_read", TRANSIENT, probability,
-                      duration=duration),
-            FaultSpec("page_write", TRANSIENT, probability,
-                      duration=duration)),
-            label=f"transient_pages(p={probability})")
-
 
 @dataclass
 class InjectionStats:

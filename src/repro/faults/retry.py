@@ -69,11 +69,6 @@ class RetryPolicy:
             self.backoff_multiplier ** (attempt - 1)
         return min(raw, self.max_backoff_units)
 
-    def total_backoff(self) -> float:
-        """Latency charged by a fully exhausted retry sequence."""
-        return sum(self.backoff_for(a)
-                   for a in range(1, self.max_attempts))
-
 
 #: The policy used when none is configured explicitly.
 DEFAULT_RETRY_POLICY = RetryPolicy()

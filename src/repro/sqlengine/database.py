@@ -125,10 +125,6 @@ class Database:
         self.views_by_name: Dict[str, MaterializedView] = {}
         self._stats_cache: Dict[str, TableStats] = {}
 
-    @property
-    def fault_injector(self):
-        return self.buffer_manager.fault_injector
-
     def set_fault_injector(self, injector) -> None:
         """Attach (or with None, detach) a fault injector. All engine
         fault sites read it through the shared buffer manager."""

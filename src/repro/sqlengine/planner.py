@@ -181,8 +181,8 @@ def analyze_select(stmt: SelectStmt, schema: TableSchema) -> QueryInfo:
 
 def _check_literals(schema: TableSchema, predicate) -> None:
     """Reject a literal of the wrong kind for its column: a string
-    against a numeric column or a number against a TEXT column (the
-    rule of :func:`~.types.compare_values`)."""
+    against a numeric column or a number against a TEXT column:
+    strings compare only with strings, numbers only with numbers."""
     ctype = schema.column(predicate.column).ctype
     values = (predicate.lo, predicate.hi) \
         if isinstance(predicate, Between) else (predicate.value,)

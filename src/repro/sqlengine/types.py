@@ -120,20 +120,3 @@ def parse_column_type(spelling: str) -> ColumnType:
         raise TypeMismatchError(f"unknown column type {spelling!r}")
     return aliases[normalized]
 
-
-def compare_values(left: Value, right: Value) -> int:
-    """Three-way comparison usable for heterogeneous numeric values.
-
-    Returns -1, 0, or 1. Strings compare only with strings; numbers only
-    with numbers.
-    """
-    left_is_str = isinstance(left, str)
-    right_is_str = isinstance(right, str)
-    if left_is_str != right_is_str:
-        raise TypeMismatchError(
-            f"cannot compare {left!r} with {right!r}")
-    if left < right:  # type: ignore[operator]
-        return -1
-    if left > right:  # type: ignore[operator]
-        return 1
-    return 0

@@ -32,9 +32,10 @@ these check families:
    ``repro verify --families banditsafety`` or
    ``repro chaos --scenario``).
 
-Entry points: ``repro verify`` on the command line,
-:func:`~repro.verify.runner.run_verification` from code, and
-``from repro.verify.fixtures import *`` in a test suite's conftest.
+Entry points: ``repro verify`` on the command line and
+:func:`~repro.verify.runner.run_verification` from code. The pytest
+fixtures that wrap these families live in the test tree
+(``tests/verify/conftest.py``), so no runtime module imports pytest.
 """
 
 from .checks import (DEFAULT_GROUND_TRUTH_BUDGETS,

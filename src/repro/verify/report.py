@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from ..errors import VerificationError
 
 #: Maximum failures echoed per family in the formatted report; the
 #: counts always reflect every failure.
@@ -137,8 +136,3 @@ class VerificationReport:
             lines.append("  " + failure.format())
             shown += 1
         return "\n".join(lines)
-
-    def raise_on_failure(self) -> None:
-        """Raise :class:`~repro.errors.VerificationError` unless clean."""
-        if not self.ok:
-            raise VerificationError(self.format())

@@ -1,8 +1,7 @@
 """Workload machinery: statements, generators, the paper's mixes and
 workloads, segmentation, and trace files."""
 
-from .generator import (Phase, PointQueryGenerator, QueryMix,
-                        generate_phased_workload,
+from .generator import (PointQueryGenerator, QueryMix,
                         workload_from_block_mixes)
 from .mixes import (MIX_A, MIX_B, MIX_C, MIX_D, PAPER_BLOCK_SIZE,
                     PAPER_COLUMNS, PAPER_MIXES, PAPER_VALUE_RANGE,
@@ -10,37 +9,29 @@ from .mixes import (MIX_A, MIX_B, MIX_C, MIX_D, PAPER_BLOCK_SIZE,
                     block_labels, make_paper_workload, paper_generator)
 from .analysis import (BlockProfile, ShiftReport, block_profiles,
                        detect_shifts, detect_shifts_from_profiles,
-                       detect_summary_shifts, suggest_k,
-                       summary_profiles)
+                       detect_summary_shifts, summary_profiles)
 from .model import Statement, Workload
-from .perturb import (drop_and_duplicate, jitter_blocks,
-                      resample_values, resize_blocks,
-                      standard_variations)
-from .segmentation import (Segment, iter_segments_by_count,
-                           iter_segments_by_tag, segment_by_count,
-                           segment_by_tag, segment_per_statement)
+from .perturb import jitter_blocks, resample_values
+from .segmentation import Segment, iter_segments_by_count, segment_by_count
 from .summary import (PhaseSummary, WorkloadSummary, atoms_of,
                       iter_phases, summarize_segment, summarize_segments,
-                      summarize_statements, summarize_workload)
+                      summarize_statements)
 from .trace import iter_trace, load_trace, save_trace, trace_name
 
 __all__ = [
-    "Phase", "PointQueryGenerator", "QueryMix",
-    "generate_phased_workload", "workload_from_block_mixes",
+    "PointQueryGenerator", "QueryMix", "workload_from_block_mixes",
     "MIX_A", "MIX_B", "MIX_C", "MIX_D", "PAPER_BLOCK_SIZE",
     "PAPER_COLUMNS", "PAPER_MIXES", "PAPER_VALUE_RANGE",
     "PAPER_WORKLOAD_BLOCKS", "W1_MAJOR_SHIFT_BLOCKS", "block_labels",
     "make_paper_workload", "paper_generator",
     "BlockProfile", "ShiftReport", "block_profiles", "detect_shifts",
     "detect_shifts_from_profiles", "detect_summary_shifts",
-    "suggest_k", "summary_profiles",
+    "summary_profiles",
     "Statement", "Workload",
-    "drop_and_duplicate", "jitter_blocks", "resample_values",
-    "resize_blocks", "standard_variations",
-    "Segment", "iter_segments_by_count", "iter_segments_by_tag",
-    "segment_by_count", "segment_by_tag", "segment_per_statement",
+    "jitter_blocks", "resample_values",
+    "Segment", "iter_segments_by_count", "segment_by_count",
     "PhaseSummary", "WorkloadSummary", "atoms_of",
     "iter_phases", "summarize_segment", "summarize_segments",
-    "summarize_statements", "summarize_workload",
+    "summarize_statements",
     "iter_trace", "load_trace", "save_trace", "trace_name",
 ]

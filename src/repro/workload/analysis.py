@@ -10,8 +10,8 @@ extracts that number from the trace itself:
 * :func:`detect_shifts` — changepoints in the profile sequence, split
   into *major* shifts (sustained distribution changes) and *minor*
   ones (local alternation), using a windowed-average criterion;
-* :func:`suggest_k` — the paper's rule applied automatically:
-  k = number of detected major shifts.
+* :attr:`ShiftReport.suggested_k` — the paper's rule applied
+  automatically: k = number of detected major shifts.
 
 On the paper's W1 this recovers k = 2 without the mix labels (see
 ``tests/workload/test_analysis.py``).
@@ -230,16 +230,6 @@ def detect_shifts_from_profiles(profiles: Sequence[BlockProfile],
                        minor_shifts=tuple(minor),
                        profiles=tuple(profiles), scores=tuple(scores),
                        window=window, threshold=threshold)
-
-
-def suggest_k(workload: Workload, block_size: int, window: int = 4,
-              threshold: float = 0.25, slack: int = 0) -> int:
-    """The paper's rule, automated: k = #major shifts (+ ``slack``).
-
-    ``slack`` implements the paper's "or a bit larger" option.
-    """
-    report = detect_shifts(workload, block_size, window, threshold)
-    return report.suggested_k + slack
 
 
 def _window_average(profiles: Sequence[BlockProfile], start: int,

@@ -6,8 +6,7 @@ The paper constructs workloads from simple point queries::
 
 with the column drawn from a query mix (a distribution over columns)
 and the value uniform over the column domain. This module implements
-that template plus a couple of generalizations used by the examples
-(range queries and update statements), all seeded and reproducible.
+that template, seeded and reproducible.
 """
 
 from __future__ import annotations
@@ -47,13 +46,6 @@ class QueryMix:
     @property
     def columns(self) -> List[str]:
         return list(self.weights)
-
-    def dominant_column(self) -> str:
-        return max(self.weights, key=lambda c: self.weights[c])
-
-    def describe(self) -> str:
-        parts = ", ".join(f"{c}:{w:.0%}" for c, w in self.weights.items())
-        return f"{self.name}({parts})"
 
 
 class PointQueryGenerator:
@@ -103,70 +95,6 @@ class PointQueryGenerator:
             value = int(self.rng.integers(lo, hi))
             statements.append(self.query_for(column, value, tag=label))
         return statements
-
-    def sample_range_queries(self, mix: QueryMix, n: int, span: int,
-                             tag: Optional[str] = None) -> List[Statement]:
-        """Range variant: ``col BETWEEN v AND v+span`` (for examples)."""
-        columns = mix.columns
-        probabilities = np.array([mix.weights[c] for c in columns])
-        probabilities = probabilities / probabilities.sum()
-        choices = self.rng.choice(len(columns), size=n, p=probabilities)
-        statements: List[Statement] = []
-        label = tag if tag is not None else mix.name
-        for choice in choices:
-            column = columns[int(choice)]
-            lo, hi = self.value_ranges[column]
-            value = int(self.rng.integers(lo, max(lo + 1, hi - span)))
-            sql = (f"SELECT {column} FROM {self.table} WHERE {column} "
-                   f"BETWEEN {value} AND {value + span}")
-            statements.append(Statement(sql, tag=label))
-        return statements
-
-    def sample_updates(self, column: str, n: int,
-                       tag: Optional[str] = None) -> List[Statement]:
-        """Point updates keyed on ``column`` (for DML-bearing examples)."""
-        lo, hi = self.value_ranges[column]
-        statements = []
-        for _ in range(n):
-            key = int(self.rng.integers(lo, hi))
-            new = int(self.rng.integers(lo, hi))
-            sql = (f"UPDATE {self.table} SET {column} = {new} "
-                   f"WHERE {column} = {key}")
-            statements.append(Statement(sql, tag=tag))
-        return statements
-
-
-@dataclass(frozen=True)
-class Phase:
-    """A stretch of workload drawn by alternating mixes.
-
-    Attributes:
-        mixes: the mix cycle within the phase (e.g. ``[A, B]`` for the
-            paper's minor shifts).
-        n_blocks: how many blocks the phase spans.
-        block_size: queries per block.
-    """
-
-    mixes: Tuple[QueryMix, ...]
-    n_blocks: int
-    block_size: int
-
-    def block_mix(self, block_index: int) -> QueryMix:
-        return self.mixes[block_index % len(self.mixes)]
-
-
-def generate_phased_workload(generator: PointQueryGenerator,
-                             phases: Sequence[Phase],
-                             name: Optional[str] = None) -> Workload:
-    """Concatenate phases into one workload, tagging each query with
-    its block's mix name."""
-    statements: List[Statement] = []
-    for phase in phases:
-        for block in range(phase.n_blocks):
-            mix = phase.block_mix(block)
-            statements.extend(
-                generator.sample(mix, phase.block_size))
-    return Workload(statements, name=name)
 
 
 def workload_from_block_mixes(generator: PointQueryGenerator,

@@ -92,10 +92,6 @@ class Workload:
             counts[statement.tag] = counts.get(statement.tag, 0) + 1
         return counts
 
-    def concat(self, other: "Workload") -> "Workload":
-        return Workload(self.statements + other.statements,
-                        name=self.name)
-
     def __repr__(self) -> str:
         name = f" {self.name!r}" if self.name else ""
         return f"<Workload{name}: {len(self)} statements>"

@@ -10,11 +10,8 @@ trace's broad trends while changing the details:
   W1-vs-"another day of W1" relationship).
 * :func:`jitter_blocks` — swap nearby blocks, moving the minor shifts
   around (the W1-vs-W3 out-of-phase relationship).
-* :func:`resize_blocks` — re-draw each block's statements with a new
-  length factor (volume noise).
-* :func:`drop_and_duplicate` — statement-level dropout/duplication.
 
-All are pure (they return new workloads) and fully seeded.
+Both are pure (they return new workloads) and fully seeded.
 """
 
 from __future__ import annotations
@@ -88,63 +85,6 @@ def jitter_blocks(workload: Workload, block_size: int, seed: int,
     for index in order:
         statements.extend(blocks[index])
     return Workload(statements, name=_derived_name(workload, "jitter"))
-
-
-def resize_blocks(workload: Workload, block_size: int, seed: int,
-                  min_factor: float = 0.5,
-                  max_factor: float = 1.5) -> Workload:
-    """Grow/shrink each block by a random factor, resampling its
-    statements (with replacement when growing)."""
-    if not 0 < min_factor <= max_factor:
-        raise WorkloadError("factors must satisfy 0 < min <= max")
-    rng = np.random.default_rng(seed)
-    statements: List[Statement] = []
-    for start in range(0, len(workload), block_size):
-        block = workload.statements[start:start + block_size]
-        factor = rng.uniform(min_factor, max_factor)
-        new_size = max(1, int(round(len(block) * factor)))
-        picks = rng.integers(0, len(block), new_size) \
-            if new_size > len(block) else \
-            rng.permutation(len(block))[:new_size]
-        statements.extend(block[int(p)] for p in picks)
-    return Workload(statements, name=_derived_name(workload, "resize"))
-
-
-def drop_and_duplicate(workload: Workload, seed: int,
-                       drop_fraction: float = 0.1,
-                       duplicate_fraction: float = 0.1) -> Workload:
-    """Drop some statements, duplicate others (in place), keeping
-    order — low-level trace noise."""
-    if drop_fraction + duplicate_fraction > 1.0:
-        raise WorkloadError("drop + duplicate fractions exceed 1")
-    rng = np.random.default_rng(seed)
-    statements: List[Statement] = []
-    for statement in workload:
-        roll = rng.random()
-        if roll < drop_fraction:
-            continue
-        statements.append(statement)
-        if roll > 1.0 - duplicate_fraction:
-            statements.append(statement)
-    if not statements:
-        statements = list(workload.statements[:1])
-    return Workload(statements, name=_derived_name(workload, "noise"))
-
-
-def standard_variations(workload: Workload, block_size: int,
-                        seed: int, n_variants: int = 4
-                        ) -> List[Workload]:
-    """A balanced set of variants for validation (k tuning and
-    robustness analysis): alternating value-resamples and block
-    jitters."""
-    variants: List[Workload] = []
-    for i in range(n_variants):
-        if i % 2 == 0:
-            variants.append(resample_values(workload, seed=seed + i))
-        else:
-            variants.append(jitter_blocks(workload, block_size,
-                                          seed=seed + i))
-    return variants
 
 
 def _as_point(statement: Statement):

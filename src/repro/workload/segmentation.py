@@ -2,18 +2,16 @@
 
 The design algorithms operate over a sequence of *segments* — the units
 between which the physical design may change. A segment can be a single
-statement (the paper's problem definition), a fixed-size block (the
-presentation granularity of the paper's Table 2), or a run of
-identically tagged statements.
+statement (the paper's problem definition, a block of size 1) or a
+fixed-size block (the presentation granularity of the paper's Table 2).
 
-Segmentation is streaming: :func:`iter_segments_by_count` and
-:func:`iter_segments_by_tag` consume any statement iterable — a
-materialized :class:`~repro.workload.model.Workload`, a generator, or
-a trace file being read line by line — holding at most one block of
-statements in memory. The list-returning helpers
-(:func:`segment_by_count`, :func:`segment_by_tag`) are thin wrappers
-over the iterators, so the edge cases (empty trace, single statement,
-final partial block) are handled once, without list indexing.
+Segmentation is streaming: :func:`iter_segments_by_count` consumes any
+statement iterable — a materialized
+:class:`~repro.workload.model.Workload`, a generator, or a trace file
+being read line by line — holding at most one block of statements in
+memory. :func:`segment_by_count` is a thin wrapper over the iterator,
+so the edge cases (empty trace, single statement, final partial block)
+are handled once, without list indexing.
 """
 
 from __future__ import annotations
@@ -95,37 +93,10 @@ def iter_segments_by_count(statements: Iterable[Statement],
                       tag=_dominant_tag(block))
 
 
-def iter_segments_by_tag(statements: Iterable[Statement]
-                         ) -> Iterator[Segment]:
-    """Stream runs of identically tagged statements."""
-    run: List[Statement] = []
-    run_start = 0
-    position = 0
-    for statement in statements:
-        if run and statement.tag != run[-1].tag:
-            yield Segment(tuple(run), run_start, run[-1].tag)
-            run, run_start = [], position
-        run.append(statement)
-        position += 1
-    if run:
-        yield Segment(tuple(run), run_start, run[-1].tag)
-
-
 def segment_by_count(workload: Iterable[Statement],
                      block_size: int) -> List[Segment]:
     """Split into fixed-size blocks (last block may be short)."""
     return list(iter_segments_by_count(workload, block_size))
-
-
-def segment_by_tag(workload: Iterable[Statement]) -> List[Segment]:
-    """Split at every tag change (runs of identically tagged queries)."""
-    return list(iter_segments_by_tag(workload))
-
-
-def segment_per_statement(workload: Iterable[Statement]) -> List[Segment]:
-    """One segment per statement — the paper's exact formulation."""
-    return [Segment((statement,), i, statement.tag)
-            for i, statement in enumerate(workload)]
 
 
 def _dominant_tag(statements: Sequence[Statement]) -> Optional[str]:

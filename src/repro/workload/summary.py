@@ -38,7 +38,7 @@ from operator import attrgetter
 from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from ..errors import WorkloadError
-from .model import Statement, Workload
+from .model import Statement
 from .segmentation import Segment, check_block_size
 
 
@@ -258,13 +258,6 @@ def summarize_statements(statements: Iterable[Statement],
     (the phases of :func:`iter_phases`)."""
     return WorkloadSummary(iter_phases(statements, block_size),
                            name=name)
-
-
-def summarize_workload(workload: Workload,
-                       block_size: int) -> WorkloadSummary:
-    """Summarize a materialized workload (phase per fixed-size block)."""
-    return summarize_statements(workload, block_size,
-                                name=workload.name)
 
 
 def summarize_segment(segment: Segment) -> PhaseSummary:

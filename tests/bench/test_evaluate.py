@@ -70,11 +70,6 @@ class TestReplayDesign:
         cost_a = replay_design(db, segments, with_index).total_units
         assert cost_a < cost_none
 
-    def test_relative_to(self, db, segments):
-        design = DesignSequence(EMPTY_CONFIGURATION, [A] * 6)
-        r1 = replay_design(db, segments, design)
-        assert r1.relative_to(r1) == pytest.approx(1.0)
-
 
 class TestEstimateReplay:
     def test_estimate_agrees_with_replay_on_ranking(self, db,

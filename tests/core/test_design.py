@@ -14,25 +14,6 @@ B = Configuration({IndexDef("t", ("b",))})
 E = EMPTY_CONFIGURATION
 
 
-class TestChangeCounting:
-    def test_no_changes(self):
-        design = DesignSequence(E, [E, E, E])
-        assert design.change_count == 0
-
-    def test_initial_step_counts(self):
-        design = DesignSequence(E, [A, A])
-        assert design.change_count == 1
-
-    def test_paper_example(self):
-        # [0, {IX}, 0] with C0 = 0 has l = 2 changes (Section 4.2).
-        design = DesignSequence(E, [E, A, E])
-        assert design.change_count == 2
-
-    def test_change_points(self):
-        design = DesignSequence(E, [A, A, B, B, A])
-        assert design.change_points() == [0, 2, 4]
-
-
 class TestRuns:
     def test_runs_structure(self):
         design = DesignSequence(E, [A, A, B, A])
@@ -43,10 +24,6 @@ class TestRuns:
 
     def test_single_run(self):
         assert len(DesignSequence(E, [A] * 5).runs()) == 1
-
-    def test_distinct_configurations_in_order(self):
-        design = DesignSequence(E, [B, A, B])
-        assert design.distinct_configurations() == [B, A]
 
 
 class TestBasics:

@@ -110,14 +110,12 @@ class TestCandidateGeneration:
             final=Configuration({B}), space_bound_bytes=15)
         assert Configuration({B}) in greedy.configurations
 
-    def test_union_window_widens_candidates(self):
+    def test_unions_only_consecutive_local_bests(self):
         segments, configs, provider = make_setup([1, 2, 3])
-        narrow = greedy_seq_candidates(segments, [A, B, C], provider,
-                                       union_window=1)
-        wide = greedy_seq_candidates(segments, [A, B, C], provider,
-                                     union_window=2)
-        assert Configuration({A, C}) not in narrow.configurations
-        assert Configuration({A, C}) in wide.configurations
+        greedy = greedy_seq_candidates(segments, [A, B, C], provider)
+        assert Configuration({A, B}) in greedy.configurations
+        assert Configuration({B, C}) in greedy.configurations
+        assert Configuration({A, C}) not in greedy.configurations
 
 
 class TestReduceProblem:

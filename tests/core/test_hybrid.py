@@ -1,5 +1,8 @@
 """Unit tests for the hybrid solver."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.hybrid import solve_hybrid
@@ -8,6 +11,17 @@ from repro.core.sequence_graph import solve_unconstrained
 from repro.errors import InfeasibleProblemError
 
 from .helpers import random_matrices
+
+
+def _favouring(seed, wanted):
+    """10 x 4 random matrices whose EXEC makes segment i strongly
+    prefer configuration ``wanted(i)`` (every other cell +100)."""
+    matrices = random_matrices(10, 4, seed=seed)
+    penalty = np.full(matrices.exec_matrix.shape, 100.0)
+    for i in range(matrices.n_segments):
+        penalty[i, wanted(i)] = 0.0
+    return dataclasses.replace(
+        matrices, exec_matrix=matrices.exec_matrix + penalty)
 
 
 class TestCorrectness:
@@ -22,19 +36,24 @@ class TestCorrectness:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_kaware_branch_is_optimal(self, seed):
-        matrices = random_matrices(10, 4, seed=seed)
-        result = solve_hybrid(matrices, 1, bias=1e9)  # force graph
+        # A switch at every segment (l = 10): merging's 9 steps over
+        # 10 runs estimate 360 ops, the 2-layer graph 320.
+        matrices = _favouring(seed, lambda i: 1 + i % 2)
+        result = solve_hybrid(matrices, 1)
         assert result.method == "kaware"
+        assert result.estimated_graph_ops < result.estimated_merge_ops
         assert result.cost == pytest.approx(
             solve_constrained(matrices, 1).cost)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_merging_branch_is_feasible(self, seed):
-        matrices = random_matrices(10, 4, seed=seed)
-        result = solve_hybrid(matrices, 1, bias=0.0)  # force merging
-        if result.method != "unconstrained":
-            assert result.method == "merging"
+        # One phase shift (l = 2): one merge step over 2 runs.
+        matrices = _favouring(seed, lambda i: 1 if i < 5 else 2)
+        result = solve_hybrid(matrices, 1)
+        assert result.method == "merging"
+        assert result.estimated_merge_ops < result.estimated_graph_ops
         assert result.change_count <= 1
+        assert result.cost >= solve_constrained(matrices, 1).cost - 1e-9
 
     def test_unconstrained_shortcut(self):
         matrices = random_matrices(6, 3, seed=0)

@@ -13,7 +13,7 @@ from repro.errors import DesignError
 from repro.sqlengine import IndexDef
 from repro.workload import (Statement, Workload, jitter_blocks,
                             make_paper_workload, paper_generator,
-                            segment_by_count, standard_variations)
+                            segment_by_count)
 
 from .helpers import random_matrices
 
@@ -42,11 +42,6 @@ class TestSweepK:
         matrices = random_matrices(4, 3, seed=3)
         with pytest.raises(DesignError):
             sweep_k(matrices, ks=[-1, 2])
-
-    def test_marginal_gains_nonnegative(self):
-        matrices = random_matrices(8, 4, seed=4)
-        sweep = sweep_k(matrices)
-        assert all(g >= -1e-9 for g in sweep.marginal_gains())
 
 
 #: Budgets ``sweep_k`` / ``validated_k`` refuse: an empty list (the

@@ -50,15 +50,6 @@ class TestEvaluateRobustness:
         assert all(o.regret >= -1e-9 for o in report.outcomes)
         assert len(report.outcomes) == 3
 
-    def test_summary_text(self, designs, jitter_variants,
-                          small_problem, small_provider):
-        _, constrained = designs
-        report = evaluate_robustness(constrained, small_problem,
-                                     small_provider, jitter_variants,
-                                     block_size=50, design_label="k2")
-        assert "k2" in report.summary()
-        assert "%" in report.summary()
-
     def test_wrong_design_length_raises(self, small_problem,
                                         small_provider,
                                         jitter_variants):

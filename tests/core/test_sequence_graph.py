@@ -69,12 +69,12 @@ class TestExplicitGraph:
 
     def test_node_count_formula(self, graph):
         # n * 2^m + 2 (paper, Section 3).
-        assert graph.n_nodes == 3 * 2 + 2
-        assert len(graph.nodes()) == graph.n_nodes
+        assert len(graph.nodes()) == 3 * 2 + 2
 
     def test_edge_count_formula(self, graph):
         # (n-1) * 2^2m + 2^(m+1).
-        assert graph.n_edges == 2 * 4 + 4
+        assert sum(len(graph.successors(node))
+                   for node in graph.nodes()) == 2 * 4 + 4
 
     def test_source_successors(self, graph):
         successors = graph.successors(SOURCE)

@@ -86,7 +86,7 @@ class TestAnalyzeSelect:
 
 class TestLiteralKinds:
     """A literal compares only with a column of its kind: a string
-    with TEXT, a number with a numeric column (``compare_values``)."""
+    with TEXT, a number with a numeric column."""
 
     @pytest.fixture(scope="class")
     def mixed(self):

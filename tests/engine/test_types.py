@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import TypeMismatchError
 from repro.sqlengine.types import (ColumnType, TEXT_MAX_CHARS,
-                                   compare_values, parse_column_type)
+                                   parse_column_type)
 
 
 class TestColumnType:
@@ -84,19 +84,3 @@ class TestParseColumnType:
         with pytest.raises(TypeMismatchError):
             parse_column_type("BLOB")
 
-
-class TestCompareValues:
-    def test_numeric_ordering(self):
-        assert compare_values(1, 2) == -1
-        assert compare_values(2, 1) == 1
-        assert compare_values(3, 3) == 0
-
-    def test_mixed_numeric(self):
-        assert compare_values(1, 1.5) == -1
-
-    def test_string_ordering(self):
-        assert compare_values("a", "b") == -1
-
-    def test_string_vs_number_raises(self):
-        with pytest.raises(TypeMismatchError):
-            compare_values("a", 1)

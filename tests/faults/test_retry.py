@@ -35,13 +35,6 @@ class TestSchedule:
     def test_attempt_zero_charges_nothing(self):
         assert DEFAULT_RETRY_POLICY.backoff_for(0) == 0.0
 
-    def test_total_backoff_sums_capped_schedule(self):
-        policy = RetryPolicy(max_attempts=5, backoff_units=2.0,
-                             backoff_multiplier=4.0,
-                             max_backoff_units=10.0)
-        # Raw 2, 8, 32, 128 -> capped 2, 8, 10, 10.
-        assert policy.total_backoff() == 30.0
-
 
 class TestValidation:
     def test_zero_attempts_raise(self):

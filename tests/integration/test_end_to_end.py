@@ -120,10 +120,9 @@ class TestFullPipeline:
 
     def test_statement_granularity_also_works(self, pipeline):
         """The paper's exact per-statement formulation, small slice."""
-        from repro.workload import segment_per_statement
         db, workload, _, problem, provider, _ = pipeline
         tiny = workload[:40]
-        segments = segment_per_statement(tiny)
+        segments = segment_by_count(tiny, 1)
         problem2 = ProblemInstance(
             segments=tuple(segments),
             configurations=problem.configurations,

@@ -101,7 +101,7 @@ class TestFigure3Shape:
 
     def test_w1_slowdown_is_moderate(self, figure3):
         # The paper reads ~14 % off its chart.
-        assert 0.0 < figure3.slowdown_constrained_w1() < 0.6
+        assert 0.0 < figure3.relative[("W1", "constrained")] - 1.0 < 0.6
 
     def test_w2_w3_prefer_the_constrained_design(self, figure3):
         for name in ("W2", "W3"):

@@ -52,6 +52,12 @@ def test_no_private_counter_or_pricing_fold(module):
     assert not [name for name in DELETED if hasattr(module, name)]
 
 
+def test_design_sequence_has_no_change_counter():
+    for name in ("change_count", "change_points",
+                 "distinct_configurations"):
+        assert not hasattr(repro.core.DesignSequence, name), name
+
+
 def test_change_count_is_the_only_signature_that_grew():
     parameters = inspect.signature(
         repro.core.CostMatrices.change_count).parameters

@@ -5,6 +5,7 @@ import dataclasses
 
 from repro.core.kaware import (constrained_invariant_violations,
                                solve_constrained)
+from repro.sqlengine.index import Index
 from repro.sqlengine.whatif import WhatIfOptimizer
 from repro.verify.checks import (DEFAULT_GROUND_TRUTH_BUDGETS,
                                  check_cost_service,
@@ -52,6 +53,25 @@ def test_ground_truth_budget_violation_is_reported(quick_trace):
         budgets={kind: -1.0 for kind in DEFAULT_GROUND_TRUTH_BUDGETS},
         statements_per_segment=1)
     assert not result.ok
+    assert quick_trace.db.current_configuration() == frozenset()
+
+
+def test_ground_truth_select_page_write_is_reported(quick_trace,
+                                                   monkeypatch):
+    """A seek that writes a page must fail family 4: a SELECT writes
+    no page."""
+    descent = Index.charge_descent
+
+    def writing_descent(self):
+        descent(self)
+        self.buffer_manager.write_page((self.object_id, 0))
+
+    monkeypatch.setattr(Index, "charge_descent", writing_descent)
+    result = CheckResult("groundtruth", "negative")
+    check_ground_truth(quick_trace, result, statements_per_segment=1)
+    assert result.failures
+    assert all("a SELECT wrote 1 pages" in failure.message
+               for failure in result.failures)
     assert quick_trace.db.current_configuration() == frozenset()
 
 

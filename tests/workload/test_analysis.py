@@ -11,7 +11,7 @@ from repro.errors import WorkloadError
 from repro.workload import (Statement, Workload, block_profiles,
                             detect_shifts, detect_summary_shifts,
                             make_paper_workload, paper_generator,
-                            suggest_k, summarize_workload)
+                            summarize_statements)
 from repro.workload.analysis import (BlockProfile, _queried_column,
                                      detect_shifts_from_profiles,
                                      segment_profile)
@@ -52,7 +52,7 @@ class TestBlockProfiles:
             block_profiles(w1, 0)
 
     def test_equal_profiles_of_summarized_phases(self, w1):
-        phases = summarize_workload(w1, 100).phases
+        phases = summarize_statements(w1, 100).phases
         expected = [segment_profile(phase, i)
                     for i, phase in enumerate(phases)]
         profiles = block_profiles(w1, 100)
@@ -115,7 +115,7 @@ class TestDetectShifts:
             report.minor_shifts)
 
     def test_summary_shifts_equal_raw_shifts(self, w1):
-        assert detect_summary_shifts(summarize_workload(w1, 100)) == \
+        assert detect_summary_shifts(summarize_statements(w1, 100)) == \
             detect_shifts(w1, 100)
 
     def test_stable_workload_has_no_shifts(self):
@@ -169,10 +169,7 @@ class TestResumableDetection:
 
 class TestSuggestK:
     def test_matches_paper_choice_for_w1(self, w1):
-        assert suggest_k(w1, 100) == 2
-
-    def test_slack_adds_headroom(self, w1):
-        assert suggest_k(w1, 100, slack=1) == 3
+        assert detect_shifts(w1, 100).suggested_k == 2
 
 
 class TestQueriedColumn:

@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload import PointQueryGenerator, QueryMix
-from repro.workload.generator import (Phase, generate_phased_workload,
-                                      workload_from_block_mixes)
+from repro.workload.generator import workload_from_block_mixes
 
 RANGES = {"a": (0, 1000), "b": (0, 1000)}
 MIX = QueryMix("M", {"a": 0.8, "b": 0.2})
@@ -19,12 +18,6 @@ class TestQueryMix:
     def test_negative_weight_raises(self):
         with pytest.raises(WorkloadError):
             QueryMix("bad", {"a": 1.5, "b": -0.5})
-
-    def test_dominant_column(self):
-        assert MIX.dominant_column() == "a"
-
-    def test_describe(self):
-        assert "80%" in MIX.describe()
 
 
 class TestPointQueryGenerator:
@@ -75,34 +68,8 @@ class TestPointQueryGenerator:
         with pytest.raises(WorkloadError):
             PointQueryGenerator("t", {}, seed=0)
 
-    def test_range_queries(self):
-        generator = PointQueryGenerator("t", RANGES, seed=0)
-        statements = generator.sample_range_queries(MIX, 10, span=50)
-        for statement in statements:
-            predicate = statement.ast.where.predicates[0]
-            assert predicate.hi - predicate.lo == 50
-
-    def test_update_statements(self):
-        generator = PointQueryGenerator("t", RANGES, seed=0)
-        statements = generator.sample_updates("a", 5)
-        assert all(s.ast.table == "t" for s in statements)
-        assert all(s.sql.startswith("UPDATE") for s in statements)
-
 
 class TestPhasedWorkloads:
-    def test_phase_block_mix_cycles(self):
-        mix2 = QueryMix("N", {"a": 1.0})
-        phase = Phase(mixes=(MIX, mix2), n_blocks=4, block_size=10)
-        assert phase.block_mix(0) is MIX
-        assert phase.block_mix(1) is mix2
-        assert phase.block_mix(2) is MIX
-
-    def test_generate_phased_workload_length(self):
-        generator = PointQueryGenerator("t", RANGES, seed=0)
-        workload = generate_phased_workload(
-            generator, [Phase((MIX,), 3, 10), Phase((MIX,), 2, 5)])
-        assert len(workload) == 40
-
     def test_workload_from_block_mixes_tags(self):
         generator = PointQueryGenerator("t", RANGES, seed=0)
         mix2 = QueryMix("N", {"b": 1.0})

@@ -72,9 +72,5 @@ class TestWorkload:
     def test_tag_counts(self, workload):
         assert workload.tag_counts() == {"A": 5, "B": 5}
 
-    def test_concat(self, workload):
-        doubled = workload.concat(workload)
-        assert len(doubled) == 20
-
     def test_repr(self, workload):
         assert "10 statements" in repr(workload)

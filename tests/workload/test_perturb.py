@@ -3,10 +3,9 @@
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workload import (Statement, Workload, drop_and_duplicate,
-                            jitter_blocks, make_paper_workload,
-                            paper_generator, resample_values,
-                            resize_blocks, standard_variations)
+from repro.workload import (Statement, Workload, jitter_blocks,
+                            make_paper_workload, paper_generator,
+                            resample_values)
 
 
 @pytest.fixture(scope="module")
@@ -89,54 +88,3 @@ class TestJitterBlocks:
         leading_tags = {s.tag for s in varied.statements[:7 * 20]}
         assert leading_tags <= {"A", "B"}
 
-
-class TestResizeBlocks:
-    def test_length_varies_but_bounded(self, w1):
-        varied = resize_blocks(w1, block_size=20, seed=5,
-                               min_factor=0.5, max_factor=1.5)
-        assert 0.4 * len(w1) <= len(varied) <= 1.6 * len(w1)
-
-    def test_statements_come_from_their_block(self, w1):
-        varied = resize_blocks(w1, block_size=20, seed=5)
-        originals = {s.sql for s in w1}
-        assert all(s.sql in originals for s in varied)
-
-    def test_bad_factors_raise(self, w1):
-        with pytest.raises(WorkloadError):
-            resize_blocks(w1, 20, seed=1, min_factor=0.0)
-        with pytest.raises(WorkloadError):
-            resize_blocks(w1, 20, seed=1, min_factor=2.0,
-                          max_factor=1.0)
-
-
-class TestDropAndDuplicate:
-    def test_length_roughly_preserved(self, w1):
-        varied = drop_and_duplicate(w1, seed=6, drop_fraction=0.1,
-                                    duplicate_fraction=0.1)
-        assert 0.75 * len(w1) <= len(varied) <= 1.25 * len(w1)
-
-    def test_excessive_fractions_raise(self, w1):
-        with pytest.raises(WorkloadError):
-            drop_and_duplicate(w1, seed=1, drop_fraction=0.7,
-                               duplicate_fraction=0.7)
-
-    def test_never_empty(self):
-        workload = Workload([Statement("SELECT a FROM t")])
-        varied = drop_and_duplicate(workload, seed=1,
-                                    drop_fraction=0.99,
-                                    duplicate_fraction=0.0)
-        assert len(varied) >= 1
-
-
-class TestStandardVariations:
-    def test_count_and_kinds(self, w1):
-        variants = standard_variations(w1, block_size=20, seed=0,
-                                       n_variants=4)
-        assert len(variants) == 4
-        names = [v.name for v in variants]
-        assert any("values" in n for n in names)
-        assert any("jitter" in n for n in names)
-
-    def test_all_same_length_as_trace(self, w1):
-        for variant in standard_variations(w1, 20, seed=0):
-            assert len(variant) == len(w1)

@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workload import (Statement, Workload, iter_segments_by_count,
-                            iter_segments_by_tag, segment_by_count,
-                            segment_by_tag, segment_per_statement)
+                            segment_by_count)
 
 
 @pytest.fixture
@@ -62,31 +61,9 @@ class TestSegmentByCount:
         assert segment.end == 6
 
 
-class TestSegmentByTag:
-    def test_runs(self, workload):
-        segments = segment_by_tag(workload)
-        assert [s.tag for s in segments] == ["A", "B", "C"]
-        assert [len(s) for s in segments] == [2, 3, 1]
-
-    def test_starts_align(self, workload):
-        segments = segment_by_tag(workload)
-        assert [s.start for s in segments] == [0, 2, 5]
-
-    def test_untagged_runs_merge(self):
-        workload = Workload([Statement("SELECT a FROM t")
-                             for _ in range(3)])
-        assert len(segment_by_tag(workload)) == 1
-
-
 class TestSegmentPerStatement:
-    def test_one_per_statement(self, workload):
-        segments = segment_per_statement(workload)
-        assert len(segments) == 6
-        assert all(len(s) == 1 for s in segments)
-        assert [s.tag for s in segments] == list("AABBBC")
-
     def test_iteration_yields_statements(self, workload):
-        segment = segment_per_statement(workload)[0]
+        segment = segment_by_count(workload, 1)[0]
         assert next(iter(segment)).sql.endswith("= 0")
 
     def test_repr_shows_span(self, workload):
@@ -142,19 +119,3 @@ class TestStreamingByCount:
     def test_zero_block_raises_before_consuming(self):
         with pytest.raises(WorkloadError):
             list(iter_segments_by_count(iter([]), 0))
-
-
-class TestStreamingByTag:
-    def test_empty_trace_yields_nothing(self):
-        assert list(iter_segments_by_tag(iter([]))) == []
-
-    def test_single_statement_trace(self):
-        segments = list(iter_segments_by_tag(
-            iter([Statement("SELECT a FROM t", tag="B")])))
-        assert [s.tag for s in segments] == ["B"]
-        assert segments[0].start == 0
-
-    def test_final_run_emitted(self, workload):
-        streamed = list(iter_segments_by_tag(iter(workload)))
-        assert [s.tag for s in streamed] == ["A", "B", "C"]
-        assert [s.start for s in streamed] == [0, 2, 5]

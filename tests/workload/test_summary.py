@@ -8,7 +8,7 @@ from repro.workload import (Segment, Statement, Workload, atoms_of,
                             iter_phases, iter_segments_by_count,
                             segment_by_count,
                             summarize_segment, summarize_segments,
-                            summarize_statements, summarize_workload)
+                            summarize_statements)
 from repro.workload.summary import PhaseSummary
 
 
@@ -157,10 +157,6 @@ class TestSummarizeSegments:
         summary = summarize_segments(segments, name="w")
         assert summary.n_phases == len(segments)
         assert summary.name == "w"
-
-    def test_summarize_workload_carries_name(self, repeated_trace):
-        workload = Workload(repeated_trace, name="W9")
-        assert summarize_workload(workload, 6).name == "W9"
 
 
 class TestAtomsOf:
